@@ -32,7 +32,6 @@ from .modp import (
     verify_strong_approx,
 )
 from .orbit_sieve import (
-    ModuliBudgetError,
     almost_prime_census,
     brun_bound,
     build_sequence,
@@ -43,6 +42,7 @@ from .orbit_sieve import (
     sieve_dimension_fit,
 )
 from .polyalg import (
+    CertificateError,
     GcdCertificate,
     MultiPoly,
     bad_prime_bound,
@@ -67,7 +67,6 @@ from .heuristics import (
     hilbert_schmidt,
     norm_growth_check,
     prime_factor_trend,
-    shifted_product,
     two_power_product,
 )
 from .scenario import Scenario, load_scenario, parse_rational, rational_str

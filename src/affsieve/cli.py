@@ -4,7 +4,8 @@ Every command prints a human-readable summary and, with --record, writes a
 deterministic machine-readable JSON record (no timestamps, sorted keys) so
 that replaying the same scenario hash and flags is byte-identical.
 
-Exit codes: 0 success, 2 invalid input, 3 resource/budget exhaustion.
+Exit codes: 0 success, 2 invalid input, 3 resource/budget exhaustion,
+4 a certificate or exact cross-check failed to verify.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core_arith import check_prime_set, primes_upto
-from .heuristics import (
-    TorusSpec,
-    borel_cantelli_sum,
-    norm_growth_check,
-    prime_factor_trend,
-    two_power_product,
-)
+from .core_arith import primes_upto
+from .heuristics import TorusSpec, borel_cantelli_sum, norm_growth_check
 from .matgroup import ResourceCapError, ball, orbit
 from .modp import (
     EnumerationBudgetError,
@@ -30,14 +25,12 @@ from .modp import (
     beta_squarefree,
     detect_ramified,
     enumerate_variety_mod_p,
-    generate_image,
     local_density,
     sl_order,
     splitting_census,
     verify_strong_approx,
 )
 from .orbit_sieve import (
-    ModuliBudgetError,
     almost_prime_census,
     brun_bound,
     build_sequence,
@@ -47,8 +40,8 @@ from .orbit_sieve import (
     saturation_estimate,
     sieve_dimension_fit,
 )
-from .polyalg import MultiPoly
-from .scenario import Scenario, encode_value, load_scenario, parse_rational, rational_str
+from .polyalg import CertificateError, MultiPoly
+from .scenario import Scenario, encode_value, load_scenario, parse_rational
 from .unipotent_sieve import (
     CoprimalityError,
     SieveBudget,
@@ -58,6 +51,7 @@ from .unipotent_sieve import (
 EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_BUDGET = 3
+EXIT_CERTIFICATE = 4
 
 
 def _emit(args, command: str, scenario, flags: dict, outputs: dict) -> None:
@@ -382,8 +376,6 @@ def cmd_r_formula(_sc, args):
 # ---------------------------------------------------------------------------
 # argument wiring
 
-_NEEDS_SCENARIO = True
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -477,9 +469,12 @@ def main(argv=None) -> int:
         }
         _emit(args, args.command, scenario, flags, outputs)
         return EXIT_OK
-    except (ResourceCapError, ImageCapError, EnumerationBudgetError, ModuliBudgetError) as exc:
+    except (ResourceCapError, ImageCapError, EnumerationBudgetError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except CertificateError as exc:
+        print(f"certificate check failed: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     except (ValueError, CoprimalityError, OSError, KeyError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -1,6 +1,6 @@
 """Diagonalizable-group (torus) non-saturation heuristics: Hilbert-Schmidt
-norm growth envelopes, the shifted-product regular function, prime-factor
-trend tables, and convergence of the relevant Borel-Cantelli sums.
+norm growth envelopes, prime-factor trend tables, and convergence of the
+relevant Borel-Cantelli sums.
 
 No randomness is simulated: the deterministic quantities and the bound sums
 are computed side by side for comparison.  Evidence only; nothing here
@@ -24,17 +24,6 @@ from .matgroup import MatrixQ
 def hilbert_schmidt(x: MatrixQ) -> Fraction:
     """F(x) = Tr(x^t x) = sum of squared entries; F(I_n) = n."""
     return sum(e * e for row in x.entries for e in row)
-
-
-def shifted_product(x: MatrixQ, nu: int) -> Fraction:
-    """prod_{j=1..nu} (F(x) + j); empty product 1 at nu = 0."""
-    if nu < 0:
-        raise ValueError("nu must be >= 0")
-    F = hilbert_schmidt(x)
-    out = Fraction(1)
-    for j in range(1, nu + 1):
-        out *= F + j
-    return out
 
 
 @dataclass(frozen=True)
@@ -273,19 +262,20 @@ def borel_cantelli_sum(
         sums[i] - (sums[i - 1] if i else (1.0 if power == 0 else 0.0))
         for i in range(len(sums))
     )
-    # integral-test tail bound from 1: shell(s) <= 2t(2s+1)^(t-1) <= 2t(3s)^(t-1)
-    # for s >= 1, and the summand is decreasing for s+1 > e^(power/nu)
+    # integral-test tail bound: shell(s) <= 2t(2s+1)^(t-1) <= 2t(3s)^(t-1)
+    # for s >= 1, and the summand is decreasing for s+1 > e^(power/nu).  The
+    # head sums the shells 1..head_end exactly; the integral from head_end
+    # bounds every later shell.
     from scipy.integrate import quad
 
     def integrand(x):
         return 2 * t * (3 * x) ** (t - 1) * math.log(x + 1) ** power / (x + 1) ** nu
 
-    head_end = max(2.0, math.exp(power / nu))
-    head = 0.0
-    s = 1
-    while s <= head_end:
-        head += _shell_count(t, s) * math.log(s + 1) ** power / (s + 1) ** nu
-        s += 1
+    head_end = max(2, math.floor(math.exp(power / nu)))
+    head = sum(
+        _shell_count(t, s) * math.log(s + 1) ** power / (s + 1) ** nu
+        for s in range(1, head_end + 1)
+    )
     tail, _err = quad(integrand, head_end, np.inf)
     base = 1.0 if power == 0 else 0.0
     bound = base + head + tail

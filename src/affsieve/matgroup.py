@@ -1,6 +1,5 @@
-"""Exact matrix groups over Q: generator sets, word-metric balls by BFS,
-orbit slices, the affine embedding, an S-adapted norm surrogate, and
-derived-series generator sets.
+"""Exact matrix groups over Q: generator sets, word-metric balls by BFS, and
+orbit slices.
 
 Matrices are immutable tuples of tuples of Fraction; dedup is by exact
 entries, so relations in the group are handled without any freeness
@@ -9,13 +8,9 @@ assumption.
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
-
-from .core_arith import check_prime_set, padic_valuation
+from typing import Iterable, Sequence
 
 Entries = tuple[tuple[Fraction, ...], ...]
 
@@ -270,58 +265,3 @@ def orbit(gens: GeneratorSet, v: Sequence, L: int, cap: int = 5_000_000) -> Orbi
         nxt.sort(key=lambda t: [(x.numerator, x.denominator) for x in t])
         frontier = nxt
     return OrbitSlice(base=base, points=points)
-
-
-def affine_embed(A: MatrixQ, b: Sequence) -> MatrixQ:
-    """x -> Ax + b as the (n+1)x(n+1) block matrix [[A, b], [0, 1]]."""
-    bb = tuple(Fraction(x) for x in b)
-    if len(bb) != A.n:
-        raise ValueError("translation dimension mismatch")
-    n = A.n
-    rows = [list(A.entries[i]) + [bb[i]] for i in range(n)]
-    rows.append([Fraction(0)] * n + [Fraction(1)])
-    return MatrixQ(rows)
-
-
-def s_norm(gamma: MatrixQ, S: Iterable[int] = ()) -> Fraction:
-    """Computable norm surrogate: max of the archimedean bound n * max|entry|
-    and, per p in S, the max p-adic norm of the entries.
-
-    Submultiplicative up to the factor n: s_norm(ab) <= n * s_norm(a) * s_norm(b).
-    """
-    Sset = check_prime_set(S)
-    arch = Fraction(gamma.n) * max(abs(x) for row in gamma.entries for x in row)
-    best = arch
-    for p in Sset:
-        for row in gamma.entries:
-            for x in row:
-                if x == 0:
-                    continue
-                np = Fraction(p) ** (-padic_valuation(x, p))
-                if np > best:
-                    best = np
-    return best
-
-
-def derived_generators(gens: GeneratorSet, depth: int) -> Optional[GeneratorSet]:
-    """Commutator generator sets, iterated `depth` times.
-
-    Approximates the derived series: the result generates a subgroup of the
-    i-th derived group, not necessarily all of it.  Returns None when every
-    commutator collapses to the identity (abelian level reached).
-    """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
-    current = gens
-    for _ in range(depth):
-        gs = current.generators
-        comms = []
-        for a in gs:
-            for b in gs:
-                c = a.inverse() @ b.inverse() @ a @ b
-                if not c.is_identity():
-                    comms.append(c)
-        if not comms:
-            return None
-        current = GeneratorSet(comms, symmetric=True)
-    return current

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core_arith import check_prime_set, factorize, is_prime, primes_upto
 from .matgroup import Ball, GeneratorSet, MatrixQ, entry_variable_names
-from .polyalg import MultiPoly
+from .polyalg import CertificateError, MultiPoly
 
 EntriesMod = tuple[tuple[int, ...], ...]
 
@@ -498,7 +498,7 @@ def beta_squarefree(
         image = generate_image(gens, d, cap=cap)
         direct = Fraction(count_Nf(image, f), len(image))
         if direct != beta:
-            raise AssertionError(
+            raise CertificateError(
                 f"multiplicativity cross-check failed at d={d}: {direct} != {beta}"
             )
     return beta

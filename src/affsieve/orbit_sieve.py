@@ -10,7 +10,7 @@ report summaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -28,10 +28,6 @@ from .matgroup import Ball, GeneratorSet, MatrixQ, ball, entry_variable_names
 from .polyalg import MultiPoly, zariski_density_test
 
 BetaProvider = Callable[[int], Fraction]
-
-
-class ModuliBudgetError(RuntimeError):
-    """Truncated inclusion-exclusion needs more moduli than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -186,50 +182,34 @@ class BrunBracket:
     moduli_used: int
 
 
-def brun_bound(
-    seq: SieveSequence,
-    z: int,
-    b: int,
-    moduli_budget: int = 200_000,
-) -> BrunBracket:
+def _truncated_alternating_sum(w: int, k: int) -> int:
+    """sum_{j<=k} (-1)^j C(w, j), which is (-1)^k C(w-1, k) for w >= 1."""
+    return 1 if w == 0 else (-1) ** k * math.comb(w - 1, k)
+
+
+def brun_bound(seq: SieveSequence, z: int, b: int) -> BrunBracket:
     """Truncated inclusion-exclusion over squarefree products of the primes
     <= z outside S.
 
-    Truncating the alternating sum after an odd number of prime factors gives
-    a lower bound for the sifted count, after an even number an upper bound
-    (partial sums of sum_j (-1)^j C(w, j) alternate around [w = 0]).  So:
-    lower = depth 2b-1, upper = depth 2b.  Exact, beta-independent.
+    A value n divisible by w(n) of those primes contributes
+    sum_{d | n, omega(d) <= k} (-1)^omega(d) = sum_{j<=k} (-1)^j C(w(n), j),
+    so one pass over the values replaces the sum over moduli d.  Truncating
+    after an odd number of prime factors gives a lower bound for the sifted
+    count, after an even number an upper bound (the partial sums alternate
+    around [w = 0]).  So: lower = depth 2b-1, upper = depth 2b.  Exact,
+    beta-independent.  ``moduli_used`` counts the moduli d of the depth-2b
+    sum: sum_{j<=2b} C(#primes, j).
     """
     if z < 2 or b < 1:
         raise ValueError("need z >= 2 and b >= 1")
     ps = [p for p in primes_upto(z) if p not in seq.S_used]
-
-    def moduli(depth: int) -> list[tuple[int, int]]:
-        # (d, omega(d)) for squarefree d from ps with omega <= depth
-        out = [(1, 0)]
-        for p in ps:
-            new = []
-            for d, w in out:
-                if w < depth:
-                    new.append((d * p, w + 1))
-            out.extend(new)
-            if len(out) > moduli_budget:
-                raise ModuliBudgetError(
-                    "moduli explosion beyond budget; increase budget or lower z/b"
-                )
-        return out
-
-    def truncated(depth: int) -> int:
-        total = 0
-        for d, w in moduli(depth):
-            A_d = sum(a for n, a in seq.entries.items() if n % d == 0)
-            total += (-1) ** w * A_d
-        return total
-
-    mods = moduli(2 * b)
-    lower = truncated(2 * b - 1)
-    upper = truncated(2 * b)
-    return BrunBracket(z=z, b=b, lower=lower, upper=upper, moduli_used=len(mods))
+    lower = upper = 0
+    for n, a in seq.entries.items():
+        w = sum(1 for p in ps if n % p == 0)
+        lower += a * _truncated_alternating_sum(w, 2 * b - 1)
+        upper += a * _truncated_alternating_sum(w, 2 * b)
+    moduli_used = sum(math.comb(len(ps), j) for j in range(2 * b + 1))
+    return BrunBracket(z=z, b=b, lower=lower, upper=upper, moduli_used=moduli_used)
 
 
 @dataclass(frozen=True)

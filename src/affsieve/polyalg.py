@@ -15,12 +15,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import sympy
 from sympy.parsing.sympy_parser import parse_expr, standard_transformations
 
-from .core_arith import check_prime_set, factorize, primes_upto
+from .core_arith import factorize, primes_upto
 
 
 class MultiPoly:
@@ -362,6 +362,10 @@ def _poly_gcdex(a: list[Fraction], b: list[Fraction]):
     return r0, s0, t0
 
 
+class CertificateError(RuntimeError):
+    """A certificate or exact cross-check failed to verify."""
+
+
 @dataclass(frozen=True)
 class GcdCertificate:
     """Witness that gcd of the values of a coprime univariate family divides m:
@@ -423,7 +427,8 @@ def gcd_certificate(polys: Sequence[MultiPoly]) -> GcdCertificate:
         _list_to_poly([x * m for x in q], name, variables) for q in cof
     )
     cert = GcdCertificate(polys=tuple(polys), cofactors=cofactors, m=m)
-    assert cert.verify()
+    if not cert.verify():
+        raise CertificateError(f"gcd certificate failed to verify for {polys!r}")
     return cert
 
 
@@ -728,14 +733,6 @@ class NilpotentLog:
             N = _mat_add(N, B, cb=Fraction(c * self.scale))
         return nilpotent_exp(N)
 
-    def log_chart_coords(self, coords: Sequence[int]) -> tuple[Fraction, ...]:
-        """Upper-entry coordinates of scale * (combination) in the log chart."""
-        n = self.n
-        N = _mat_zero(n)
-        for c, B in zip(coords, self.basis):
-            N = _mat_add(N, B, cb=Fraction(c * self.scale))
-        return _upper_coords(N)
-
 
 def _in_integral_form(mat, N: int) -> bool:
     rows = _as_rows(mat)
@@ -766,8 +763,6 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
             raise ValueError("generators must be unipotent upper triangular")
 
     def word_logs(radius: int) -> list[tuple[Fraction, ...]]:
-        from itertools import product
-
         inv = [nilpotent_exp(_mat_add(_mat_zero(n), nilpotent_log(g), cb=Fraction(-1))) for g in mats]
         alphabet = mats + inv
         seen = {_mat_ident(n)}

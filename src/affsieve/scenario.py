@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -29,6 +29,13 @@ def parse_rational(value) -> Fraction:
 def rational_str(q: Fraction) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def _int(value, where: str) -> int:
+    """An integer literal; strings, floats and booleans are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where} must be an integer, got {value!r}")
+    return value
 
 
 def _check_keys(obj: dict, allowed: set[str], where: str):
@@ -53,7 +60,6 @@ _TOP_KEYS = {
     "params",
     "unipotent",
     "torus",
-    "decomposition",
 }
 _AMBIENT_KEYS = {"n", "kind"}
 _PARAM_KEYS = {"tau", "T", "D", "L_schedule", "ball_cap", "image_cap", "r_max", "logM0"}
@@ -134,8 +140,11 @@ def scenario_from_dict(raw: dict) -> Scenario:
     _check_keys(ambient, _AMBIENT_KEYS, "ambient")
     n = ambient.get("n")
     kind = ambient.get("kind")
-    if not isinstance(n, int) or n < 1:
+    if _int(n, "ambient.n") < 1:
         raise ValueError("ambient.n must be a positive integer")
+    if n > 10:
+        # entry names x{i}{j} collide from n = 11 on (x1,11 and x11,1)
+        raise ValueError("ambient.n must be at most 10")
     if kind not in _KINDS:
         raise ValueError(f"ambient.kind must be one of {sorted(_KINDS)}")
 
@@ -157,7 +166,7 @@ def scenario_from_dict(raw: dict) -> Scenario:
         block = raw["f_tilde"]
         _check_keys(block, _FTILDE_KEYS, "f_tilde")
         f_tilde = MultiPoly.parse(block["poly"], variables)
-        f_tilde_degree = int(block.get("degree", f_tilde.degree()))
+        f_tilde_degree = _int(block.get("degree", f_tilde.degree()), "f_tilde.degree")
 
     vec = None
     if "orbit_vector" in raw:
@@ -166,19 +175,21 @@ def scenario_from_dict(raw: dict) -> Scenario:
             raise ValueError("orbit_vector dimension mismatch")
         vec = tuple(parse_rational(x) for x in vals)
 
-    S0 = tuple(int(p) for p in raw.get("S0", []))
-    S_prime = tuple(int(p) for p in raw.get("S_prime", []))
+    S0 = tuple(_int(p, "S0 entry") for p in raw.get("S0", []))
+    S_prime = tuple(_int(p, "S_prime entry") for p in raw.get("S_prime", []))
     ideal = tuple(MultiPoly.parse(s, variables) for s in raw.get("ambient_ideal", []))
 
     params = raw.get("params", {})
     _check_keys(params, _PARAM_KEYS, "params")
     tau = parse_rational(params.get("tau", "1/2"))
     T = parse_rational(params.get("T", 1))
-    D = int(params.get("D", 1))
-    L_schedule = tuple(int(x) for x in params.get("L_schedule", (4, 6, 8)))
-    ball_cap = int(params.get("ball_cap", 5_000_000))
-    image_cap = int(params.get("image_cap", 5_000_000))
-    r_max = int(params.get("r_max", 8))
+    D = _int(params.get("D", 1), "params.D")
+    L_schedule = tuple(
+        _int(x, "params.L_schedule entry") for x in params.get("L_schedule", (4, 6, 8))
+    )
+    ball_cap = _int(params.get("ball_cap", 5_000_000), "params.ball_cap")
+    image_cap = _int(params.get("image_cap", 5_000_000), "params.image_cap")
+    r_max = _int(params.get("r_max", 8), "params.r_max")
     logM0 = parse_rational(params.get("logM0", 1))
 
     uni_p = None
@@ -197,9 +208,12 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if "torus" in raw:
         block = raw["torus"]
         _check_keys(block, _TORUS_KEYS, "torus")
-        torus_M = int(block["M"])
-        torus_nu = int(block["nu"])
-        torus_r = int(block.get("r", 1))
+        torus_M = _int(block["M"], "torus.M")
+        torus_nu = _int(block["nu"], "torus.nu")
+        torus_r = _int(block.get("r", 1), "torus.r")
+
+    dim_V = _int(raw["dim_V"], "dim_V") if "dim_V" in raw else None
+    dim_G = _int(raw["dim_G"], "dim_G") if "dim_G" in raw else None
 
     levi = raw.get("levi_semisimple")
     if levi is not None and not isinstance(levi, bool):
@@ -219,8 +233,8 @@ def scenario_from_dict(raw: dict) -> Scenario:
         S0=S0,
         S_prime=S_prime,
         ambient_ideal=ideal,
-        dim_V=raw.get("dim_V"),
-        dim_G=raw.get("dim_G"),
+        dim_V=dim_V,
+        dim_G=dim_G,
         levi_semisimple=levi,
         tau=tau,
         T=T,

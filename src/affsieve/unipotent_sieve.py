@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import sympy
 
@@ -31,10 +31,10 @@ from .core_arith import (
 )
 from .matgroup import MatrixQ
 from .polyalg import (
+    CertificateError,
     MultiPoly,
     NilpotentLog,
     bad_prime_bound,
-    gcd_certificate,
     malcev_lattice,
     progression_avoiding,
 )
@@ -293,7 +293,7 @@ def _content_split(
         else:
             q, rem = sympy.div(c.to_sympy(), g, *syms)
             if sympy.simplify(rem) != 0:
-                raise AssertionError("content division left a remainder")
+                raise CertificateError("content division left a remainder")
             His.append(MultiPoly.from_sympy(q, variables))
     return H, His
 
@@ -350,9 +350,15 @@ def _sieve_level(
                 raise CoprimalityError("constant family with gcd 0")
             if g > 1:
                 S |= set(factorize(g).primes())
-        fac = factorize(abs(val.numerator))
-        r = fac.omega() if fac.complete else 0
-        return _LevelResult(r=r or 0, S=S, assignments=[{}], prefixes=[], exhausted=False)
+        # a factoring budget blown on the constant is reported, not counted as r = 0
+        fac = factorize(abs(val.numerator), budget.factor)
+        return _LevelResult(
+            r=fac.omega() or 0,
+            S=S,
+            assignments=[{}],
+            prefixes=[],
+            exhausted=not fac.complete,
+        )
 
     pivot = _pivot_choice(P, families, active)
     rest = tuple(v for v in active if v != pivot)

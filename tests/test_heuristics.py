@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from affsieve.heuristics import (
     TorusSpec,
@@ -10,7 +12,6 @@ from affsieve.heuristics import (
     hilbert_schmidt,
     norm_growth_check,
     prime_factor_trend,
-    shifted_product,
     two_power_product,
 )
 from affsieve.matgroup import MatrixQ
@@ -22,14 +23,6 @@ def test_hilbert_schmidt_values():
     assert hilbert_schmidt(MatrixQ.identity(2)) == 2
     assert hilbert_schmidt(DIAG) == Fraction(17, 4)
     assert hilbert_schmidt(MatrixQ([[1, 2], [0, 1]])) == 6
-
-
-def test_shifted_product():
-    m = MatrixQ.identity(2)
-    assert shifted_product(m, 0) == 1
-    assert shifted_product(m, 2) == 3 * 4
-    with pytest.raises(ValueError):
-        shifted_product(m, -1)
 
 
 def test_torus_spec_requires_commuting():
@@ -98,6 +91,15 @@ def test_borel_cantelli_increment_shrinks():
     rep = borel_cantelli_sum(1, 2, 1, 10**6, checkpoints=[10**5])
     assert rep.increments[-1] < 2e-5
     assert rep.partial_sums[-1] < rep.integral_bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5000))
+@example(1, 1, 2, 10**6)
+@example(1, 2, 2, 10**5)
+def test_borel_cantelli_partial_sums_below_bound(t, extra, r, M):
+    rep = borel_cantelli_sum(t, t + extra, r, M)
+    assert rep.partial_sums[-1] <= rep.integral_bound
 
 
 def test_borel_cantelli_domain():

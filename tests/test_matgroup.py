@@ -1,19 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from affsieve.matgroup import (
     GeneratorSet,
     MatrixQ,
     ResourceCapError,
-    affine_embed,
     ball,
-    derived_generators,
     entry_variable_names,
     orbit,
-    s_norm,
 )
 
 A = MatrixQ([[1, 2], [0, 1]])
@@ -84,48 +79,3 @@ def test_orbit_matches_ball_projection():
     o = orbit(FREE, v, 3)
     from_ball = {tuple(m.apply(v)) for m in ball(FREE, 3).elements}
     assert set(o.points) == from_ball
-
-
-def test_affine_embed_composition():
-    A1 = MatrixQ([[2, 1], [1, 1]])
-    A2 = MatrixQ([[1, -1], [0, 1]])
-    b1, b2 = (1, 2), (3, -1)
-    lhs = affine_embed(A1, b1) @ affine_embed(A2, b2)
-    # (A1, b1) after (A2, b2): x -> A1 A2 x + A1 b2 + b1
-    rhs = affine_embed(A1 @ A2, tuple(x + y for x, y in zip(A1.apply(b2), b1)))
-    assert lhs == rhs
-
-
-def test_s_norm_values():
-    m = MatrixQ([[Fraction(1, 2), 0], [0, 2]])
-    assert s_norm(m) == 4  # archimedean: 2 * max|entry|
-    assert s_norm(m, [2]) == 4  # |1/2|_2 = 2 does not beat it
-    m = MatrixQ([[Fraction(1, 8), 0], [0, 8]])
-    assert s_norm(m, [2]) == 16  # archimedean 2*8 beats |1/8|_2 = 8? no: 16 > 8
-    assert s_norm(MatrixQ([[Fraction(1, 32), 0], [0, 1]]), [2]) == 32  # 2-adic wins
-
-
-def test_s_norm_submultiplicative_up_to_n():
-    n = 2
-    mats = [A, B, A @ B, A.inverse()]
-    for x in mats:
-        for y in mats:
-            assert s_norm(x @ y, [2]) <= n * s_norm(x, [2]) * s_norm(y, [2])
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-def test_s_norm_positive(a, b, c, d):
-    m = MatrixQ([[a, b], [c, d]])
-    if m.det() == 0:
-        return
-    assert s_norm(m) > 0
-
-
-def test_derived_generators():
-    # the free pair has nontrivial commutators at every depth
-    d1 = derived_generators(FREE, 1)
-    assert d1 is not None and len(d1.generators) > 0
-    # an abelian group has none
-    g = GeneratorSet([MatrixQ([[1, 1], [0, 1]])])
-    assert derived_generators(g, 1) is None

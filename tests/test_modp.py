@@ -19,7 +19,8 @@ from affsieve.modp import (
     splitting_census,
     verify_strong_approx,
 )
-from affsieve.polyalg import MultiPoly
+from affsieve import modp
+from affsieve.polyalg import CertificateError, MultiPoly
 
 A = MatrixQ([[1, 2], [0, 1]])
 B = MatrixQ([[1, 0], [2, 1]])
@@ -124,6 +125,20 @@ def test_beta_squarefree():
     assert beta_squarefree(FREE, TR2, 6, ramified=[2]) == 0
     with pytest.raises(ValueError):
         beta_squarefree(FREE, TR2, 9)
+
+
+def test_beta_squarefree_cross_check_raises_certificate_error(monkeypatch):
+    # forge beta(p) = 1/2 for every p: the product disagrees with the direct
+    # count mod 15
+    true_density = modp.local_density
+
+    def forged(*args, **kwargs):
+        d = true_density(*args, **kwargs)
+        return modp.LocalDensity(p=d.p, N_f=d.N_f, order=d.order, beta=Fraction(1, 2))
+
+    monkeypatch.setattr(modp, "local_density", forged)
+    with pytest.raises(CertificateError):
+        beta_squarefree(FREE, TR2, 15)
 
 
 def test_detect_ramified_tr_minus_2():

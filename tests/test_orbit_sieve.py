@@ -1,13 +1,15 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affsieve.core_arith import factorize, primes_upto
 from affsieve.matgroup import GeneratorSet, MatrixQ, entry_variable_names
 from affsieve.modp import local_density, sl2_ambient_ideal
 from affsieve.orbit_sieve import (
-    ModuliBudgetError,
     SieveSequence,
     almost_prime_census,
     brun_bound,
@@ -114,10 +116,45 @@ def test_brun_frozen_values():
     assert (br.lower, br.upper) == (485, 494)
 
 
-def test_brun_moduli_budget():
-    seq = synthetic_sequence(3, 100)
-    with pytest.raises(ModuliBudgetError):
-        brun_bound(seq, 100, 6, moduli_budget=50)
+def explicit_brun(seq, z, b):
+    """Truncated inclusion-exclusion written out: sum over the squarefree
+    moduli d from the primes <= z outside S, omega(d) <= depth, of
+    (-1)^omega(d) A_d.  A_d is tallied from each value's own subsets of
+    dividing primes.  Returns (lower, upper, number of depth-2b moduli)."""
+    ps = [p for p in primes_upto(z) if p not in seq.S_used]
+    A: dict[tuple[int, ...], int] = {}
+    for n, a in seq.entries.items():
+        dividing = [p for p in ps if n % p == 0]
+        for j in range(min(len(dividing), 2 * b) + 1):
+            for d in itertools.combinations(dividing, j):
+                A[d] = A.get(d, 0) + a
+    moduli = [d for j in range(2 * b + 1) for d in itertools.combinations(ps, j)]
+
+    def truncated(depth):
+        return sum((-1) ** len(d) * A.get(d, 0) for d in moduli if len(d) <= depth)
+
+    return truncated(2 * b - 1), truncated(2 * b), len(moduli)
+
+
+def test_brun_matches_explicit_inclusion_exclusion():
+    seq = synthetic_sequence()
+    for z, b in ((7, 2), (13, 2), (13, 3), (30, 2), (50, 2), (60, 3)):
+        br = brun_bound(seq, z, b)
+        assert (br.lower, br.upper, br.moduli_used) == explicit_brun(seq, z, b), (z, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(st.integers(1, 10**6), st.integers(1, 5), max_size=30),
+    st.integers(2, 40),
+    st.integers(1, 3),
+    st.sets(st.sampled_from((2, 3, 5, 7))),
+)
+def test_brun_matches_explicit_inclusion_exclusion_random(entries, z, b, S):
+    seq = SieveSequence(L=0, S_used=tuple(sorted(S)), entries=entries, skipped=0)
+    br = brun_bound(seq, z, b)
+    assert (br.lower, br.upper, br.moduli_used) == explicit_brun(seq, z, b)
+    assert br.lower <= seq.sifted_count(z) <= br.upper
 
 
 def test_census_monotone_in_r_and_L():

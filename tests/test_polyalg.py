@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -60,6 +63,28 @@ def test_gcd_certificate_frozen_examples():
 def test_gcd_certificate_rejects_common_factor():
     with pytest.raises(ValueError):
         gcd_certificate([X * (X + 1), X])
+
+
+FORGED_VERIFY = """
+from affsieve.polyalg import CertificateError, GcdCertificate, MultiPoly, gcd_certificate
+GcdCertificate.verify = lambda self: False
+X = MultiPoly.var(("n",), "n")
+try:
+    gcd_certificate([X, X + 2])
+except CertificateError:
+    raise SystemExit(0)
+raise SystemExit("certificate check was skipped")
+"""
+
+
+def test_gcd_certificate_check_survives_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_VERIFY], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_gcd_certificate_divides_value_gcds():

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from affsieve.cli import main
+from affsieve import cli
+from affsieve.cli import build_parser, main
+from affsieve.polyalg import CertificateError
 from affsieve.scenario import (
     load_scenario,
     parse_rational,
@@ -16,6 +18,29 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SL2 = os.path.join(ROOT, "scenarios", "sl2-free.json")
 HEIS = os.path.join(ROOT, "scenarios", "heisenberg.json")
 TORUS = os.path.join(ROOT, "scenarios", "torus.json")
+ENTRY = os.path.join(ROOT, "scenarios", "sl2-entry.json")
+
+# one cheap invocation of every subcommand on the shipped scenarios
+REPLAY = [
+    ["ball", "--scenario", SL2, "--L", "3"],
+    ["orbit", "--scenario", SL2, "--L", "4"],
+    ["local-density", "--scenario", SL2, "--p", "5"],
+    ["beta-table", "--scenario", SL2, "--pmax", "7"],
+    ["strong-approx", "--scenario", SL2, "--q", "15"],
+    ["ramified", "--scenario", SL2, "--Lsample", "2", "--pmax", "20"],
+    ["variety-count", "--scenario", SL2, "--p", "7"],
+    ["splitting-census", "--scenario", SL2, "--pmax", "30"],
+    ["sequence", "--scenario", SL2, "--L", "4"],
+    ["decompose", "--scenario", SL2, "--L", "3", "--D", "6"],
+    ["level-report", "--scenario", SL2, "--L", "3", "--D", "6"],
+    ["sieve-dim", "--scenario", SL2, "--pmax", "100"],
+    ["brun-bound", "--scenario", SL2, "--L", "4", "--z", "13", "--b", "2"],
+    ["census", "--scenario", SL2, "--L", "3"],
+    ["saturate", "--scenario", ENTRY, "--Lmax", "4", "--D", "1"],
+    ["uni-sieve", "--scenario", HEIS, "--want", "2", "--prefixes", "5"],
+    ["torus-heuristic", "--scenario", TORUS, "--bc-M", "1000"],
+    ["r-formula", "--deg", "1", "--s", "1", "--dim", "3", "--tau", "1/2", "--omega", "4"],
+]
 
 
 def minimal_scenario():
@@ -54,6 +79,52 @@ def test_unknown_keys_rejected():
     raw["params"] = {"zeta": 1}
     with pytest.raises(ValueError, match="unknown keys"):
         scenario_from_dict(raw)
+    raw = minimal_scenario()
+    raw["decomposition"] = {}
+    with pytest.raises(ValueError, match="unknown keys"):
+        scenario_from_dict(raw)
+
+
+def exit_code(tmp_path, raw, *args):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    return main([args[0], "--scenario", str(path), *args[1:]])
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"D": "3"}, {"D": True}, {"r_max": "8"}, {"ball_cap": False}, {"L_schedule": [4, "6"]}],
+)
+def test_non_integer_params_rejected(tmp_path, params):
+    raw = minimal_scenario()
+    raw["params"] = params
+    with pytest.raises(ValueError, match="must be an integer"):
+        scenario_from_dict(raw)
+    assert exit_code(tmp_path, raw, "ball", "--L", "1") == 2
+
+
+@pytest.mark.parametrize("key, value", [("dim_V", "2"), ("dim_G", True), ("S0", ["2"])])
+def test_non_integer_dims_and_S0_rejected(tmp_path, key, value):
+    raw = minimal_scenario()
+    raw[key] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        scenario_from_dict(raw)
+    assert exit_code(tmp_path, raw, "splitting-census", "--pmax", "7") == 2
+
+
+def test_ambient_n_above_10_rejected(tmp_path):
+    def elementary(n):
+        return [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
+
+    raw = minimal_scenario()
+    raw["ambient"]["n"] = 10
+    raw["generators"] = [elementary(10)]
+    assert len(set(scenario_from_dict(raw).variables)) == 100
+    raw["ambient"]["n"] = 11
+    raw["generators"] = [elementary(11)]
+    with pytest.raises(ValueError, match="at most 10"):
+        scenario_from_dict(raw)
+    assert exit_code(tmp_path, raw, "ball", "--L", "1") == 2
 
 
 def test_float_literals_rejected(tmp_path):
@@ -94,6 +165,29 @@ def test_cli_replay_byte_identical(tmp_path):
     assert payload["scenario"] == "sl2-free"
     assert len(payload["scenario_hash"]) == 64
     assert payload["outputs"]["size"] == 53
+
+
+def test_replay_list_covers_every_subcommand():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sorted(args[0] for args in REPLAY) == sorted(subparsers.choices)
+
+
+@pytest.mark.parametrize("args", REPLAY, ids=[args[0] for args in REPLAY])
+def test_cli_replay_byte_identical_per_subcommand(tmp_path, args):
+    rec1 = tmp_path / "a.json"
+    rec2 = tmp_path / "b.json"
+    assert main(args + ["--record", str(rec1)]) == 0
+    assert main(args + ["--record", str(rec2)]) == 0
+    assert rec1.read_bytes() == rec2.read_bytes()
+    assert json.loads(rec1.read_text())["command"] == args[0]
+
+
+def test_cli_exit_code_certificate(monkeypatch):
+    def failing(*args, **kwargs):
+        raise CertificateError("forged failure")
+
+    monkeypatch.setattr(cli, "ball", failing)
+    assert main(["ball", "--scenario", SL2, "--L", "2"]) == 4
 
 
 def test_cli_exit_code_invalid_input(tmp_path, capsys):

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from affsieve.core_arith import FactorBudget
 from affsieve.matgroup import MatrixQ
 from affsieve.polyalg import MultiPoly, bad_prime_bound
 from affsieve.unipotent_sieve import (
     CoprimalityError,
     SieveBudget,
     UniSieveProblem,
+    _sieve_level,
     multivariable_sieve,
     single_variable_almost_primes,
     unipotent_group_sieve,
@@ -142,3 +144,12 @@ def test_budget_monotone():
     large = multivariable_sieve(problem, SieveBudget(value_want=8))
     assert len(large.points) >= len(small.points)
     assert set(p.x for p in small.points) <= set(p.x for p in large.points)
+
+
+def test_constant_level_reports_blown_factor_budget():
+    semiprime = MultiPoly.constant(N, 1000003 * 1000033)
+    level = _sieve_level(semiprime, [], (), N, SieveBudget())
+    assert (level.r, level.exhausted) == (2, False)
+    tight = SieveBudget(factor=FactorBudget(trial_bound=100, rho_iterations=1))
+    level = _sieve_level(semiprime, [], (), N, tight)
+    assert level.exhausted
