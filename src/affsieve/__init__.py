@@ -17,11 +17,10 @@ from .core_arith import (
     primes_upto,
     s_integer_part,
 )
-from .matgroup import Ball, GeneratorSet, MatrixQ, ResourceCapError, ball, orbit
+from .matgroup import Ball, GeneratorSet, MatrixQ, ResourceCapError, ball, bfs, orbit
 from .modp import (
     EnumerationBudgetError,
     FiniteImage,
-    ImageCapError,
     beta_squarefree,
     detect_ramified,
     enumerate_variety_mod_p,
@@ -46,6 +45,7 @@ from .polyalg import (
     GcdCertificate,
     MultiPoly,
     bad_prime_bound,
+    eval_residues,
     gcd_certificate,
     malcev_lattice,
     nilpotent_exp,

@@ -21,7 +21,6 @@ from .heuristics import TorusSpec, borel_cantelli_sum, norm_growth_check
 from .matgroup import ResourceCapError, ball, orbit
 from .modp import (
     EnumerationBudgetError,
-    ImageCapError,
     beta_squarefree,
     detect_ramified,
     enumerate_variety_mod_p,
@@ -233,6 +232,9 @@ def cmd_level_report(sc: Scenario, args):
 
 def cmd_sieve_dim(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
+    if sc.kind != "SL":
+        # beta(p) = #V / |SL_n(F_p)| assumes the image mod p is all of SL_n
+        raise ValueError(f"sieve-dim needs ambient.kind 'SL', not {sc.kind!r}")
     ram = set(_ramified_set(sc, f).confirmed)
     table: dict[int, Fraction] = {}
     for p in primes_upto(args.pmax):
@@ -240,7 +242,7 @@ def cmd_sieve_dim(sc: Scenario, args):
             table[p] = Fraction(0)
             continue
         count = enumerate_variety_mod_p([f, *sc.ambient_ideal], p, variables=sc.variables)
-        table[p] = Fraction(count, sl_order(sc.n, p)) if sc.kind == "SL" else Fraction(0)
+        table[p] = Fraction(count, sl_order(sc.n, p))
     fit = sieve_dimension_fit(table, args.w, args.pmax)
     return {
         "window": list(fit.window),
@@ -469,7 +471,7 @@ def main(argv=None) -> int:
         }
         _emit(args, args.command, scenario, flags, outputs)
         return EXIT_OK
-    except (ResourceCapError, ImageCapError, EnumerationBudgetError) as exc:
+    except (ResourceCapError, EnumerationBudgetError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except CertificateError as exc:

@@ -1,5 +1,6 @@
-"""Exact matrix groups over Q: generator sets, word-metric balls by BFS, and
-orbit slices.
+"""Exact matrix groups over Q: generator sets, word-metric balls and orbit
+slices, and the two kernels every finite computation shares: the matrix
+product ``_matmul`` and the breadth-first search ``bfs``.
 
 Matrices are immutable tuples of tuples of Fraction; dedup is by exact
 entries, so relations in the group are handled without any freeness
@@ -10,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from operator import mul
+from typing import Callable, Hashable, Iterable, Sequence
 
 Entries = tuple[tuple[Fraction, ...], ...]
 
@@ -26,6 +28,63 @@ class ResourceCapError(RuntimeError):
 
 def _freeze(entries) -> Entries:
     return tuple(tuple(Fraction(x) for x in row) for row in entries)
+
+
+def _matmul(a, b, q: int = 0):
+    """Product of square matrices given as row tuples, over any ring whose
+    elements support + and * (Fraction, int, MultiPoly); with q, every entry
+    is reduced mod q."""
+    cols = tuple(zip(*b))
+    if q:
+        return tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _identity(n: int, one=1, zero=0):
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def bfs(
+    start: Hashable,
+    gens: Sequence,
+    step: Callable,
+    radius: int | None = None,
+    cap: int = 5_000_000,
+    label: Callable = lambda r, _i: r + 1,
+    start_label=0,
+    what: str = "BFS",
+) -> dict:
+    """Level-synchronous breadth-first search from ``start``.
+
+    The neighbours of a node are ``step(node, g)`` for g in ``gens``, in that
+    order; nodes are deduplicated by equality, so they must be hashable
+    (entry tuples, points).  A node first reached from ``parent`` through
+    ``gens[i]`` gets ``label(labels[parent], i)``: the default folds to the
+    radius.  Stops after ``radius`` levels, or when no new node appears.
+    Returns node -> label in discovery order; raises ResourceCapError once
+    more than ``cap`` nodes are known.
+    """
+    labels = {start: start_label}
+    frontier = [start]
+    level = 0
+    while frontier and (radius is None or level < radius):
+        level += 1
+        nxt = []
+        for node in frontier:
+            base = labels[node]
+            for i, g in enumerate(gens):
+                m = step(node, g)
+                if m not in labels:
+                    labels[m] = label(base, i)
+                    nxt.append(m)
+                    if len(labels) > cap:
+                        raise ResourceCapError(
+                            f"{what} cap {cap} exceeded at radius {level}",
+                            partial_radius=level - 1,
+                            size=len(labels),
+                        )
+        frontier = nxt
+    return labels
 
 
 @dataclass(frozen=True)
@@ -47,19 +106,12 @@ class MatrixQ:
 
     @classmethod
     def identity(cls, n: int) -> "MatrixQ":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls(_identity(n))
 
     def __matmul__(self, other: "MatrixQ") -> "MatrixQ":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        a, b = self.entries, other.entries
-        n = self.n
-        return MatrixQ(
-            [
-                [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        )
+        return MatrixQ(_matmul(self.entries, other.entries))
 
     def det(self) -> Fraction:
         # fraction-free-ish Gaussian elimination on a copy
@@ -104,7 +156,7 @@ class MatrixQ:
         vv = tuple(Fraction(x) for x in v)
         if len(vv) != self.n:
             raise ValueError("vector dimension mismatch")
-        return tuple(sum(row[j] * vv[j] for j in range(self.n)) for row in self.entries)
+        return _apply(vv, self.entries)
 
     def is_identity(self) -> bool:
         return self == MatrixQ.identity(self.n)
@@ -123,6 +175,10 @@ class MatrixQ:
     def __repr__(self):
         rows = ["[" + ", ".join(str(x) for x in r) + "]" for r in self.entries]
         return "MatrixQ([" + ", ".join(rows) + "])"
+
+
+def _apply(v: tuple, rows: Entries) -> tuple:
+    return tuple(sum(map(mul, row, v)) for row in rows)
 
 
 def entry_variable_names(n: int, prefix: str = "x") -> tuple[str, ...]:
@@ -196,31 +252,13 @@ class Ball:
 
 
 def ball(gens: GeneratorSet, L: int, cap: int = 5_000_000) -> Ball:
-    """BFS over words in the symmetrized generators, deduplicated by exact
-    entries; deterministic frontier order."""
+    """Every element of word length <= L in the symmetrized generators, with
+    its exact word length."""
     if L < 0:
         raise ValueError("radius must be >= 0")
-    n = gens.n
-    ident = MatrixQ.identity(n)
-    length: dict[Entries, int] = {ident.entries: 0}
-    frontier = [ident]
-    for radius in range(1, L + 1):
-        nxt = []
-        for w in frontier:
-            for g in gens.generators:
-                m = w @ g
-                if m.entries not in length:
-                    length[m.entries] = radius
-                    nxt.append(m)
-                    if len(length) > cap:
-                        raise ResourceCapError(
-                            f"ball cap {cap} exceeded at radius {radius}",
-                            partial_radius=radius - 1,
-                            size=len(length),
-                        )
-        nxt.sort(key=_sort_key)
-        frontier = nxt
-    return Ball(L=L, length=length)
+    start = MatrixQ.identity(gens.n).entries
+    words = [g.entries for g in gens.generators]
+    return Ball(L=L, length=bfs(start, words, _matmul, L, cap, what="ball"))
 
 
 @dataclass(frozen=True)
@@ -246,22 +284,5 @@ def orbit(gens: GeneratorSet, v: Sequence, L: int, cap: int = 5_000_000) -> Orbi
     base = tuple(Fraction(x) for x in v)
     if len(base) != gens.n:
         raise ValueError("vector dimension mismatch")
-    points: dict[tuple[Fraction, ...], int] = {base: 0}
-    frontier = [base]
-    for radius in range(1, L + 1):
-        nxt = []
-        for p in frontier:
-            for g in gens.generators:
-                q = g.apply(p)
-                if q not in points:
-                    points[q] = radius
-                    nxt.append(q)
-                    if len(points) > cap:
-                        raise ResourceCapError(
-                            f"orbit cap {cap} exceeded at radius {radius}",
-                            partial_radius=radius - 1,
-                            size=len(points),
-                        )
-        nxt.sort(key=lambda t: [(x.numerator, x.denominator) for x in t])
-        frontier = nxt
-    return OrbitSlice(base=base, points=points)
+    words = [g.entries for g in gens.generators]
+    return OrbitSlice(base=base, points=bfs(base, words, _apply, L, cap, what="orbit"))

@@ -19,8 +19,17 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core_arith import check_prime_set, factorize, is_prime, primes_upto
-from .matgroup import Ball, GeneratorSet, MatrixQ, entry_variable_names
-from .polyalg import CertificateError, MultiPoly
+from .matgroup import (
+    Ball,
+    GeneratorSet,
+    MatrixQ,
+    ResourceCapError,
+    _identity,
+    _matmul,
+    bfs,
+    entry_variable_names,
+)
+from .polyalg import CertificateError, MultiPoly, eval_residues
 
 EntriesMod = tuple[tuple[int, ...], ...]
 
@@ -45,22 +54,7 @@ class MatrixModQ:
     def __matmul__(self, other: "MatrixModQ") -> "MatrixModQ":
         if self.q != other.q:
             raise ValueError("moduli differ")
-        n = self.n
-        a, b, q = self.entries, other.entries, self.q
-        return MatrixModQ(
-            q,
-            tuple(
-                tuple(sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n))
-                for i in range(n)
-            ),
-        )
-
-    def entry_dict(self, prefix: str = "x") -> dict[str, int]:
-        out = {}
-        for i, row in enumerate(self.entries, start=1):
-            for j, x in enumerate(row, start=1):
-                out[f"{prefix}{i}{j}"] = x
-        return out
+        return MatrixModQ(self.q, _matmul(self.entries, other.entries, self.q))
 
 
 def reduce_mod(gamma: MatrixQ, q: int) -> MatrixModQ:
@@ -78,12 +72,6 @@ def reduce_mod(gamma: MatrixQ, q: int) -> MatrixModQ:
             out.append(x.numerator % q * pow(x.denominator, -1, q) % q)
         rows.append(tuple(out))
     return MatrixModQ(q, tuple(rows))
-
-
-class ImageCapError(RuntimeError):
-    def __init__(self, message: str, size: int):
-        super().__init__(message)
-        self.size = size
 
 
 @dataclass(frozen=True)
@@ -107,16 +95,10 @@ class FiniteImage:
         word = self.words.get(element.entries)
         if word is None:
             return False
-        acc = _identity_mod(self.q, element.n)
+        acc = MatrixModQ(self.q, _identity(element.n))
         for idx in word:
             acc = acc @ self.generators[idx]
         return acc.entries == element.entries
-
-
-def _identity_mod(q: int, n: int) -> MatrixModQ:
-    return MatrixModQ(
-        q, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    )
 
 
 def generate_image(
@@ -128,23 +110,15 @@ def generate_image(
     contains inverses; no inverse computation mod q is needed.
     """
     reduced = tuple(reduce_mod(g, q) for g in gens.generators)
-    ident = _identity_mod(q, gens.n)
-    words: dict[EntriesMod, tuple[int, ...]] = {ident.entries: ()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            base = words[w.entries]
-            for i, g in enumerate(reduced):
-                m = w @ g
-                if m.entries not in words:
-                    words[m.entries] = base + (i,)
-                    nxt.append(m)
-                    if len(words) > cap:
-                        raise ImageCapError(
-                            f"image cap {cap} exceeded mod {q}", size=len(words)
-                        )
-        frontier = nxt
+    words = bfs(
+        _identity(gens.n),
+        [g.entries for g in reduced],
+        lambda a, b: _matmul(a, b, q),
+        cap=cap,
+        label=lambda word, i: word + (i,),
+        start_label=(),
+        what=f"image mod {q}",
+    )
     return FiniteImage(q=q, generators=reduced, words=words)
 
 
@@ -368,22 +342,12 @@ def _count_points(eqs: list[Terms], active: frozenset[int], p: int, brute_budget
             f"brute force over p^{len(active)} = {total_points} exceeds budget"
         )
     order = sorted(active)
+    values = [0] * len(next(iter(live[0])))
     count = 0
     for assignment in itertools.product(range(p), repeat=len(order)):
-        vals = dict(zip(order, assignment))
-        ok = True
-        for t in live:
-            acc = 0
-            for e, c in t.items():
-                term = c
-                for i, k in enumerate(e):
-                    if k:
-                        term = term * pow(vals[i], k, p) % p
-                acc = (acc + term) % p
-            if acc != 0:
-                ok = False
-                break
-        if ok:
+        for i, v in zip(order, assignment):
+            values[i] = v
+        if all(eval_residues(t, values, p) == 0 for t in live):
             count += 1
     return count
 
@@ -404,15 +368,10 @@ def enumerate_variety_mod_p(
         variables = equations[0].variables if equations else ()
     variables = tuple(variables)
     nvars = len(variables)
-    eqs: list[Terms] = []
-    for P in equations:
-        P = P if P.variables == variables else P.extend(variables)
-        t: Terms = {}
-        for e, c in P.terms.items():
-            if c.denominator % p == 0:
-                raise ValueError(f"coefficient {c} not p-integral at {p}")
-            t[e] = c.numerator % p * pow(c.denominator, -1, p) % p
-        eqs.append(t)
+    eqs = [
+        (P if P.variables == variables else P.extend(variables)).residues(p)
+        for P in equations
+    ]
     return _count_points(eqs, frozenset(range(nvars)), p, brute_budget)
 
 
@@ -421,26 +380,24 @@ def enumerate_variety_mod_p(
 
 
 def count_Nf(image: FiniteImage, f: MultiPoly, d: Optional[int] = None) -> int:
-    """#{x in image : f(x) = 0 mod d}; d defaults to the image modulus."""
+    """#{x in image : f(x) = 0 mod d}; d defaults to the image modulus.
+
+    Every variable of f must name a matrix entry x{i}{j} of the image.
+    """
     d = image.q if d is None else d
     if image.q % d != 0:
         raise ValueError("d must divide the image modulus")
+    n = len(next(iter(image.words)))
+    position = {name: k for k, name in enumerate(entry_variable_names(n))}
+    unknown = [v for v in f.variables if v not in position]
+    if unknown:
+        raise ValueError(f"variables {unknown} are not entries of a {n}x{n} matrix")
+    index = [position[v] for v in f.variables]
+    terms = f.residues(d)
     count = 0
     for entries in image.words:
-        point = {}
-        for i, row in enumerate(entries, start=1):
-            for j, x in enumerate(row, start=1):
-                point[f"x{i}{j}"] = x % d
-        val = 0
-        for e, c in f.terms.items():
-            if math.gcd(c.denominator, d) != 1:
-                raise ValueError(f"coefficient denominator {c.denominator} not invertible mod {d}")
-            term = c.numerator % d * pow(c.denominator, -1, d) % d
-            for name, exp in zip(f.variables, e):
-                if exp:
-                    term = term * pow(point.get(name, 0), exp, d) % d
-            val = (val + term) % d
-        if val == 0:
+        flat = sum(entries, ())
+        if eval_residues(terms, [flat[k] for k in index], d) == 0:
             count += 1
     return count
 
@@ -551,7 +508,7 @@ def detect_ramified(
     for p in candidates:
         try:
             image = generate_image(gens, p, cap=cap)
-        except (ValueError, ImageCapError):
+        except (ValueError, ResourceCapError):
             unresolved.append(p)
             continue
         if count_Nf(image, f) == len(image):

@@ -122,16 +122,22 @@ def level_distribution_report(
     eps: Fraction = Fraction(1, 10),
 ) -> LevelReport:
     """Empirical level-of-distribution summary: the least tau on the grid with
-    sum_d |r_d| <= X^tau * D^(dim+eps).  No claim beyond the computed window."""
+    sum_d |r_d| <= X^tau * D^(dim+eps).  No claim beyond the computed window.
+
+    Decided exactly: both sides are raised to the lcm k of the denominators
+    of tau and dim+eps, so every exponent is an integer.
+    """
     rems = decomp.remainders()
     abs_sum = sum((abs(r) for r in rems.values()), Fraction(0))
     abs_max = max((abs(r) for r in rems.values()), default=Fraction(0))
     grid = tuple(sorted(Fraction(t) for t in tau_grid))
     least = None
     X = decomp.X
+    e = dim + Fraction(eps)
     for tau in grid:
-        bound = (X ** float(tau) if X else 0.0) * decomp.D ** float(dim + eps)
-        if float(abs_sum) <= bound:
+        k = math.lcm(tau.denominator, e.denominator)
+        bound = Fraction(X) ** int(tau * k) * Fraction(decomp.D) ** int(e * k) if X else 0
+        if abs_sum**k <= bound:
             least = tau
             break
     return LevelReport(

@@ -21,6 +21,7 @@ import sympy
 from sympy.parsing.sympy_parser import parse_expr, standard_transformations
 
 from .core_arith import factorize, primes_upto
+from .matgroup import _identity, _matmul, bfs
 
 
 class MultiPoly:
@@ -211,20 +212,22 @@ class MultiPoly:
         return total
 
     def eval_mod(self, point: Mapping[str, int], p: int) -> int:
-        vals = []
-        for v in self.variables:
-            vals.append(int(point.get(v, 0)) % p)
-        total = 0
+        missing = [v for v in self.variables if v not in point]
+        if missing:
+            raise ValueError(f"no value for variables {missing}")
+        return eval_residues(self.residues(p), [int(point[v]) for v in self.variables], p)
+
+    def residues(self, m: int) -> dict[tuple[int, ...], int]:
+        """The coefficients mod m, zeros dropped: the one place a coefficient
+        denominator is checked to be invertible mod m."""
+        out = {}
         for exps, c in self.terms.items():
-            num, den = c.numerator, c.denominator
-            if den % p == 0:
-                raise ValueError(f"coefficient denominator {den} not invertible mod {p}")
-            t = num % p * pow(den, -1, p) % p
-            for val, e in zip(vals, exps):
-                if e:
-                    t = t * pow(val, e, p) % p
-            total = (total + t) % p
-        return total
+            if math.gcd(c.denominator, m) != 1:
+                raise ValueError(f"coefficient denominator {c.denominator} not invertible mod {m}")
+            r = c.numerator * pow(c.denominator, -1, m) % m
+            if r:
+                out[exps] = r
+        return out
 
     def substitute(self, assignment: Mapping[str, "MultiPoly | Fraction | int"]) -> "MultiPoly":
         """Substitute polynomials or constants for variables (exact expansion)."""
@@ -298,6 +301,18 @@ class MultiPoly:
         if self.denominator_lcm() != 1:
             raise ValueError("integer_content requires integer coefficients")
         return math.gcd(*(abs(c.numerator) for c in self.terms.values())) if self.terms else 0
+
+
+def eval_residues(terms: Mapping[tuple[int, ...], int], values: Sequence[int], m: int) -> int:
+    """Value mod m of residue terms (``MultiPoly.residues``) at the point whose
+    i-th coordinate is ``values[i]``."""
+    total = 0
+    for exps, c in terms.items():
+        for v, e in zip(values, exps):
+            if e:
+                c = c * pow(v, e, m) % m
+        total += c
+    return total % m
 
 
 # ---------------------------------------------------------------------------
@@ -542,31 +557,6 @@ def progression_avoiding(
 # nilpotent exp/log and lattice coordinates
 
 
-def _mat_mul(A, B):
-    n = len(A)
-    return tuple(
-        tuple(sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _mat_add(A, B, ca=Fraction(1), cb=Fraction(1)):
-    n = len(A)
-    return tuple(
-        tuple(ca * A[i][j] + cb * B[i][j] for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_ident(n):
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
-
-
-def _mat_zero(n):
-    return tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-
-
 def _as_rows(mat) -> tuple[tuple[Fraction, ...], ...]:
     rows = getattr(mat, "entries", mat)
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
@@ -588,18 +578,32 @@ def is_unipotent_upper(mat) -> bool:
     )
 
 
+def _nilpotent_series(N, coeffs: Sequence[Fraction]):
+    """sum_k coeffs[k] N^k for a nilpotent matrix N given as row tuples over
+    any Q-algebra whose zero is N's diagonal entry (Fraction, MultiPoly);
+    the caller guarantees N^len(coeffs) = 0."""
+    zero = N[0][0]
+    term = _identity(len(N), zero**0, zero)  # zero**0 is the algebra's 1
+    out = tuple(tuple(coeffs[0] * x for x in row) for row in term)
+    for c in coeffs[1:]:
+        term = _matmul(term, N)
+        out = tuple(
+            tuple(x + c * t for x, t in zip(row, trow)) for row, trow in zip(out, term)
+        )
+    return out
+
+
+def exp_series(N):
+    """sum_{k<n} N^k / k! for a nilpotent n x n matrix N as above."""
+    return _nilpotent_series(N, [Fraction(1, math.factorial(k)) for k in range(len(N))])
+
+
 def nilpotent_exp(N) -> tuple[tuple[Fraction, ...], ...]:
     """Finite-series exponential of a strictly upper triangular matrix."""
     rows = _as_rows(N)
     if not is_strictly_upper(rows):
         raise ValueError("nilpotent_exp requires strictly upper triangular input")
-    n = len(rows)
-    out = _mat_ident(n)
-    term = _mat_ident(n)
-    for k in range(1, n):
-        term = _mat_mul(term, rows)
-        out = _mat_add(out, term, cb=Fraction(1, math.factorial(k)))
-    return out
+    return exp_series(rows)
 
 
 def nilpotent_log(u) -> tuple[tuple[Fraction, ...], ...]:
@@ -608,13 +612,16 @@ def nilpotent_log(u) -> tuple[tuple[Fraction, ...], ...]:
     if not is_unipotent_upper(rows):
         raise ValueError("nilpotent_log requires unipotent upper triangular input")
     n = len(rows)
-    N = _mat_add(rows, _mat_ident(n), cb=Fraction(-1))
-    out = _mat_zero(n)
-    term = _mat_ident(n)
-    for k in range(1, n):
-        term = _mat_mul(term, N)
-        out = _mat_add(out, term, cb=Fraction((-1) ** (k + 1), k))
-    return out
+    N = tuple(tuple(x - 1 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(rows))
+    return _nilpotent_series(N, [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, n)])
+
+
+def span_element(coords: Sequence, basis: Sequence, n: int):
+    """sum_k coords[k] basis[k] for n x n matrices given as row tuples."""
+    return tuple(
+        tuple(sum(c * B[i][j] for c, B in zip(coords, basis)) for j in range(n))
+        for i in range(n)
+    )
 
 
 def _upper_coords(mat) -> tuple[Fraction, ...]:
@@ -727,11 +734,7 @@ class NilpotentLog:
         """exp of scale * (integer combination of the basis)."""
         if len(coords) != self.rank:
             raise ValueError("coordinate length mismatch")
-        n = self.n
-        N = _mat_zero(n)
-        for c, B in zip(coords, self.basis):
-            N = _mat_add(N, B, cb=Fraction(c * self.scale))
-        return nilpotent_exp(N)
+        return nilpotent_exp(span_element([c * self.scale for c in coords], self.basis, self.n))
 
 
 def _in_integral_form(mat, N: int) -> bool:
@@ -762,23 +765,11 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
         if not is_unipotent_upper(g):
             raise ValueError("generators must be unipotent upper triangular")
 
+    inverses = [nilpotent_exp(tuple(tuple(-x for x in row) for row in nilpotent_log(g))) for g in mats]
+
     def word_logs(radius: int) -> list[tuple[Fraction, ...]]:
-        inv = [nilpotent_exp(_mat_add(_mat_zero(n), nilpotent_log(g), cb=Fraction(-1))) for g in mats]
-        alphabet = mats + inv
-        seen = {_mat_ident(n)}
-        frontier = [_mat_ident(n)]
-        logs = []
-        for _ in range(radius):
-            nxt = []
-            for w in frontier:
-                for a in alphabet:
-                    m2 = _mat_mul(w, a)
-                    if m2 not in seen:
-                        seen.add(m2)
-                        nxt.append(m2)
-                        logs.append(_upper_coords(nilpotent_log(m2)))
-            frontier = nxt
-        return logs
+        words = bfs(_identity(n), mats + inverses, _matmul, radius)
+        return [_upper_coords(nilpotent_log(w)) for w in list(words)[1:]]
 
     def span_basis(vectors: list[tuple[Fraction, ...]]):
         if not vectors:
@@ -811,9 +802,7 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
     while True:
         ok = True
         for coords in itertools.product(range(-box, box + 1), repeat=len(basis)):
-            M = _mat_zero(n)
-            for c, B in zip(coords, basis):
-                M = _mat_add(M, B, cb=Fraction(c * scale))
+            M = span_element([c * scale for c in coords], basis, n)
             if not _in_integral_form(nilpotent_exp(M), N):
                 ok = False
                 # enlarge by one prime from the offending denominators

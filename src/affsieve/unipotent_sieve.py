@@ -33,10 +33,11 @@ from .matgroup import MatrixQ
 from .polyalg import (
     CertificateError,
     MultiPoly,
-    NilpotentLog,
     bad_prime_bound,
+    exp_series,
     malcev_lattice,
     progression_avoiding,
+    span_element,
 )
 
 
@@ -230,7 +231,9 @@ def _family_certificate(
     """Q(x') in Z[others] with sum_j S_j * member_j = Q identically, so
     gcd_j member_j(x', v) divides Q(x') for all integer v.
 
-    Extended Euclid in Q(others)[pivot] with all denominators cleared.
+    Extended Euclid in Q(others)[pivot] with all denominators cleared; the
+    identity is re-checked with MultiPoly arithmetic and a failure raises
+    CertificateError.
     """
     pivot_sym = sympy.Symbol(pivot)
     other_syms = [sympy.Symbol(v) for v in others]
@@ -265,6 +268,18 @@ def _family_certificate(
     den = Q.denominator_lcm()
     if den != 1:
         Q = Q.scale(den)
+    variables = members[0].variables
+    total = MultiPoly.constant(variables, 0)
+    try:
+        for cof, member in zip(cofactors, members):
+            S = MultiPoly.from_sympy(sympy.cancel(D * den * cof.as_expr()), variables)
+            total = total + S * member
+    except sympy.PolynomialError as exc:
+        raise CertificateError(f"family certificate cofactor is not a polynomial: {exc}") from exc
+    if total != Q.extend(variables):
+        raise CertificateError(
+            f"family certificate identity fails for {list(members)!r}: sum S_j m_j != {Q!r}"
+        )
     return Q
 
 
@@ -580,43 +595,6 @@ def multivariable_sieve(
 # group-level wrapper
 
 
-def _symbolic_exp(
-    lattice: NilpotentLog, variables: tuple[str, ...]
-) -> list[list[MultiPoly]]:
-    """Matrix entries of exp(scale * sum_i y_i B_i) as polynomials in y."""
-    n = lattice.n
-    zero = MultiPoly.constant(variables, 0)
-    N = [[zero for _ in range(n)] for _ in range(n)]
-    for idx, B in enumerate(lattice.basis):
-        y = MultiPoly.var(variables, variables[idx])
-        for i in range(n):
-            for j in range(n):
-                if B[i][j]:
-                    N[i][j] = N[i][j] + y.scale(Fraction(lattice.scale) * B[i][j])
-    out = [
-        [MultiPoly.constant(variables, 1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    term = [
-        [MultiPoly.constant(variables, 1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for k in range(1, n):
-        nxt = [[zero for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = zero
-                for l in range(n):
-                    acc = acc + term[i][l] * N[l][j]
-                nxt[i][j] = acc
-        term = nxt
-        inv = Fraction(1, math.factorial(k))
-        for i in range(n):
-            for j in range(n):
-                out[i][j] = out[i][j] + term[i][j].scale(inv)
-    return out
-
-
 def unipotent_group_sieve(
     gens: Sequence,
     p: MultiPoly,
@@ -633,8 +611,10 @@ def unipotent_group_sieve(
     lattice = malcev_lattice(gens)
     k = lattice.rank
     yvars = tuple(f"y{i+1}" for i in range(k))
-    entries = _symbolic_exp(lattice, yvars)
     n = lattice.n
+    # matrix entries of exp(scale * sum_i y_i B_i) as polynomials in y
+    coords = [MultiPoly.var(yvars, y).scale(lattice.scale) for y in yvars]
+    entries = exp_series(span_element(coords, lattice.basis, n))
     subst: dict[str, MultiPoly] = {}
     for i in range(n):
         for j in range(n):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from affsieve.core_arith import primes_upto
-from affsieve.matgroup import GeneratorSet, MatrixQ, ball, entry_variable_names
+from affsieve.matgroup import GeneratorSet, MatrixQ, ResourceCapError, ball, entry_variable_names
 from affsieve.modp import (
     EnumerationBudgetError,
     beta_squarefree,
@@ -52,9 +52,17 @@ def test_image_orders():
 
 
 def test_image_word_certificates():
-    img = generate_image(FREE, 3)
-    for el in img.elements:
-        assert img.certify(el)
+    for q in (3, 15):
+        img = generate_image(FREE, q)
+        for el in img.elements:
+            assert img.certify(el)
+
+
+def test_image_cap():
+    with pytest.raises(ResourceCapError) as exc:
+        generate_image(FREE, 5, cap=50)
+    assert exc.value.size > 50
+    assert 0 <= exc.value.partial_radius < len(generate_image(FREE, 5))
 
 
 def test_strong_approx_table():
@@ -105,6 +113,13 @@ def test_count_Nf_multiplicativity():
     n3 = count_Nf(generate_image(FREE, 3), TR2)
     n7 = count_Nf(generate_image(FREE, 7), TR2)
     assert count_Nf(img21, TR2) == n3 * n7
+
+
+def test_count_Nf_rejects_non_entry_variables():
+    # y is no matrix entry: it used to be read as 0 (count 25 mod 5)
+    f = MultiPoly.parse("x11 + y - 1", V + ("y",))
+    with pytest.raises(ValueError, match="not entries"):
+        count_Nf(generate_image(FREE, 5), f)
 
 
 def test_local_density_exact():

@@ -10,6 +10,7 @@ from affsieve.core_arith import factorize, primes_upto
 from affsieve.matgroup import GeneratorSet, MatrixQ, entry_variable_names
 from affsieve.modp import local_density, sl2_ambient_ideal
 from affsieve.orbit_sieve import (
+    ModuliDecomposition,
     SieveSequence,
     almost_prime_census,
     brun_bound,
@@ -77,6 +78,16 @@ def test_level_report_grid():
     rep = level_distribution_report(decomp, [Fraction(1, 10), Fraction(1, 2)], dim=1)
     assert rep.least_tau == Fraction(1, 10)
     assert rep.abs_max <= rep.abs_sum
+
+
+def test_level_report_exact_at_equality():
+    # 5 <= 125^(1/3) * 1^(1 + 1/10) holds with equality; in floats
+    # 125 ** (1/3) is 4.999999999999999
+    decomp = ModuliDecomposition(D=1, X=125, rows={1: (120, Fraction(125), Fraction(-5))})
+    rep = level_distribution_report(decomp, [Fraction(1, 3)], dim=1)
+    assert rep.least_tau == Fraction(1, 3)
+    decomp = ModuliDecomposition(D=1, X=125, rows={1: (120, Fraction(125), Fraction(-6))})
+    assert level_distribution_report(decomp, [Fraction(1, 3)], dim=1).least_tau is None
 
 
 def test_sieve_dimension_fit_synthetic():

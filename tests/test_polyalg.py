@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +47,33 @@ def test_eval_mod():
     assert p.eval_mod({"n": 1}, 5) == 2
     with pytest.raises(ValueError):
         MultiPoly.parse("n/5", V).eval_mod({"n": 1}, 5)
+
+
+def test_eval_mod_missing_variable_raises():
+    # a variable missing from the point is an error, not a silent 0
+    p = MultiPoly.parse("n + m", ("n", "m"))
+    assert p.eval_mod({"n": 1, "m": 3}, 5) == 4
+    with pytest.raises(ValueError, match="no value"):
+        p.eval_mod({"n": 1}, 5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.fractions(max_denominator=6).filter(lambda c: c.denominator % 7),
+        max_size=5,
+    ),
+    st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+)
+def test_eval_mod_matches_exact_eval(terms, point):
+    # the mod-m evaluator agrees with the exact evaluator reduced mod 7 and 21
+    p = MultiPoly(("a", "b"), terms)
+    exact = p.eval(point)
+    for m in (7, 21):
+        if math.gcd(p.denominator_lcm(), m) == 1:
+            want = exact.numerator * pow(exact.denominator, -1, m) % m
+            assert p.eval_mod(dict(zip(p.variables, point)), m) == want
 
 
 def test_gcd_certificate_frozen_examples():

@@ -205,6 +205,21 @@ def test_cli_exit_code_budget(tmp_path):
     assert main(["ball", "--scenario", str(capped), "--L", "6"]) == 3
 
 
+def test_cli_image_cap_exit_code(tmp_path):
+    raw = json.loads(open(SL2).read())
+    raw["params"]["image_cap"] = 10
+    assert exit_code(tmp_path, raw, "local-density", "--p", "5") == 3
+
+
+def test_sieve_dim_rejects_non_SL_kind(tmp_path, capsys):
+    # beta(p) = #V / |SL_n(F_p)| means nothing off SL: refuse instead of
+    # fitting a table of zeros
+    raw = minimal_scenario()
+    raw["ambient"]["kind"] = "affine"
+    assert exit_code(tmp_path, raw, "sieve-dim", "--pmax", "50") == 2
+    assert "ambient.kind" in capsys.readouterr().err
+
+
 def test_cli_r_formula_no_scenario(capsys):
     assert main(
         ["r-formula", "--deg", "1", "--s", "1", "--dim", "3", "--tau", "1/2", "--omega", "4"]

@@ -2,14 +2,16 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from affsieve.core_arith import FactorBudget
 from affsieve.matgroup import MatrixQ
-from affsieve.polyalg import MultiPoly, bad_prime_bound
+from affsieve.polyalg import CertificateError, MultiPoly, bad_prime_bound
 from affsieve.unipotent_sieve import (
     CoprimalityError,
     SieveBudget,
     UniSieveProblem,
+    _family_certificate,
     _sieve_level,
     multivariable_sieve,
     single_variable_almost_primes,
@@ -153,3 +155,21 @@ def test_constant_level_reports_blown_factor_budget():
     tight = SieveBudget(factor=FactorBudget(trial_bound=100, rho_iterations=1))
     level = _sieve_level(semiprime, [], (), N, tight)
     assert level.exhausted
+
+
+def test_family_certificate_identity_is_checked(monkeypatch):
+    variables = ("a", "b")
+    a = MultiPoly.var(variables, "a")
+    b = MultiPoly.var(variables, "b")
+    members = (a * b + 2, b + a)
+    # b = -a gives a*b + 2 = 2 - a^2: the value gcd divides a^2 - 2
+    assert _family_certificate(members, "b", ("a",)) == MultiPoly.parse("a**2 - 2", ("a",))
+    true_gcdex = sympy.Poly.gcdex
+
+    def corrupted(self, other):
+        s, t, h = true_gcdex(self, other)
+        return s + 1, t, h
+
+    monkeypatch.setattr(sympy.Poly, "gcdex", corrupted)
+    with pytest.raises(CertificateError):
+        _family_certificate(members, "b", ("a",))
