@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .core_arith import primes_upto
@@ -181,26 +182,18 @@ def cmd_sequence(sc: Scenario, args):
     }
 
 
-def _beta_provider(sc: Scenario, f: MultiPoly, ram: tuple[int, ...]):
-    cache: dict[int, Fraction] = {}
-
-    def beta(d: int) -> Fraction:
-        if d == 1:
-            return Fraction(1)
-        if d not in cache:
-            cache[d] = beta_squarefree(
-                sc.generators, f, d, ramified=ram, cap=sc.image_cap
-            )
-        return cache[d]
-
-    return beta
+def _decomposition(sc: Scenario, args):
+    """Moduli decomposition of the scenario's sequence at L up to D; it asks
+    beta_squarefree once for each squarefree d, so there is nothing to cache."""
+    f = _need(sc, "f", "a regular function f")
+    ram = _ramified_set(sc, f).confirmed
+    seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
+    beta = partial(beta_squarefree, sc.generators, f, ramified=ram, cap=sc.image_cap)
+    return moduli_decomposition(seq, beta, args.D)
 
 
 def cmd_decompose(sc: Scenario, args):
-    f = _need(sc, "f", "a regular function f")
-    ram = _ramified_set(sc, f)
-    seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
-    decomp = moduli_decomposition(seq, _beta_provider(sc, f, ram.confirmed), args.D)
+    decomp = _decomposition(sc, args)
     return {
         "L": args.L,
         "D": args.D,
@@ -213,10 +206,7 @@ def cmd_decompose(sc: Scenario, args):
 
 
 def cmd_level_report(sc: Scenario, args):
-    f = _need(sc, "f", "a regular function f")
-    ram = _ramified_set(sc, f)
-    seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
-    decomp = moduli_decomposition(seq, _beta_provider(sc, f, ram.confirmed), args.D)
+    decomp = _decomposition(sc, args)
     taus = [parse_rational(t) for t in args.taus.split(",")]
     dim = _need(sc, "dim_G", "dim_G")
     rep = level_distribution_report(decomp, taus, dim)

@@ -24,11 +24,6 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_ROUNDS_LARGE = 128
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
-PRIMALITY_METHOD = (
-    "Miller-Rabin, deterministic base set below 3.3e24, "
-    "128 seeded rounds above (error < 2^-128)"
-)
-
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n by a plain sieve of Eratosthenes."""

@@ -276,7 +276,12 @@ def borel_cantelli_sum(
         _shell_count(t, s) * math.log(s + 1) ** power / (s + 1) ** nu
         for s in range(1, head_end + 1)
     )
-    tail, _err = quad(integrand, head_end, np.inf)
+    # with full_output, quad appends a message instead of warning when its
+    # result is unreliable; an unreliable integral is no bound
+    tail, _err, _info, *problem = quad(integrand, head_end, np.inf, full_output=1)
+    if problem:
+        msg = problem[0].splitlines()[0]
+        raise ValueError(f"tail integral for (t, nu, r) = ({t}, {nu}, {r}) is unreliable: {msg}")
     base = 1.0 if power == 0 else 0.0
     bound = base + head + tail
     return BorelCantelliReport(

@@ -1,6 +1,6 @@
 """Exact matrix groups over Q: generator sets, word-metric balls and orbit
-slices, and the two kernels every finite computation shares: the matrix
-product ``_matmul`` and the breadth-first search ``bfs``.
+slices, and the kernels every finite computation shares: the matrix product
+``_matmul``, the breadth-first search ``bfs`` and the walk ``Ball.values``.
 
 Matrices are immutable tuples of tuples of Fraction; dedup is by exact
 entries, so relations in the group are handled without any freeness
@@ -9,10 +9,10 @@ assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 Entries = tuple[tuple[Fraction, ...], ...]
 
@@ -185,6 +185,16 @@ def entry_variable_names(n: int, prefix: str = "x") -> tuple[str, ...]:
     return tuple(f"{prefix}{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
 
 
+def entry_positions(variables: Sequence[str], n: int) -> list[int]:
+    """Index of each variable in the row-major flattened entries of an n x n
+    matrix; a variable that names no entry x{i}{j} is an error, never 0."""
+    position = {name: k for k, name in enumerate(entry_variable_names(n))}
+    unknown = [v for v in variables if v not in position]
+    if unknown:
+        raise ValueError(f"variables {unknown} are not entries of a {n}x{n} matrix")
+    return [position[v] for v in variables]
+
+
 def _sort_key(m: MatrixQ):
     return tuple(
         (x.numerator, x.denominator) for row in m.entries for x in row
@@ -233,16 +243,21 @@ class Ball:
     """Word-metric ball: every element with its exact word length <= L."""
 
     L: int
-    length: dict[Entries, int]
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    length: dict[Entries, int]  # in ball order: word length, then BFS discovery
 
     @property
     def elements(self) -> list[MatrixQ]:
-        if "elements" not in self._cache:
-            elems = [MatrixQ(e) for e in self.length]
-            elems.sort(key=lambda m: (self.length[m.entries], _sort_key(m)))
-            self._cache["elements"] = elems
-        return self._cache["elements"]
+        elems = [MatrixQ(e) for e in self.length]
+        elems.sort(key=lambda m: (self.length[m.entries], _sort_key(m)))
+        return elems
+
+    def values(self, f) -> Iterator[tuple[Entries, Fraction]]:
+        """(entries, f(entries)) for every element in ball order; f's variables
+        are matched to entry positions once and f is evaluated by position."""
+        index = entry_positions(f.variables, len(next(iter(self.length))))
+        for e in self.length:
+            flat = sum(e, ())
+            yield e, f.eval([flat[k] for k in index])
 
     def __len__(self):
         return len(self.length)
@@ -268,12 +283,6 @@ class OrbitSlice:
 
     def __len__(self):
         return len(self.points)
-
-    def sorted_points(self) -> list[tuple[Fraction, ...]]:
-        return sorted(
-            self.points,
-            key=lambda p: (self.points[p], [(x.numerator, x.denominator) for x in p]),
-        )
 
 
 def orbit(gens: GeneratorSet, v: Sequence, L: int, cap: int = 5_000_000) -> OrbitSlice:

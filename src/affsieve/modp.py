@@ -27,6 +27,7 @@ from .matgroup import (
     _identity,
     _matmul,
     bfs,
+    entry_positions,
     entry_variable_names,
 )
 from .polyalg import CertificateError, MultiPoly, eval_residues
@@ -387,12 +388,7 @@ def count_Nf(image: FiniteImage, f: MultiPoly, d: Optional[int] = None) -> int:
     d = image.q if d is None else d
     if image.q % d != 0:
         raise ValueError("d must divide the image modulus")
-    n = len(next(iter(image.words)))
-    position = {name: k for k, name in enumerate(entry_variable_names(n))}
-    unknown = [v for v in f.variables if v not in position]
-    if unknown:
-        raise ValueError(f"variables {unknown} are not entries of a {n}x{n} matrix")
-    index = [position[v] for v in f.variables]
+    index = entry_positions(f.variables, len(next(iter(image.words))))
     terms = f.residues(d)
     count = 0
     for entries in image.words:
@@ -489,9 +485,8 @@ def detect_ramified(
     if len(sample) == 0:
         raise ValueError("empty sample")
     g = 0
-    for gamma in sample.elements:
-        val = f.eval(gamma.entry_dict())
-        g = math.gcd(g, abs(val.numerator))
+    for _, val in sample.values(f):
+        g = math.gcd(g, val.numerator)
     unresolved: list[int] = []
     if g == 0:
         # f vanishes on the whole sample: every prime remains a candidate;

@@ -24,10 +24,8 @@ from .core_arith import (
     primes_upto,
     s_integer_part,
 )
-from .matgroup import Ball, GeneratorSet, MatrixQ, ball, entry_variable_names
+from .matgroup import Ball, Entries, GeneratorSet, ball, entry_variable_names
 from .polyalg import MultiPoly, zariski_density_test
-
-BetaProvider = Callable[[int], Fraction]
 
 
 @dataclass(frozen=True)
@@ -59,14 +57,11 @@ def build_sequence(
     L: int,
     S: Iterable[int] = (),
     cap: int = 5_000_000,
-    ball_cache: Optional[Ball] = None,
 ) -> SieveSequence:
     Sset = check_prime_set(S)
-    B = ball_cache if ball_cache is not None and ball_cache.L == L else ball(gens, L, cap=cap)
     entries: dict[int, int] = {}
     skipped = 0
-    for gamma in B.elements:
-        val = f.eval(gamma.entry_dict())
+    for _, val in ball(gens, L, cap=cap).values(f):
         if val == 0:
             skipped += 1
             continue
@@ -95,13 +90,13 @@ class ModuliDecomposition:
 
 
 def moduli_decomposition(
-    seq: SieveSequence, beta_provider: BetaProvider, D: int
+    seq: SieveSequence, beta: Callable[[int], Fraction], D: int
 ) -> ModuliDecomposition:
     X = seq.X
     rows = {}
     for d in _squarefree_upto(D):
         A_d = sum(a for n, a in seq.entries.items() if n % d == 0)
-        pred = Fraction(beta_provider(d)) * X
+        pred = Fraction(beta(d)) * X
         rows[d] = (A_d, pred, A_d - pred)
     return ModuliDecomposition(D=D, X=X, rows=rows)
 
@@ -218,6 +213,9 @@ def brun_bound(seq: SieveSequence, z: int, b: int) -> BrunBracket:
     return BrunBracket(z=z, b=b, lower=lower, upper=upper, moduli_used=moduli_used)
 
 
+SAMPLE_LIMIT = 100_000  # census samples kept per r
+
+
 @dataclass(frozen=True)
 class CensusResult:
     L: int
@@ -225,7 +223,38 @@ class CensusResult:
     counts: dict[int, int]  # r -> #{gamma : Omega_outside(f_Gamma) <= r}
     incomplete: int  # factoring budget failures, excluded from counts
     skipped: int  # f = 0
-    samples: dict[int, list[MatrixQ]]  # r -> matrices achieving Omega <= r
+    samples: dict[int, list[Entries]]  # r -> entries of elements with Omega <= r, in ball order
+
+
+def _census(
+    B: Ball, f: MultiPoly, Sset: tuple[int, ...], r_max: int, budget: FactorBudget
+) -> CensusResult:
+    """Census over one ball.  Omega depends only on the S-integer part n of
+    the value, so it is computed once per distinct n; the counts still count
+    elements."""
+    counts = {r: 0 for r in range(r_max + 1)}
+    samples: dict[int, list[Entries]] = {r: [] for r in range(r_max + 1)}
+    omega: dict[int, Optional[int]] = {1: 0}
+    skipped = 0
+    incomplete = 0
+    for e, val in B.values(f):
+        if val == 0:
+            skipped += 1
+            continue
+        n = s_integer_part(val, Sset)
+        if n not in omega:
+            omega[n] = omega_outside(n, Sset, with_multiplicity=True, budget=budget)
+        om = omega[n]
+        if om is None:
+            incomplete += 1
+            continue
+        for r in range(om, r_max + 1):
+            counts[r] += 1
+            if len(samples[r]) < SAMPLE_LIMIT:
+                samples[r].append(e)
+    return CensusResult(
+        L=B.L, S_used=Sset, counts=counts, incomplete=incomplete, skipped=skipped, samples=samples
+    )
 
 
 def almost_prime_census(
@@ -236,33 +265,8 @@ def almost_prime_census(
     r_max: int = 8,
     budget: FactorBudget = FactorBudget(),
     cap: int = 5_000_000,
-    ball_cache: Optional[Ball] = None,
-    sample_limit: int = 100_000,
 ) -> CensusResult:
-    Sset = check_prime_set(S)
-    B = ball_cache if ball_cache is not None and ball_cache.L == L else ball(gens, L, cap=cap)
-    counts = {r: 0 for r in range(r_max + 1)}
-    samples: dict[int, list[MatrixQ]] = {r: [] for r in range(r_max + 1)}
-    skipped = 0
-    incomplete = 0
-    for gamma in B.elements:
-        val = f.eval(gamma.entry_dict())
-        if val == 0:
-            skipped += 1
-            continue
-        n = s_integer_part(val, Sset)
-        om = omega_outside(n, Sset, with_multiplicity=True, budget=budget) if n > 1 else 0
-        if om is None:
-            incomplete += 1
-            continue
-        for r in range(r_max + 1):
-            if om <= r:
-                counts[r] += 1
-                if len(samples[r]) < sample_limit:
-                    samples[r].append(gamma)
-    return CensusResult(
-        L=L, S_used=Sset, counts=counts, incomplete=incomplete, skipped=skipped, samples=samples
-    )
+    return _census(ball(gens, L, cap=cap), f, check_prime_set(S), r_max, budget)
 
 
 @dataclass(frozen=True)
@@ -296,14 +300,14 @@ def saturation_estimate(
     per_L: dict[int, Optional[int]] = {}
     failure: dict[int, str] = {}
     schedule = tuple(sorted(L_schedule))
+    # one BFS at the largest L; the ball at L' is {gamma : length <= L'}
+    B = ball(gens, schedule[-1], cap=cap)
+    census = _census(B, f, Sset, r_max, FactorBudget())
     for L in schedule:
-        census = almost_prime_census(gens, f, L, Sset, r_max=r_max, cap=cap)
         found = None
         mode = ""
         for r in range(r_max + 1):
-            pts = [
-                tuple(x for row in m.entries for x in row) for m in census.samples[r]
-            ]
+            pts = [sum(e, ()) for e in census.samples[r] if B.length[e] <= L]
             if not pts:
                 mode = "too few points"
                 continue
@@ -334,6 +338,20 @@ def saturation_estimate(
     )
 
 
+def _ln_bracket(n: int, terms: int) -> tuple[Fraction, Fraction]:
+    """lo < ln n < hi for n >= 2.  With n = 2^k m, 1 <= m < 2,
+    ln n = 2k atanh(1/3) + 2 atanh(y), y = (m-1)/(m+1) < 1/3; each atanh(y) =
+    sum_j y^(2j+1)/(2j+1) is cut after ``terms`` terms, and the rest is below
+    the geometric bound y^(2 terms+1) / ((2 terms+1)(1 - y^2))."""
+    k = n.bit_length() - 1
+    lo = hi = Fraction(0)
+    for y, weight in ((Fraction(1, 3), 2 * k), (Fraction(n - 2**k, n + 2**k), 2)):
+        head = sum(y ** (2 * j + 1) / (2 * j + 1) for j in range(terms))
+        lo += weight * head
+        hi += weight * (head + y ** (2 * terms + 1) / ((2 * terms + 1) * (1 - y * y)))
+    return lo, hi
+
+
 def r_formula(
     deg_ftilde: int,
     s_count: int,
@@ -343,7 +361,9 @@ def r_formula(
     T: Fraction = Fraction(1),
     logM0: Fraction = Fraction(1),
 ) -> int:
-    """floor(9 (#S+1) deg T (dim+1) logM0 / ((1 - tau) ln #Omega)) + 1."""
+    """floor(9 (#S+1) deg T (dim+1) logM0 / ((1 - tau) ln #Omega)) + 1, decided
+    exactly: ln #Omega, irrational, is bracketed by rationals until both ends
+    of the quotient have the same floor (the quotient is an integer only at 0)."""
     tau = Fraction(tau)
     if not 0 < tau < 1:
         raise ValueError("tau must lie strictly between 0 and 1")
@@ -352,5 +372,11 @@ def r_formula(
     if deg_ftilde < 1 or dim_G < 1 or s_count < 0:
         raise ValueError("degree and dimension must be positive, #S nonnegative")
     num = 9 * (s_count + 1) * deg_ftilde * Fraction(T) * (dim_G + 1) * Fraction(logM0)
-    val = float(num) / (float(1 - tau) * math.log(omega_size))
-    return math.floor(val) + 1
+    scale = num / (1 - tau)
+    terms = 16
+    while True:
+        lo, hi = _ln_bracket(omega_size, terms)
+        a, b = math.floor(scale / lo), math.floor(scale / hi)
+        if a == b:
+            return a + 1
+        terms *= 2

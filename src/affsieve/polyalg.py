@@ -134,9 +134,6 @@ class MultiPoly:
                     used.add(v)
         return frozenset(used)
 
-    def coefficients(self) -> list[Fraction]:
-        return [self.terms[k] for k in sorted(self.terms)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, MultiPoly)
@@ -249,24 +246,6 @@ class MultiPoly:
                     t = t * base[v]
             out = out + t
         return out
-
-    def restrict(self, variables: Sequence[str]) -> "MultiPoly":
-        """Re-express over a smaller variable tuple (others must be unused)."""
-        variables = tuple(variables)
-        idx = []
-        for j, v in enumerate(self.variables):
-            idx.append(variables.index(v) if v in variables else None)
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(variables)
-            for j, e in enumerate(exps):
-                if e == 0:
-                    continue
-                if idx[j] is None:
-                    raise ValueError(f"variable {self.variables[j]} in use, cannot drop")
-                new[idx[j]] = e
-            terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
-        return MultiPoly(variables, terms)
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Re-express over a larger variable tuple."""

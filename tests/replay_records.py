@@ -1,0 +1,71 @@
+"""Write the ``--record`` of every replayed CLI invocation into one directory.
+
+    python tests/replay_records.py OUTDIR [--seed N]
+
+Covers each ``REPLAY`` invocation of ``tests/test_scenario_cli.py`` (under
+``OUTDIR/replay``) and every CLI job of the benchmark workloads at the seed
+(under ``OUTDIR/<workload>``; the ``trend`` jobs call a library function and
+have no record).  Records carry no paths or timestamps, so two checkouts
+agree exactly when ``diff -r`` of their output directories is empty:
+
+    python tests/replay_records.py /tmp/new --seed 101
+    (cd ../parent && python tests/replay_records.py /tmp/old --seed 101)
+    diff -r /tmp/old /tmp/new
+
+A job that exits non-zero leaves ``<key>.exit`` with its exit code instead of
+a record.  Not collected by pytest (the file name does not start with
+``test_``).  ``perfbench/workloads.py`` is only imported, never changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+
+from affsieve import cli  # noqa: E402
+from test_scenario_cli import REPLAY  # noqa: E402
+import workloads  # noqa: E402
+
+
+def run(argv: list[str], out: Path) -> None:
+    """One CLI invocation, its printed summary discarded."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main([*argv, "--record", str(out.with_suffix(".json"))])
+    if rc:
+        out.with_suffix(".exit").write_text(f"{rc}\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--seed", type=int, default=101)
+    args = parser.parse_args(argv)
+
+    replay = args.outdir / "replay"
+    replay.mkdir(parents=True, exist_ok=True)
+    for i, inv in enumerate(REPLAY):
+        run(inv, replay / f"{i:02d}-{inv[0]}")
+
+    for name in workloads.WHY:
+        inputs = workloads.build(name, args.seed)
+        work = args.outdir / name
+        work.mkdir(parents=True, exist_ok=True)
+        for stem, scenario in inputs.scenarios.items():
+            (work / f"{stem}.json").write_bytes(workloads.scenario_bytes(scenario))
+        for job in inputs.jobs:
+            if job.command == "trend":
+                continue
+            scenario = ["--scenario", str(work / f"{job.scenario}.json")] if job.scenario else []
+            run([job.command, *scenario, *job.args], work / job.key)
+    print(f"records written under {args.outdir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -102,6 +102,13 @@ def test_borel_cantelli_partial_sums_below_bound(t, extra, r, M):
     assert rep.partial_sums[-1] <= rep.integral_bound
 
 
+def test_borel_cantelli_unreliable_integral_is_an_error():
+    # quad does not converge here (IntegrationWarning) and returns ~4.6e19;
+    # an unreliable integral is not a bound
+    with pytest.raises(ValueError, match=r"\(t, nu, r\) = \(4, 5, 5\)"):
+        borel_cantelli_sum(4, 5, 5, 100)
+
+
 def test_borel_cantelli_domain():
     with pytest.raises(ValueError):
         borel_cantelli_sum(2, 2, 1, 100)  # needs nu > t

@@ -1,13 +1,22 @@
 import itertools
 import math
+import os
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsieve.core_arith import factorize, primes_upto
-from affsieve.matgroup import GeneratorSet, MatrixQ, entry_variable_names
+from affsieve.core_arith import (
+    FactorBudget,
+    check_prime_set,
+    factorize,
+    omega_outside,
+    primes_upto,
+    s_integer_part,
+)
+from affsieve.matgroup import GeneratorSet, MatrixQ, ball, entry_variable_names
 from affsieve.modp import local_density, sl2_ambient_ideal
 from affsieve.orbit_sieve import (
     ModuliDecomposition,
@@ -22,6 +31,7 @@ from affsieve.orbit_sieve import (
     sieve_dimension_fit,
 )
 from affsieve.polyalg import MultiPoly
+from affsieve.scenario import load_scenario
 
 A = MatrixQ([[1, 2], [0, 1]])
 B = MatrixQ([[1, 0], [2, 1]])
@@ -29,6 +39,8 @@ FREE = GeneratorSet([A, B])
 V = entry_variable_names(2)
 TR2 = MultiPoly.parse("x11 + x22 - 2", V)
 IDEAL = sl2_ambient_ideal()
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+ENTRY = os.path.join(ROOT, "scenarios", "sl2-entry.json")
 
 
 def synthetic_sequence(lo=3, hi=10_000):
@@ -185,8 +197,89 @@ def test_census_samples_consistent():
     for r, mats in cen.samples.items():
         assert len(mats) == cen.counts[r]
         for m in mats:
-            val = TR2.eval(m.entry_dict())
+            val = TR2.eval(MatrixQ(m).entry_dict())
             assert val != 0
+
+
+def oracle(gens, f, L, S, r_max=8, budget=FactorBudget()):
+    """The per-element loop: every element rebuilt as a MatrixQ, evaluated
+    through its entry dict, and every value factored.  Returns the sequence's
+    (entries, skipped) and the census's (counts, incomplete, skipped)."""
+    Sset = check_prime_set(S)
+    entries: dict[int, int] = {}
+    counts = {r: 0 for r in range(r_max + 1)}
+    skipped = incomplete = 0
+    for e in ball(gens, L).length:
+        val = f.eval(MatrixQ(e).entry_dict())
+        if val == 0:
+            skipped += 1
+            continue
+        n = s_integer_part(val, Sset)
+        entries[n] = entries.get(n, 0) + 1
+        om = omega_outside(n, Sset, with_multiplicity=True, budget=budget) if n > 1 else 0
+        if om is None:
+            incomplete += 1
+            continue
+        for r in range(r_max + 1):
+            if om <= r:
+                counts[r] += 1
+    return (entries, skipped), (counts, incomplete, skipped)
+
+
+def assert_matches_oracle(gens, f, L, S, r_max=8, budget=FactorBudget()):
+    (entries, skipped), census = oracle(gens, f, L, S, r_max, budget)
+    seq = build_sequence(gens, f, L, S)
+    assert (seq.entries, seq.skipped) == (entries, skipped)
+    cen = almost_prime_census(gens, f, L, S, r_max=r_max, budget=budget)
+    assert (cen.counts, cen.incomplete, cen.skipped) == census
+    assert all(len(cen.samples[r]) == cen.counts[r] for r in cen.counts)
+
+
+def test_sequence_and_census_match_oracle_free_trace():
+    assert_matches_oracle(FREE, TR2, 5, [2])
+    # 1022117 = 1009 * 1013: a budget without rho leaves some values incomplete
+    tight = FactorBudget(trial_bound=5, rho_iterations=0)
+    f = MultiPoly.parse("1022117*x11 + x12", V)
+    assert_matches_oracle(FREE, f, 4, [], budget=tight)
+    cen = almost_prime_census(FREE, f, 4, budget=tight)
+    assert cen.incomplete > 0 and cen.counts[8] > 0
+
+
+def test_sequence_and_census_match_oracle_entry_scenario():
+    sc = load_scenario(ENTRY)
+    assert_matches_oracle(sc.generators, sc.f, 5, sc.S0, r_max=sc.r_max)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+    st.sets(st.sampled_from((2, 3, 5, 7))),
+    st.booleans(),
+)
+def test_sequence_and_census_match_oracle_random(L, coeffs, S, tight):
+    # f = c0 + c1 x11 + c2 x12 x21 + c3 x22^2 + c4 x12
+    c0, c1, c2, c3, c4 = coeffs
+    f = MultiPoly.parse(f"{c0} + {c1}*x11 + {c2}*x12*x21 + {c3}*x22**2 + {c4}*x12", V)
+    budget = FactorBudget(trial_bound=5, rho_iterations=0) if tight else FactorBudget()
+    assert_matches_oracle(FREE, f, L, sorted(S), r_max=3, budget=budget)
+
+
+@pytest.mark.parametrize("f, L", [(MultiPoly.parse("x11", V), 5), (TR2, 5)])
+def test_saturation_one_ball_equals_separate_balls(f, L):
+    est = saturation_estimate(FREE, f, [2], 1, (L - 1, L), ambient_ideal_basis=IDEAL)
+    for Lp in (L - 1, L):
+        alone = saturation_estimate(FREE, f, [2], 1, (Lp,), ambient_ideal_basis=IDEAL)
+        assert est.per_L[Lp] == alone.per_L[Lp]
+        assert est.failure_mode[Lp] == alone.failure_mode[Lp]
+
+
+def test_variable_that_names_no_entry_is_an_error():
+    f = MultiPoly.parse("x11 + y", V + ("y",))
+    with pytest.raises(ValueError, match="not entries"):
+        build_sequence(FREE, f, 2, [2])
+    with pytest.raises(ValueError, match="not entries"):
+        almost_prime_census(FREE, f, 2, [2])
 
 
 def test_saturation_estimate_entry_function():
@@ -207,6 +300,15 @@ def test_saturation_estimate_trace():
 
 def test_r_formula_worked_example():
     assert r_formula(1, 1, 3, Fraction(1, 2), 4, Fraction(1), Fraction(1)) == 104
+
+
+def test_r_formula_decides_the_floor_exactly():
+    # logM0 just below 5 ln 4 / 36 puts the quotient 36 logM0 / ln 4 about
+    # 2.5e-39 below 5: the floor is 4, and a float quotient rounds it to 5
+    with mpmath.workdps(60):
+        logM0 = Fraction(int(mpmath.floor(5 * mpmath.log(4) / 36 * mpmath.mpf(10) ** 40)), 10**40)
+    assert r_formula(1, 0, 1, Fraction(1, 2), 4, Fraction(1), logM0) == 5
+    assert r_formula(1, 0, 1, Fraction(1, 2), 4, Fraction(1), logM0 + Fraction(1, 10**40)) == 6
 
 
 def test_r_formula_monotone_grid():
