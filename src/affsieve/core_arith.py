@@ -1,5 +1,5 @@
-"""Exact integer and rational arithmetic: budgeted factorization, p-adic
-valuations, S-integer parts and S-units.
+"""Exact integer and rational arithmetic: the scalar rule ``exact``, budgeted
+factorization, p-adic valuations, S-integer parts and S-units.
 
 Everything here is a pure function on immutable values.  Factorization
 failure is a value (``complete=False``), not an exception, so census-style
@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Optional
 
 # Deterministic Miller-Rabin base set; correct for all n < 3.3 * 10^24,
@@ -23,6 +24,16 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # below 4^-128 < 2^-128.
 _MR_ROUNDS_LARGE = 128
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def exact(x) -> int | Fraction:
+    """x as an exact scalar: an int when x is integral, a Fraction otherwise.
+    Matrices and polynomials built from outside values pass through here, so
+    integer data stays in int arithmetic."""
+    if type(x) is int:
+        return x
+    q = Fraction(x)
+    return q.numerator if q.denominator == 1 else q
 
 
 def primes_upto(n: int) -> list[int]:
@@ -38,6 +49,11 @@ def primes_upto(n: int) -> list[int]:
 
 
 _SMALL_PRIMES = primes_upto(1000)
+
+
+@cache
+def _trial_primes(bound: int) -> tuple[int, ...]:
+    return tuple(primes_upto(bound))
 
 
 def is_prime(n: int) -> bool:
@@ -168,12 +184,12 @@ def factorize(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
     sign = 1 if n > 0 else -1
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in primes_upto(min(budget.trial_bound, math.isqrt(n) + 1)):
+    for p in _trial_primes(budget.trial_bound):
+        if p * p > n:
+            break  # n is 1 or a prime
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-        if n == 1:
-            break
     cofactor = 1
     stack = [n] if n > 1 else []
     while stack:
@@ -183,12 +199,8 @@ def factorize(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
         if is_prime(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        if m < budget.trial_bound * budget.trial_bound:
-            # composite below trial^2 must have a factor below trial bound;
-            # unreachable after full trial division, kept as a guard
-            d = next(p for p in primes_upto(math.isqrt(m) + 1) if m % p == 0)
-        else:
-            d = _brent_rho(m, budget.rho_iterations)
+        # every prime factor of m exceeds the trial bound
+        d = _brent_rho(m, budget.rho_iterations)
         if d is None:
             cofactor *= m
             continue

@@ -2,9 +2,10 @@
 slices, and the kernels every finite computation shares: the matrix product
 ``_matmul``, the breadth-first search ``bfs`` and the walk ``Ball.values``.
 
-Matrices are immutable tuples of tuples of Fraction; dedup is by exact
-entries, so relations in the group are handled without any freeness
-assumption.
+Matrices are immutable tuples of tuples of exact scalars (``core_arith.exact``:
+int, or Fraction where an entry is not integral); dedup is by exact entries,
+so relations in the group are handled without any freeness assumption.
+``rational_row_reduce`` is the one Gaussian elimination over Q.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-Entries = tuple[tuple[Fraction, ...], ...]
+from .core_arith import exact
+
+Entries = tuple[tuple[int | Fraction, ...], ...]
 
 
 class ResourceCapError(RuntimeError):
@@ -26,13 +29,14 @@ class ResourceCapError(RuntimeError):
         self.size = size
 
 
-def _freeze(entries) -> Entries:
-    return tuple(tuple(Fraction(x) for x in row) for row in entries)
+def _freeze(mat) -> Entries:
+    """Row tuples of exact scalars from a MatrixQ or any nested rows."""
+    return tuple(tuple(map(exact, row)) for row in getattr(mat, "entries", mat))
 
 
 def _matmul(a, b, q: int = 0):
     """Product of square matrices given as row tuples, over any ring whose
-    elements support + and * (Fraction, int, MultiPoly); with q, every entry
+    elements support + and * (int, Fraction, MultiPoly); with q, every entry
     is reduced mod q."""
     cols = tuple(zip(*b))
     if q:
@@ -113,47 +117,37 @@ class MatrixQ:
             raise ValueError("dimension mismatch")
         return MatrixQ(_matmul(self.entries, other.entries))
 
-    def det(self) -> Fraction:
-        # fraction-free-ish Gaussian elimination on a copy
+    def det(self) -> int | Fraction:
         n = self.n
         m = [list(r) for r in self.entries]
-        det = Fraction(1)
+        det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if m[r][col] != 0), None)
             if piv is None:
-                return Fraction(0)
+                return 0
             if piv != col:
                 m[col], m[piv] = m[piv], m[col]
                 det = -det
             det *= m[col][col]
-            inv = 1 / m[col][col]
             for r in range(col + 1, n):
-                f = m[r][col] * inv
+                f = Fraction(m[r][col], m[col][col])
                 if f:
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return det
+        return exact(det)
 
     def inverse(self) -> "MatrixQ":
+        """Gauss-Jordan on [M | I]."""
         n = self.n
-        m = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)] for i, r in enumerate(self.entries)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            m[col], m[piv] = m[piv], m[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            for r in range(n):
-                if r != col and m[r][col]:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return MatrixQ([row[n:] for row in m])
+        rref = rational_row_reduce([r + e for r, e in zip(self.entries, _identity(n))])
+        if [row[:n] for row in rref] != [list(e) for e in _identity(n)]:
+            raise ValueError("singular matrix")
+        return MatrixQ([row[n:] for row in rref])
 
-    def trace(self) -> Fraction:
+    def trace(self) -> int | Fraction:
         return sum(self.entries[i][i] for i in range(self.n))
 
-    def apply(self, v: Sequence) -> tuple[Fraction, ...]:
-        vv = tuple(Fraction(x) for x in v)
+    def apply(self, v: Sequence) -> tuple:
+        vv = tuple(map(exact, v))
         if len(vv) != self.n:
             raise ValueError("vector dimension mismatch")
         return _apply(vv, self.entries)
@@ -164,7 +158,7 @@ class MatrixQ:
     def transpose(self) -> "MatrixQ":
         return MatrixQ(list(zip(*self.entries)))
 
-    def entry_dict(self, prefix: str = "x") -> dict[str, Fraction]:
+    def entry_dict(self, prefix: str = "x") -> dict:
         """Entries keyed x11, x12, ... for polynomial evaluation."""
         out = {}
         for i, row in enumerate(self.entries, start=1):
@@ -179,6 +173,28 @@ class MatrixQ:
 
 def _apply(v: tuple, rows: Entries) -> tuple:
     return tuple(sum(map(mul, row, v)) for row in rows)
+
+
+def rational_row_reduce(rows: list[list]) -> list[list[Fraction]]:
+    """Reduced row echelon form over Q (in place on a copy)."""
+    rows = [list(map(Fraction, r)) for r in rows]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivot_row = 0
+    for col in range(ncols):
+        sel = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
+        if sel is None:
+            continue
+        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
+        pv = rows[pivot_row][col]
+        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
+        for r in range(nrows):
+            if r != pivot_row and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
+        pivot_row += 1
+        if pivot_row == nrows:
+            break
+    return rows[:pivot_row] + [r for r in rows[pivot_row:] if any(r)]
 
 
 def entry_variable_names(n: int, prefix: str = "x") -> tuple[str, ...]:
@@ -251,7 +267,7 @@ class Ball:
         elems.sort(key=lambda m: (self.length[m.entries], _sort_key(m)))
         return elems
 
-    def values(self, f) -> Iterator[tuple[Entries, Fraction]]:
+    def values(self, f) -> Iterator[tuple[Entries, int | Fraction]]:
         """(entries, f(entries)) for every element in ball order; f's variables
         are matched to entry positions once and f is evaluated by position."""
         index = entry_positions(f.variables, len(next(iter(self.length))))
@@ -278,8 +294,8 @@ def ball(gens: GeneratorSet, L: int, cap: int = 5_000_000) -> Ball:
 
 @dataclass(frozen=True)
 class OrbitSlice:
-    base: tuple[Fraction, ...]
-    points: dict[tuple[Fraction, ...], int]  # point -> minimal word length
+    base: tuple
+    points: dict[tuple, int]  # point -> minimal word length
 
     def __len__(self):
         return len(self.points)
@@ -290,7 +306,7 @@ def orbit(gens: GeneratorSet, v: Sequence, L: int, cap: int = 5_000_000) -> Orbi
     ball when the stabilizer is large)."""
     if L < 0:
         raise ValueError("radius must be >= 0")
-    base = tuple(Fraction(x) for x in v)
+    base = tuple(map(exact, v))
     if len(base) != gens.n:
         raise ValueError("vector dimension mismatch")
     words = [g.entries for g in gens.generators]

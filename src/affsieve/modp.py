@@ -543,7 +543,7 @@ def splitting_census(
     classified = 0
     for p in primes:
         count = enumerate_variety_mod_p(equations, p, variables, brute_budget)
-        c_hat = round(count / p**dim_V)
+        c_hat = round(Fraction(count, p**dim_V))
         residual = count - c_hat * p**dim_V
         # tolerance 6 * p^(dim - 1/2), compared without floats
         if residual * residual * p <= 36 * p ** (2 * dim_V):

@@ -3,10 +3,11 @@ the unipotent sieve: gcd certificates, bad-prime bounds, progression
 avoidance, nilpotent exp/log, lattice coordinates for unipotent groups, and
 a bounded-degree density test for finite point sets.
 
-Coefficients are ``fractions.Fraction`` throughout; no floats.  sympy is used
-internally for parsing and for multivariate gcd/content where reimplementing
-it would be pointless; the certificate-producing operations (extended Euclid,
-value gcds) are done directly so their outputs stay verifiable.
+Coefficients are exact scalars (``core_arith.exact``: int, or Fraction where
+a coefficient is not integral); no floats.  sympy is used internally for
+parsing, for multivariate gcd/content and for the extended Euclid behind gcd
+certificates; every certificate identity it yields is re-checked here with
+``MultiPoly`` arithmetic.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from typing import Mapping, Optional, Sequence
 import sympy
 from sympy.parsing.sympy_parser import parse_expr, standard_transformations
 
-from .core_arith import factorize, primes_upto
-from .matgroup import _identity, _matmul, bfs
+from .core_arith import exact, factorize, primes_upto
+from .matgroup import _freeze, _identity, _matmul, bfs, rational_row_reduce
 
 
 class MultiPoly:
@@ -35,9 +36,9 @@ class MultiPoly:
         terms: Mapping[tuple[int, ...], Fraction | int] | None = None,
     ):
         self.variables = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in (terms or {}).items():
-            c = Fraction(c)
+            c = exact(c)
             if c == 0:
                 continue
             if len(exps) != len(self.variables):
@@ -50,14 +51,14 @@ class MultiPoly:
     @classmethod
     def constant(cls, variables: Sequence[str], c) -> "MultiPoly":
         z = tuple(0 for _ in variables)
-        return cls(variables, {z: Fraction(c)})
+        return cls(variables, {z: c})
 
     @classmethod
     def var(cls, variables: Sequence[str], name: str) -> "MultiPoly":
         variables = tuple(variables)
         i = variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return cls(variables, {e: Fraction(1)})
+        return cls(variables, {e: 1})
 
     @classmethod
     def parse(cls, text: str, variables: Sequence[str]) -> "MultiPoly":
@@ -110,10 +111,10 @@ class MultiPoly:
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exps) for exps in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()), Fraction(0))
+        return next(iter(self.terms.values()), 0)
 
     def degree(self) -> int:
         if not self.terms:
@@ -160,7 +161,7 @@ class MultiPoly:
         other = self._coerce(other)
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + c
+            terms[exps] = terms.get(exps, 0) + c
         return MultiPoly(self.variables, terms)
 
     def __neg__(self):
@@ -171,11 +172,11 @@ class MultiPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
+        terms: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
+                terms[key] = terms.get(key, 0) + c1 * c2
         return MultiPoly(self.variables, terms)
 
     __radd__ = __add__
@@ -190,16 +191,18 @@ class MultiPoly:
         return out
 
     def scale(self, c) -> "MultiPoly":
-        c = Fraction(c)
+        c = exact(c)
         return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
 
     # -- evaluation & substitution --------------------------------------
 
-    def eval(self, point: Mapping[str, Fraction | int] | Sequence) -> Fraction:
+    def eval(self, point: Mapping[str, Fraction | int] | Sequence) -> int | Fraction:
+        """Exact value at a point of exact scalars: int arithmetic when the
+        point and the coefficients are integers."""
         if not isinstance(point, Mapping):
             point = dict(zip(self.variables, point))
-        vals = [Fraction(point[v]) for v in self.variables]
-        total = Fraction(0)
+        vals = [point[v] for v in self.variables]
+        total = 0
         for exps, c in self.terms.items():
             t = c
             for val, e in zip(vals, exps):
@@ -295,156 +298,107 @@ def eval_residues(terms: Mapping[tuple[int, ...], int], values: Sequence[int], m
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers
-
-
-def _as_univariate(P: MultiPoly) -> tuple[str, list[Fraction]]:
-    used = P.used_variables()
-    if len(used) > 1:
-        raise ValueError(f"not univariate: uses {sorted(used)}")
-    name = next(iter(used)) if used else P.variables[0]
-    d = P.degree_in(name)
-    coeffs = [Fraction(0)] * (d + 1)
-    i = P.variables.index(name)
-    for exps, c in P.terms.items():
-        coeffs[exps[i]] += c
-    return name, coeffs
-
-
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = a[:]
-    while a and a[-1] == 0:
-        a.pop()
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        shift = len(a) - len(b)
-        factor = a[-1] / b[-1]
-        q[shift] = factor
-        for i, bc in enumerate(b):
-            a[i + shift] -= factor * bc
-        while a and a[-1] == 0:
-            a.pop()
-    return q, a
-
-
-def _poly_gcdex(a: list[Fraction], b: list[Fraction]):
-    """Extended Euclid in Q[x]: returns (g, s, t) with s*a + t*b = g (coeff lists)."""
-    r0, r1 = a[:], b[:]
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    t0, t1 = [Fraction(0)], [Fraction(1)]
-
-    def addmul(u, q, v):
-        # u - q*v
-        out = u[:]
-        prod = [Fraction(0)] * (len(q) + len(v) - 1) if q and v else []
-        for i, qc in enumerate(q):
-            for j, vc in enumerate(v):
-                prod[i + j] += qc * vc
-        for i, pc in enumerate(prod):
-            while len(out) <= i:
-                out.append(Fraction(0))
-            out[i] -= pc
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, addmul(s0, q, s1)
-        t0, t1 = t1, addmul(t0, q, t1)
-    return r0, s0, t0
+# gcd certificates
 
 
 class CertificateError(RuntimeError):
     """A certificate or exact cross-check failed to verify."""
 
 
+class CoprimalityError(ValueError):
+    """A declared family has a nonconstant common factor."""
+
+    def __init__(self, message: str, common_factor=None):
+        super().__init__(message)
+        self.common_factor = common_factor
+
+
 @dataclass(frozen=True)
 class GcdCertificate:
-    """Witness that gcd of the values of a coprime univariate family divides m:
-    sum_j Q_j * P_j = m identically."""
+    """Witness sum_j S_j * P_j = Q identically, with Q free of the pivot
+    variable, so gcd_j P_j(x) divides Q(x) at every integer point x.  For a
+    univariate family Q is the positive integer m."""
 
     polys: tuple[MultiPoly, ...]
     cofactors: tuple[MultiPoly, ...]
-    m: int
+    Q: MultiPoly
+
+    @property
+    def m(self) -> int:
+        return self.Q.constant_value()
 
     def verify(self) -> bool:
         variables = self.polys[0].variables
         total = MultiPoly.constant(variables, 0)
-        for Q, P in zip(self.cofactors, self.polys):
-            total = total + Q * P
-        return total == MultiPoly.constant(variables, self.m)
+        for S, P in zip(self.cofactors, self.polys):
+            total = total + S * P
+        return total == self.Q.extend(variables)
 
 
-def gcd_certificate(polys: Sequence[MultiPoly]) -> GcdCertificate:
-    """Extended-Euclid certificate for a family of univariate integer polynomials
-    with gcd 1 in Q[x]; denominators cleared so m is a positive integer.
+def gcd_certificate(
+    polys: Sequence[MultiPoly], pivot: Optional[str] = None, others: tuple[str, ...] = ()
+) -> GcdCertificate:
+    """Extended-Euclid certificate for a family with gcd 1 in Q(others)[pivot],
+    all denominators cleared so that Q lies in Z[others].
+
+    Without a pivot the family must be univariate and Q is an integer m > 0.
+    sympy runs the Euclid; the identity is re-checked by
+    ``GcdCertificate.verify`` and a failure raises CertificateError.  A common
+    factor raises CoprimalityError.
     """
     if not polys:
         raise ValueError("empty family")
     variables = polys[0].variables
-    names = set()
-    for P in polys:
-        names |= P.used_variables()
-    if len(names) > 1:
-        raise ValueError(f"family is not univariate: {sorted(names)}")
-    name = next(iter(names)) if names else variables[0]
-
-    def coeffs(P):
-        d = P.degree_in(name)
-        i = P.variables.index(name)
-        out = [Fraction(0)] * (d + 1)
-        for exps, c in P.terms.items():
-            out[exps[i]] += c
-        return out
-
-    g = coeffs(polys[0])
-    cof: list[list[Fraction]] = [[Fraction(1)]]
-    for P in polys[1:]:
-        g2, s, t = _poly_gcdex(g, coeffs(P))
-        cof = [_mul_lists(s, c) for c in cof]
-        cof.append(t)
-        g = g2
-    if len(g) != 1:
-        common = _list_to_poly(g, name, variables)
-        raise ValueError(f"family has common factor {common!r}; no certificate exists")
-    c = g[0]
-    scale = Fraction(1, c)  # make the identity sum to 1 first
-    cof = [[x * scale for x in q] for q in cof]
-    denlcm = 1
-    for q in cof:
-        for x in q:
-            denlcm = math.lcm(denlcm, x.denominator)
-    m = denlcm
-    cofactors = tuple(
-        _list_to_poly([x * m for x in q], name, variables) for q in cof
-    )
-    cert = GcdCertificate(polys=tuple(polys), cofactors=cofactors, m=m)
+    if pivot is None:
+        names = frozenset().union(*(P.used_variables() for P in polys))
+        if len(names) > 1:
+            raise ValueError(f"family is not univariate: {sorted(names)}")
+        pivot = next(iter(names)) if names else variables[0]
+    pivot_sym = sympy.Symbol(pivot)
+    other_syms = [sympy.Symbol(v) for v in others]
+    domain = sympy.QQ.frac_field(*other_syms) if other_syms else sympy.QQ
+    spolys = [sympy.Poly(P.to_sympy(), pivot_sym, domain=domain) for P in polys]
+    g = spolys[0]
+    cofactors = [sympy.Poly(1, pivot_sym, domain=domain)]
+    for q in spolys[1:]:
+        s, t, h = g.gcdex(q)
+        cofactors = [s * c for c in cofactors]
+        cofactors.append(t)
+        g = h
+    if g.degree() > 0:
+        raise CoprimalityError(
+            f"family has common factor {g.as_expr()} over the function field",
+            common_factor=g.as_expr(),
+        )
+    c_expr = domain.to_sympy(g.nth(0)) if g.degree() == 0 else sympy.Integer(0)
+    if c_expr == 0:
+        raise CoprimalityError("family gcd vanished; degenerate input")
+    # clear every denominator appearing in the cofactors and in c
+    dens = [sympy.fraction(sympy.together(c_expr))[1]]
+    for cof in cofactors:
+        for coeff in cof.all_coeffs():
+            dens.append(sympy.fraction(sympy.together(domain.to_sympy(coeff)))[1])
+    D = sympy.Integer(1)
+    for d in dens:
+        D = sympy.lcm(D, d)
+    Q = MultiPoly.from_sympy(sympy.expand(sympy.together(D * c_expr)), others or (pivot,))
+    den = Q.denominator_lcm()
+    if Q.terms[max(Q.terms)] < 0:
+        den = -den  # leading (lexicographically largest) coefficient positive: m > 0
+    Q = Q.scale(den)
+    try:
+        S = tuple(
+            MultiPoly.from_sympy(sympy.cancel(D * den * cof.as_expr()), variables)
+            for cof in cofactors
+        )
+    except sympy.PolynomialError as exc:
+        raise CertificateError(f"certificate cofactor is not a polynomial: {exc}") from exc
+    cert = GcdCertificate(polys=tuple(polys), cofactors=S, Q=Q)
     if not cert.verify():
-        raise CertificateError(f"gcd certificate failed to verify for {polys!r}")
+        raise CertificateError(
+            f"gcd certificate identity fails for {list(polys)!r}: sum S_j P_j != {Q!r}"
+        )
     return cert
-
-
-def _mul_lists(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _list_to_poly(coeffs, name, variables) -> MultiPoly:
-    i = tuple(variables).index(name)
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if c:
-            e = [0] * len(variables)
-            e[i] = k
-            terms[tuple(e)] = c
-    return MultiPoly(variables, terms)
 
 
 @dataclass(frozen=True)
@@ -467,20 +421,19 @@ def bad_prime_bound(P: MultiPoly) -> BadPrimeBound:
     """
     if P.is_zero():
         raise ValueError("zero polynomial")
-    name, coeffs = _as_univariate(P)
-    if any(c.denominator != 1 for c in coeffs):
+    used = P.used_variables()
+    if len(used) > 1:
+        raise ValueError(f"not univariate: uses {sorted(used)}")
+    if P.denominator_lcm() != 1:
         raise ValueError("integer polynomial required")
-    deg = len(coeffs) - 1
-    values = []
-    for m in range(deg + 1):
-        v = sum(c * Fraction(m) ** k for k, c in enumerate(coeffs))
-        values.append(int(v))
-    g = math.gcd(*(abs(v) for v in values)) if values else 0
+    deg = P.degree()
+    values = [P.eval({v: m for v in P.variables}) for m in range(deg + 1)]
+    g = math.gcd(*values)
     if g == 0:
         raise ValueError("polynomial vanishes on 0..deg; not a nonzero integer poly?")
     fac = factorize(g) if g > 1 else None
     primes = fac.primes() if fac else ()
-    content = math.gcd(*(abs(int(c)) for c in coeffs if c != 0))
+    content = P.integer_content()
     cfac = factorize(content) if content > 1 else None
     return BadPrimeBound(
         primes=primes,
@@ -536,18 +489,13 @@ def progression_avoiding(
 # nilpotent exp/log and lattice coordinates
 
 
-def _as_rows(mat) -> tuple[tuple[Fraction, ...], ...]:
-    rows = getattr(mat, "entries", mat)
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
-
-
 def is_strictly_upper(mat) -> bool:
-    rows = _as_rows(mat)
+    rows = _freeze(mat)
     return all(rows[i][j] == 0 for i in range(len(rows)) for j in range(len(rows)) if j <= i)
 
 
 def is_unipotent_upper(mat) -> bool:
-    rows = _as_rows(mat)
+    rows = _freeze(mat)
     n = len(rows)
     return all(
         rows[i][j] == (1 if i == j else 0)
@@ -559,7 +507,7 @@ def is_unipotent_upper(mat) -> bool:
 
 def _nilpotent_series(N, coeffs: Sequence[Fraction]):
     """sum_k coeffs[k] N^k for a nilpotent matrix N given as row tuples over
-    any Q-algebra whose zero is N's diagonal entry (Fraction, MultiPoly);
+    any Q-algebra whose zero is N's diagonal entry (int, Fraction, MultiPoly);
     the caller guarantees N^len(coeffs) = 0."""
     zero = N[0][0]
     term = _identity(len(N), zero**0, zero)  # zero**0 is the algebra's 1
@@ -577,22 +525,22 @@ def exp_series(N):
     return _nilpotent_series(N, [Fraction(1, math.factorial(k)) for k in range(len(N))])
 
 
-def nilpotent_exp(N) -> tuple[tuple[Fraction, ...], ...]:
+def nilpotent_exp(N) -> tuple[tuple[int | Fraction, ...], ...]:
     """Finite-series exponential of a strictly upper triangular matrix."""
-    rows = _as_rows(N)
+    rows = _freeze(N)
     if not is_strictly_upper(rows):
         raise ValueError("nilpotent_exp requires strictly upper triangular input")
     return exp_series(rows)
 
 
-def nilpotent_log(u) -> tuple[tuple[Fraction, ...], ...]:
+def nilpotent_log(u) -> tuple[tuple[int | Fraction, ...], ...]:
     """Finite-series logarithm of a unipotent upper triangular matrix."""
-    rows = _as_rows(u)
+    rows = _freeze(u)
     if not is_unipotent_upper(rows):
         raise ValueError("nilpotent_log requires unipotent upper triangular input")
     n = len(rows)
     N = tuple(tuple(x - 1 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(rows))
-    return _nilpotent_series(N, [Fraction(0)] + [Fraction((-1) ** (k + 1), k) for k in range(1, n)])
+    return _nilpotent_series(N, [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, n)])
 
 
 def span_element(coords: Sequence, basis: Sequence, n: int):
@@ -603,41 +551,19 @@ def span_element(coords: Sequence, basis: Sequence, n: int):
     )
 
 
-def _upper_coords(mat) -> tuple[Fraction, ...]:
-    rows = _as_rows(mat)
+def _upper_coords(mat) -> tuple[int | Fraction, ...]:
+    rows = _freeze(mat)
     n = len(rows)
     return tuple(rows[i][j] for i in range(n) for j in range(i + 1, n))
 
 
 def _coords_to_upper(vec, n):
     it = iter(vec)
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            rows[i][j] = Fraction(next(it))
+            rows[i][j] = exact(next(it))
     return tuple(tuple(r) for r in rows)
-
-
-def rational_row_reduce(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q (in place on a copy)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
-            break
-    return rows[:pivot_row] + [r for r in rows[pivot_row:] if any(r)]
 
 
 def _integer_hnf(rows: list[list[int]]) -> list[list[int]]:
@@ -700,7 +626,7 @@ class NilpotentLog:
     the conjugated integral form d_N^{-1} U_n(Z) d_N."""
 
     n: int
-    basis: tuple[tuple[tuple[Fraction, ...], ...], ...]  # strictly upper matrices
+    basis: tuple[tuple[tuple[int | Fraction, ...], ...], ...]  # strictly upper matrices
     scale: int
     conjugation_N: int
     span_stable: bool
@@ -717,11 +643,11 @@ class NilpotentLog:
 
 
 def _in_integral_form(mat, N: int) -> bool:
-    rows = _as_rows(mat)
+    rows = _freeze(mat)
     n = len(rows)
     for i in range(n):
         for j in range(i + 1, n):
-            if (rows[i][j] * Fraction(N) ** (j - i)).denominator != 1:
+            if (rows[i][j] * N ** (j - i)).denominator != 1:
                 return False
     return True
 
@@ -736,7 +662,7 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
     in the integral form, verified on all basis combinations with
     |coefficients| <= box.
     """
-    mats = [_as_rows(g) for g in gens]
+    mats = [_freeze(g) for g in gens]
     if not mats:
         raise ValueError("no generators")
     n = len(mats[0])
@@ -746,11 +672,11 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
 
     inverses = [nilpotent_exp(tuple(tuple(-x for x in row) for row in nilpotent_log(g))) for g in mats]
 
-    def word_logs(radius: int) -> list[tuple[Fraction, ...]]:
+    def word_logs(radius: int) -> list[tuple[int | Fraction, ...]]:
         words = bfs(_identity(n), mats + inverses, _matmul, radius)
         return [_upper_coords(nilpotent_log(w)) for w in list(words)[1:]]
 
-    def span_basis(vectors: list[tuple[Fraction, ...]]):
+    def span_basis(vectors: list[tuple[int | Fraction, ...]]):
         if not vectors:
             return []
         den = 1
@@ -759,7 +685,7 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
                 den = math.lcm(den, x.denominator)
         int_rows = [[int(x * den) for x in v] for v in vectors]
         hnf = _integer_hnf(int_rows)
-        return [[Fraction(x, den) for x in row] for row in hnf]
+        return [[exact(Fraction(x, den)) for x in row] for row in hnf]
 
     radius = max(2, n - 1)
     b1 = span_basis(word_logs(radius))
@@ -790,7 +716,7 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
                 for i in range(n):
                     for j in range(i + 1, n):
                         worst = math.lcm(
-                            worst, (E[i][j] * Fraction(N) ** (j - i)).denominator
+                            worst, (E[i][j] * N ** (j - i)).denominator
                         )
                 p = factorize(worst).primes()[0]
                 scale *= p
@@ -858,29 +784,23 @@ def zariski_density_test(
     monos = monomials_upto(variables, D)
 
     # span of ambient combinations of degree <= D, as vectors over monos
-    ambient_rows: list[list[Fraction]] = []
+    ambient_rows: list[list[int | Fraction]] = []
     for g in ambient_ideal_basis:
         g = g if g.variables == variables else g.extend(variables)
         room = D - g.degree()
         if room < 0:
             continue
         for mexp in monomials_upto(variables, room):
-            prod = g * MultiPoly(variables, {mexp: Fraction(1)})
-            ambient_rows.append([prod.terms.get(e, Fraction(0)) for e in monos])
+            prod = g * MultiPoly(variables, {mexp: 1})
+            ambient_rows.append([prod.terms.get(e, 0) for e in monos])
     ambient_rref = rational_row_reduce(ambient_rows) if ambient_rows else []
     ambient_rank = len(ambient_rref)
 
+    mono_polys = [MultiPoly(variables, {e: 1}) for e in monos]
     rows = []
     for pt in points:
-        vals = [Fraction(x) for x in pt]
-        row = []
-        for exps in monos:
-            t = Fraction(1)
-            for v, e in zip(vals, exps):
-                if e:
-                    t *= v**e
-            row.append(t)
-        rows.append(row)
+        point = dict(zip(variables, pt))
+        rows.append([m.eval(point) for m in mono_polys])
 
     # nullspace of the evaluation matrix
     rref = rational_row_reduce(rows)
@@ -898,8 +818,8 @@ def zariski_density_test(
 
     null_vectors = []
     for j in free:
-        vec = [Fraction(0)] * len(monos)
-        vec[j] = Fraction(1)
+        vec = [0] * len(monos)
+        vec[j] = 1
         for r, pc in zip(rref, pivots):
             vec[pc] = -r[j]
         null_vectors.append(vec)

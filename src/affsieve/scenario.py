@@ -78,23 +78,16 @@ class Scenario:
     generator_matrices: tuple[MatrixQ, ...]  # as written, no symmetrization
     raw: dict
     f: Optional[MultiPoly]
-    f_tilde: Optional[MultiPoly]
-    f_tilde_degree: Optional[int]
     orbit_vector: Optional[tuple[Fraction, ...]]
     S0: tuple[int, ...]
-    S_prime: tuple[int, ...]
     ambient_ideal: tuple[MultiPoly, ...]
     dim_V: Optional[int]
     dim_G: Optional[int]
-    levi_semisimple: Optional[bool]
-    tau: Fraction
-    T: Fraction
     D: int
     L_schedule: tuple[int, ...]
     ball_cap: int
     image_cap: int
     r_max: int
-    logM0: Fraction
     unipotent_p: Optional[MultiPoly]
     unipotent_families: tuple[tuple[MultiPoly, ...], ...]
     torus_M: Optional[int]
@@ -160,13 +153,14 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     variables = entry_variable_names(n)
     f = MultiPoly.parse(raw["f"], variables) if "f" in raw else None
-    f_tilde = None
-    f_tilde_degree = None
+    # f_tilde, S_prime, levi_semisimple, tau, T and logM0 are validated but
+    # not kept: no computation reads them
     if "f_tilde" in raw:
         block = raw["f_tilde"]
         _check_keys(block, _FTILDE_KEYS, "f_tilde")
-        f_tilde = MultiPoly.parse(block["poly"], variables)
-        f_tilde_degree = _int(block.get("degree", f_tilde.degree()), "f_tilde.degree")
+        MultiPoly.parse(block["poly"], variables)
+        if "degree" in block:
+            _int(block["degree"], "f_tilde.degree")
 
     vec = None
     if "orbit_vector" in raw:
@@ -176,13 +170,15 @@ def scenario_from_dict(raw: dict) -> Scenario:
         vec = tuple(parse_rational(x) for x in vals)
 
     S0 = tuple(_int(p, "S0 entry") for p in raw.get("S0", []))
-    S_prime = tuple(_int(p, "S_prime entry") for p in raw.get("S_prime", []))
+    for p in raw.get("S_prime", []):
+        _int(p, "S_prime entry")
     ideal = tuple(MultiPoly.parse(s, variables) for s in raw.get("ambient_ideal", []))
 
     params = raw.get("params", {})
     _check_keys(params, _PARAM_KEYS, "params")
-    tau = parse_rational(params.get("tau", "1/2"))
-    T = parse_rational(params.get("T", 1))
+    for key in ("tau", "T", "logM0"):
+        if key in params:
+            parse_rational(params[key])
     D = _int(params.get("D", 1), "params.D")
     L_schedule = tuple(
         _int(x, "params.L_schedule entry") for x in params.get("L_schedule", (4, 6, 8))
@@ -190,7 +186,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
     ball_cap = _int(params.get("ball_cap", 5_000_000), "params.ball_cap")
     image_cap = _int(params.get("image_cap", 5_000_000), "params.image_cap")
     r_max = _int(params.get("r_max", 8), "params.r_max")
-    logM0 = parse_rational(params.get("logM0", 1))
 
     uni_p = None
     uni_fams: tuple[tuple[MultiPoly, ...], ...] = ()
@@ -227,23 +222,16 @@ def scenario_from_dict(raw: dict) -> Scenario:
         generator_matrices=tuple(mats),
         raw=raw,
         f=f,
-        f_tilde=f_tilde,
-        f_tilde_degree=f_tilde_degree,
         orbit_vector=vec,
         S0=S0,
-        S_prime=S_prime,
         ambient_ideal=ideal,
         dim_V=dim_V,
         dim_G=dim_G,
-        levi_semisimple=levi,
-        tau=tau,
-        T=T,
         D=D,
         L_schedule=L_schedule,
         ball_cap=ball_cap,
         image_cap=image_cap,
         r_max=r_max,
-        logM0=logM0,
         unipotent_p=uni_p,
         unipotent_families=uni_fams,
         torus_M=torus_M,

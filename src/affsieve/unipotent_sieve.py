@@ -32,21 +32,15 @@ from .core_arith import (
 from .matgroup import MatrixQ
 from .polyalg import (
     CertificateError,
+    CoprimalityError,
     MultiPoly,
     bad_prime_bound,
     exp_series,
+    gcd_certificate,
     malcev_lattice,
     progression_avoiding,
     span_element,
 )
-
-
-class CoprimalityError(ValueError):
-    """A declared family has a nonconstant common factor."""
-
-    def __init__(self, message: str, common_factor=None):
-        super().__init__(message)
-        self.common_factor = common_factor
 
 
 @dataclass(frozen=True)
@@ -229,58 +223,9 @@ def _family_certificate(
     members: Sequence[MultiPoly], pivot: str, others: tuple[str, ...]
 ) -> MultiPoly:
     """Q(x') in Z[others] with sum_j S_j * member_j = Q identically, so
-    gcd_j member_j(x', v) divides Q(x') for all integer v.
-
-    Extended Euclid in Q(others)[pivot] with all denominators cleared; the
-    identity is re-checked with MultiPoly arithmetic and a failure raises
-    CertificateError.
-    """
-    pivot_sym = sympy.Symbol(pivot)
-    other_syms = [sympy.Symbol(v) for v in others]
-    domain = sympy.QQ.frac_field(*other_syms) if other_syms else sympy.QQ
-    polys = [sympy.Poly(m.to_sympy(), pivot_sym, domain=domain) for m in members]
-    g = polys[0]
-    cofactors = [sympy.Poly(1, pivot_sym, domain=domain)]
-    for q in polys[1:]:
-        s, t, h = g.gcdex(q)
-        cofactors = [s * c for c in cofactors]
-        cofactors.append(t)
-        g = h
-    if g.degree() > 0:
-        raise CoprimalityError(
-            f"family has common factor {g.as_expr()} over the function field",
-            common_factor=g.as_expr(),
-        )
-    c_expr = domain.to_sympy(g.nth(0)) if g.degree() == 0 else sympy.Integer(0)
-    if c_expr == 0:
-        raise CoprimalityError("family gcd vanished; degenerate input")
-    # clear every denominator appearing in the cofactors and in c
-    dens = [sympy.fraction(sympy.together(c_expr))[1]]
-    for cof in cofactors:
-        for coeff in cof.all_coeffs():
-            dens.append(sympy.fraction(sympy.together(domain.to_sympy(coeff)))[1])
-    D = sympy.Integer(1)
-    for d in dens:
-        D = sympy.lcm(D, d)
-    Q_expr = sympy.expand(sympy.together(D * c_expr))
-    vars_tuple = others if others else (pivot,)
-    Q = MultiPoly.from_sympy(Q_expr, vars_tuple)
-    den = Q.denominator_lcm()
-    if den != 1:
-        Q = Q.scale(den)
-    variables = members[0].variables
-    total = MultiPoly.constant(variables, 0)
-    try:
-        for cof, member in zip(cofactors, members):
-            S = MultiPoly.from_sympy(sympy.cancel(D * den * cof.as_expr()), variables)
-            total = total + S * member
-    except sympy.PolynomialError as exc:
-        raise CertificateError(f"family certificate cofactor is not a polynomial: {exc}") from exc
-    if total != Q.extend(variables):
-        raise CertificateError(
-            f"family certificate identity fails for {list(members)!r}: sum S_j m_j != {Q!r}"
-        )
-    return Q
+    gcd_j member_j(x', v) divides Q(x') for all integer v (``gcd_certificate``,
+    whose identity check raises CertificateError)."""
+    return gcd_certificate(members, pivot, others).Q
 
 
 def _content_split(

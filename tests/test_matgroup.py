@@ -1,6 +1,10 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from affsieve.matgroup import (
     GeneratorSet,
@@ -79,3 +83,50 @@ def test_orbit_matches_ball_projection():
     o = orbit(FREE, v, 3)
     from_ball = {tuple(m.apply(v)) for m in ball(FREE, 3).elements}
     assert set(o.points) == from_ball
+
+
+def _leibniz(rows):
+    """det as the signed sum over permutations, in Fraction arithmetic."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(Fraction(rows[i][perm[i]]) for i in range(n))
+    return total
+
+
+SCALARS = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=5))
+
+
+@st.composite
+def invertible_rows(draw):
+    n = draw(st.sampled_from((2, 3)))
+    rows = draw(st.lists(st.lists(SCALARS, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(rows[0][0] not in (0, 1, -1))  # a non-unit first pivot
+    assume(_leibniz(rows) != 0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(invertible_rows())
+@example([[3, 1], [5, 2]])
+@example([[2, 3, 1], [4, 1, 5], [7, 2, 2]])
+def test_inverse_and_det_are_exact(rows):
+    # no division of two ints may go through a float: M M^-1 = I, det is the
+    # Leibniz expansion, and every scalar is an int or a Fraction
+    M = MatrixQ(rows)
+    inv = M.inverse()
+    assert (M @ inv).is_identity() and (inv @ M).is_identity()
+    assert M.det() == _leibniz(rows)
+    assert inv.det() == 1 / _leibniz(rows)
+    for value in [M.det(), inv.det(), *(x for row in inv.entries for x in row)]:
+        assert type(value) in (int, Fraction)
+
+
+def test_inverse_frozen_non_unit_pivot():
+    M = MatrixQ([[3, 1], [5, 2]])
+    assert M.inverse() == MatrixQ([[2, -1], [-5, 3]])
+    assert M.det() == 1 and type(M.det()) is int
+    assert all(type(x) is int for row in M.inverse().entries for x in row)
+    with pytest.raises(ValueError):
+        MatrixQ([[2, 4], [1, 2]]).inverse()

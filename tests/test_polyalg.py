@@ -241,3 +241,43 @@ def test_density_monotone_in_degree():
     d1 = zariski_density_test(pts, 1).dense
     d2 = zariski_density_test(pts, 2).dense
     assert d1 or not d2
+
+
+def _fraction_eval(terms, point):
+    """Independent evaluation: every coefficient and coordinate as a Fraction."""
+    total = Fraction(0)
+    for exps, c in terms.items():
+        t = Fraction(c)
+        for x, e in zip(point, exps):
+            t *= Fraction(x) ** e
+        total += t
+    return total
+
+
+COEFFS = st.one_of(st.integers(-20, 20), st.fractions(-20, 20, max_denominator=9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), COEFFS, max_size=6),
+    st.tuples(st.integers(-50, 50), st.integers(-50, 50)),
+    st.tuples(st.fractions(-9, 9, max_denominator=9), st.fractions(-9, 9, max_denominator=9)),
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4).filter(
+        lambda m: m[0] * m[3] - m[1] * m[2] not in (0, 1, -1)
+    ),
+)
+def test_eval_is_exact(terms, ipoint, qpoint, m):
+    p = MultiPoly(("a", "b"), terms)
+    # the rational point M^-1 (1, 1), against Cramer's rule in Fraction
+    a, b, c, d = m
+    det = Fraction(a * d - b * c)
+    cramer = ((d - b) / det, (a - c) / det)
+    mpoint = MatrixQ([[a, b], [c, d]]).inverse().apply((1, 1))
+    assert mpoint == cramer
+    for point, want in ((ipoint, ipoint), (qpoint, qpoint), (mpoint, cramer)):
+        value = p.eval(point)
+        assert type(value) in (int, Fraction)
+        assert value == _fraction_eval(terms, want)
+    if all(type(c) is int or c.denominator == 1 for c in terms.values()):
+        # integer coefficients at an integer point: int arithmetic throughout
+        assert type(p.eval(ipoint)) is int
