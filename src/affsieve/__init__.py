@@ -28,6 +28,7 @@ from .modp import (
     local_density,
     sl_order,
     splitting_census,
+    surjectivity_certificate,
     verify_strong_approx,
 )
 from .orbit_sieve import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -26,6 +27,7 @@ from .modp import (
     detect_ramified,
     enumerate_variety_mod_p,
     local_density,
+    root_search,
     sl_order,
     splitting_census,
     verify_strong_approx,
@@ -118,9 +120,12 @@ def cmd_local_density(sc: Scenario, args):
 def cmd_beta_table(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
     ram = _ramified_set(sc, f, p_max=max(args.pmax, 100))
+    search = root_search(sc.generators)
     table = {}
     for p in primes_upto(args.pmax):
-        d = local_density(sc.generators, f, p, ramified=ram.confirmed, cap=sc.image_cap)
+        d = local_density(
+            sc.generators, f, p, ramified=ram.confirmed, cap=sc.image_cap, search=search
+        )
         table[p] = d.beta
     return {"pmax": args.pmax, "ramified": list(ram.confirmed), "beta": table}
 
@@ -183,8 +188,11 @@ def cmd_sequence(sc: Scenario, args):
 
 
 def _decomposition(sc: Scenario, args):
-    """Moduli decomposition of the scenario's sequence at L up to D; it asks
-    beta_squarefree once for each squarefree d, so there is nothing to cache."""
+    """Moduli decomposition of the scenario's sequence at L up to D.  It asks
+    beta_squarefree once for each squarefree d: the product of the local
+    densities beta(p), p | d (certified ones from the variety counter), which
+    beta_squarefree cross-checks by enumerating the image mod d when d is
+    composite and at most 50."""
     f = _need(sc, "f", "a regular function f")
     ram = _ramified_set(sc, f).confirmed
     seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
@@ -223,16 +231,23 @@ def cmd_level_report(sc: Scenario, args):
 def cmd_sieve_dim(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
     if sc.kind != "SL":
-        # beta(p) = #V / |SL_n(F_p)| assumes the image mod p is all of SL_n
+        # beta(p) is certified only as N_f / |SL_n(F_p)|; off SL every prime
+        # would enumerate its image
         raise ValueError(f"sieve-dim needs ambient.kind 'SL', not {sc.kind!r}")
-    ram = set(_ramified_set(sc, f).confirmed)
+    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100)).confirmed
+    search = root_search(sc.generators)
+    # Gamma or f has no reduction mod a prime dividing a denominator
+    denominators = math.lcm(search.denominators, f.denominator_lcm())
     table: dict[int, Fraction] = {}
+    uncertified = []
     for p in primes_upto(args.pmax):
-        if p in ram:
-            table[p] = Fraction(0)
+        if denominators % p == 0:
+            uncertified.append(p)
             continue
-        count = enumerate_variety_mod_p([f, *sc.ambient_ideal], p, variables=sc.variables)
-        table[p] = Fraction(count, sl_order(sc.n, p))
+        d = local_density(sc.generators, f, p, ramified=ram, cap=sc.image_cap, search=search)
+        table[p] = d.beta
+        if not d.ramified and d.certificate is None:
+            uncertified.append(p)
     fit = sieve_dimension_fit(table, args.w, args.pmax)
     return {
         "window": list(fit.window),
@@ -241,6 +256,7 @@ def cmd_sieve_dim(sc: Scenario, args):
         "residual": fit.residual,
         "n_primes": fit.n_primes,
         "conclusive": fit.conclusive,
+        "uncertified": uncertified,
     }
 
 
@@ -318,6 +334,7 @@ def cmd_uni_sieve(sc: Scenario, args):
         "points": len(res.points),
         "dropped": res.dropped,
         "exhausted": res.exhausted,
+        "span_stable": res.span_stable,
         "sample_points": [list(pt.x) for pt in res.points[: args.head]],
         "sample_values": [pt.value for pt in res.points[: args.head]],
     }

@@ -1,9 +1,16 @@
 """Finite reductions of rational matrix groups: images mod q with generation
-certificates, exact variety point counts over F_p, local densities beta(p),
-ramified-prime detection, strong-approximation checks, and splitting censuses.
+certificates, surjectivity certificates mod p, exact variety point counts over
+F_p, local densities beta(p), ramified-prime detection, strong-approximation
+checks, and splitting censuses.
+
+beta(p) = N_f(p) / |pi_p(Gamma)| has two routes.  Where a surjectivity
+certificate proves pi_p(Gamma) = SL_n(F_p), N_f(p) is the variety count of
+{f = 0, det = 1} and the order is |SL_n(F_p)|; elsewhere the image is
+enumerated.  Strong approximation says the first route covers all but
+finitely many p.
 
 The variety counter is exact and avoids full brute force where it can:
-univariate root scans, elimination of variables that appear linearly with a
+univariate root counts (closed form for quadratics) and scans, elimination of variables that appear linearly with a
 constant coefficient, and a three-way recursion on a variable of degree one
 (its leading coefficient is either invertible, giving one solution per
 assignment of the rest, or zero, giving p or none).  Full enumeration is the
@@ -21,6 +28,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .core_arith import check_prime_set, factorize, is_prime, primes_upto
 from .matgroup import (
     Ball,
+    Entries,
     GeneratorSet,
     MatrixQ,
     ResourceCapError,
@@ -242,12 +250,29 @@ def _p_used_vars(t: Terms) -> set[int]:
     return used
 
 
-def _scan_roots(t: Terms, i: int, p: int) -> list[int]:
-    """Roots of a univariate polynomial (in variable i) by Horner scan."""
-    d = _p_deg_in(t, i)
-    coeffs = [0] * (d + 1)
+def _univariate(t: Terms, i: int, p: int) -> list[int]:
+    """Coefficients mod p, constant first, of a polynomial in variable i only."""
+    coeffs = [0] * (_p_deg_in(t, i) + 1)
     for e, c in t.items():
         coeffs[e[i]] = (coeffs[e[i]] + c) % p
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _count_roots(coeffs: list[int], p: int) -> int:
+    """Number of roots in F_p: for a quadratic and odd p, Euler's criterion on
+    the discriminant; a scan otherwise (linear equations never get here, as
+    step 1 eliminates them)."""
+    if len(coeffs) == 3 and p != 2:
+        c, b, a = coeffs
+        disc = (b * b - 4 * a * c) % p
+        return 1 if disc == 0 else 2 if pow(disc, (p - 1) // 2, p) == 1 else 0
+    return len(_scan_roots(coeffs, p))
+
+
+def _scan_roots(coeffs: list[int], p: int) -> list[int]:
+    """Roots in F_p of the polynomial with these coefficients, by Horner scan."""
     roots = []
     for x in range(p):
         acc = 0
@@ -310,12 +335,12 @@ def _count_points(eqs: list[Terms], active: frozenset[int], p: int, brute_budget
         used = _p_used_vars(t) & active
         if len(used) == 1:
             i = next(iter(used))
-            roots = _scan_roots(t, i, p)
+            coeffs = _univariate(t, i, p)
             others = [u for j, u in enumerate(live) if j != idx]
             if not others:
-                return len(roots) * pow(p, len(active) - 1)
+                return _count_roots(coeffs, p) * pow(p, len(active) - 1)
             total = 0
-            for r in roots:
+            for r in _scan_roots(coeffs, p):
                 sub = [_p_set_var(u, i, r, p) for u in others]
                 total += _count_points(sub, active - {i}, p, brute_budget)
             return total
@@ -336,28 +361,58 @@ def _count_points(eqs: list[Terms], active: frozenset[int], p: int, brute_budget
                 )
                 return (pow(p, k) - zeros_lead) + p * zeros_both
 
-    # 4) budgeted brute force over the active variables
-    total_points = pow(p, len(active))
+    # 4) budgeted brute force over the active variables, except one of degree
+    #    one in some equation lead * x + rest: x = -rest / lead where lead != 0,
+    #    and every x where lead = rest = 0
+    solved = next(
+        (
+            (idx, i)
+            for idx, t in enumerate(live)
+            for i in sorted(_p_used_vars(t) & active)
+            if _p_deg_in(t, i) == 1
+        ),
+        None,
+    )
+    order = sorted(active - {solved[1]}) if solved else sorted(active)
+    total_points = pow(p, len(order))
     if total_points > brute_budget:
         raise EnumerationBudgetError(
-            f"brute force over p^{len(active)} = {total_points} exceeds budget"
+            f"brute force over p^{len(order)} = {total_points} exceeds budget"
         )
-    order = sorted(active)
     values = [0] * len(next(iter(live[0])))
+
+    def zero(eqs) -> bool:
+        return all(eval_residues(t, values, p) == 0 for t in eqs)
+
+    if solved:
+        idx, x = solved
+        lead, rest = _p_coeff_of(live[idx], x, 1), _p_coeff_of(live[idx], x, 0)
+        others = live[:idx] + live[idx + 1 :]
     count = 0
     for assignment in itertools.product(range(p), repeat=len(order)):
         for i, v in zip(order, assignment):
             values[i] = v
-        if all(eval_residues(t, values, p) == 0 for t in live):
-            count += 1
+        if not solved:
+            count += zero(live)
+            continue
+        a, b = eval_residues(lead, values, p), eval_residues(rest, values, p)
+        if a:
+            values[x] = -b * pow(a, -1, p) % p
+            count += zero(others)
+        elif b == 0:
+            for values[x] in range(p):
+                count += zero(others)
     return count
+
+
+BRUTE_BUDGET = 2_000_000  # default number of points a brute force may visit
 
 
 def enumerate_variety_mod_p(
     equations: Sequence[MultiPoly],
     p: int,
     variables: Optional[Sequence[str]] = None,
-    brute_budget: int = 2_000_000,
+    brute_budget: int = BRUTE_BUDGET,
 ) -> int:
     """Exact #V(F_p) of the affine variety cut out by the equations.
 
@@ -398,6 +453,141 @@ def count_Nf(image: FiniteImage, f: MultiPoly, d: Optional[int] = None) -> int:
     return count
 
 
+# ---------------------------------------------------------------------------
+# surjectivity certificates
+
+CERTIFICATE_RADIUS = 2  # word length of the elements searched for root elements
+
+
+@dataclass(frozen=True)
+class SurjectivityCertificate:
+    """Proof that pi_p(Gamma) = SL_n(F_p) for a prime p.
+
+    Every generator has det = 1 mod p, so the image lies in SL_n(F_p).  For
+    every i != j, ``roots`` holds a word in the generators whose product gamma
+    is I + t E_ij mod p with t != 0; the powers of gamma fill the root
+    subgroup {I + s E_ij}, and these elementary transvections generate
+    SL_n(F_p).
+    """
+
+    p: int
+    generators: tuple[Entries, ...]
+    roots: tuple[tuple[int, int, tuple[int, ...], Entries], ...]  # (i, j, word, gamma)
+
+    def check(self) -> None:
+        """Re-derive every claim from the generators; raises CertificateError."""
+        p, n = self.p, len(self.generators[0])
+        if not is_prime(p):
+            raise CertificateError(f"{p} is not prime")
+        positions = sorted((i, j) for i, j, _, _ in self.roots)
+        if positions != [(i, j) for i in range(n) for j in range(n) if i != j]:
+            raise CertificateError(f"root positions {positions} are not every i != j")
+        for g in self.generators:
+            det = MatrixQ(g).det()
+            if (det.numerator - det.denominator) % p:
+                raise CertificateError(f"generator {g} has det {det} != 1 mod {p}")
+        try:
+            for i, j, word, gamma in self.roots:
+                product = _identity(n)
+                for k in word:
+                    product = _matmul(product, self.generators[k])
+                if product != gamma:
+                    raise CertificateError(f"word {word} does not give {gamma}")
+                r = reduce_mod(MatrixQ(gamma), p).entries
+                if r[i][j] == 0 or any(
+                    r[a][b] != (a == b) for a in range(n) for b in range(n) if (a, b) != (i, j)
+                ):
+                    raise CertificateError(f"{gamma} is not I + t E_{i + 1}{j + 1} mod {p}")
+        except ValueError as exc:  # a denominator that does not reduce mod p
+            raise CertificateError(str(exc)) from exc
+
+
+@dataclass(frozen=True)
+class RootSearch:
+    """The short ball of Gamma, read once for the certificates at every p.
+
+    ``candidates[(i, j)]`` lists, in ball order, (rest, t, word, gamma) for
+    each element gamma whose gamma - I has numerator t != 0 at (i, j) and
+    whose other entries have numerators with gcd ``rest``; once the
+    generators reduce mod p, gamma = I + t E_ij mod p with t != 0 exactly
+    when p divides rest and not t.  ``det_minus_one`` is None when its
+    n! terms exceed the counter's brute-force budget.
+    """
+
+    generators: tuple[Entries, ...]
+    denominators: int  # lcm of the generator entries' denominators
+    det_gaps: tuple[int, ...]  # numerator - denominator of each generator's det
+    candidates: dict[tuple[int, int], tuple[tuple[int, int, tuple[int, ...], Entries], ...]]
+    det_minus_one: Optional[MultiPoly]
+
+    def certificate(self, p: int) -> Optional[SurjectivityCertificate]:
+        """A checked certificate for p, or None when the short ball has none."""
+        if not is_prime(p) or self.denominators % p == 0 or any(g % p for g in self.det_gaps):
+            return None
+        roots = []
+        for (i, j), found in self.candidates.items():
+            hit = next((c for c in found if c[0] % p == 0 and c[1] % p), None)
+            if hit is None:
+                return None
+            roots.append((i, j, hit[2], hit[3]))
+        cert = SurjectivityCertificate(p=p, generators=self.generators, roots=tuple(roots))
+        cert.check()
+        return cert
+
+
+def root_search(gens: GeneratorSet) -> RootSearch:
+    """Word-labelled ball of radius CERTIFICATE_RADIUS, sorted into root
+    candidates, and det - 1 over the entry variables."""
+    n = gens.n
+    generators = tuple(g.entries for g in gens.generators)
+    words = bfs(
+        _identity(n),
+        generators,
+        _matmul,
+        CERTIFICATE_RADIUS,
+        label=lambda word, i: word + (i,),
+        start_label=(),
+        what="certificate ball",
+    )
+    candidates: dict = {(i, j): [] for i in range(n) for j in range(n) if i != j}
+    for gamma, word in words.items():
+        num = [[(x - (a == b)).numerator for b, x in enumerate(row)] for a, row in enumerate(gamma)]
+        for (i, j), found in candidates.items():
+            rest = math.gcd(*(num[a][b] for a in range(n) for b in range(n) if (a, b) != (i, j)))
+            if num[i][j] and rest != 1:
+                found.append((rest, num[i][j], word, gamma))
+    dets = [g.det() for g in gens.generators]
+    return RootSearch(
+        generators=generators,
+        denominators=math.lcm(*(x.denominator for g in generators for row in g for x in row)),
+        det_gaps=tuple(d.numerator - d.denominator for d in dets),
+        candidates={k: tuple(v) for k, v in candidates.items()},
+        det_minus_one=det_minus_one(n) if math.factorial(n) <= BRUTE_BUDGET else None,
+    )
+
+
+def surjectivity_certificate(gens: GeneratorSet, p: int) -> Optional[SurjectivityCertificate]:
+    """A checked proof that pi_p(Gamma) = SL_n(F_p), or None when the ball of
+    radius CERTIFICATE_RADIUS holds no root element for some i != j (or p is
+    not prime, or a generator does not reduce to SL_n(F_p))."""
+    return root_search(gens).certificate(p)
+
+
+def det_minus_one(n: int) -> MultiPoly:
+    """det - 1 over the n x n entry variables, by the Leibniz expansion."""
+    terms = {(0,) * (n * n): -1}
+    for perm in itertools.permutations(range(n)):
+        exps = [0] * (n * n)
+        for i, j in enumerate(perm):
+            exps[i * n + j] = 1
+        terms[tuple(exps)] = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+    return MultiPoly(entry_variable_names(n), terms)
+
+
+# ---------------------------------------------------------------------------
+# local densities
+
+
 @dataclass(frozen=True)
 class LocalDensity:
     p: int
@@ -405,6 +595,7 @@ class LocalDensity:
     order: int
     beta: Fraction
     ramified: bool = False
+    certificate: Optional[SurjectivityCertificate] = None  # None: pi_p not proved SL_n
 
 
 def local_density(
@@ -413,15 +604,40 @@ def local_density(
     p: int,
     ramified: Iterable[int] = (),
     cap: int = 5_000_000,
+    search: Optional[RootSearch] = None,
 ) -> LocalDensity:
-    """beta(p) = N_f(p) / |pi_p(Gamma)|; 0 by fiat at ramified primes."""
+    """beta(p) = N_f(p) / |pi_p(Gamma)|; 0 by fiat at ramified primes.
+
+    With a surjectivity certificate, N_f(p) = #{x in SL_n(F_p) : f(x) = 0}
+    from the variety counter; without one, or when the counter exceeds its
+    budget, the image mod p is enumerated (``cap`` bounds its size).
+    ``search``, from ``root_search(gens)``, lets calls at many p share the
+    short ball and det - 1.
+    """
     ram = set(check_prime_set(ramified))
     if p in ram:
         return LocalDensity(p=p, N_f=0, order=0, beta=Fraction(0), ramified=True)
+    entry_positions(f.variables, gens.n)
+    if search is None:
+        search = root_search(gens)
+    elif search.generators != tuple(g.entries for g in gens.generators):
+        raise ValueError("root search was built for other generators")
+    cert = search.certificate(p)
+    if cert is not None and search.det_minus_one is not None:
+        ideal = search.det_minus_one
+        try:
+            nf = enumerate_variety_mod_p([f, ideal], p, ideal.variables)
+        except EnumerationBudgetError:
+            pass
+        else:
+            order = sl_order(gens.n, p)
+            beta = Fraction(nf, order)
+            return LocalDensity(p=p, N_f=nf, order=order, beta=beta, certificate=cert)
     image = generate_image(gens, p, cap=cap)
     nf = count_Nf(image, f)
-    beta = Fraction(nf, len(image))
-    return LocalDensity(p=p, N_f=nf, order=len(image), beta=beta)
+    return LocalDensity(
+        p=p, N_f=nf, order=len(image), beta=Fraction(nf, len(image)), certificate=cert
+    )
 
 
 def beta_squarefree(
@@ -479,8 +695,8 @@ def detect_ramified(
 
     A ramified prime divides every sampled value, so the prime divisors of the
     gcd over the ball exhaust the candidates; each candidate <= p_max is then
-    confirmed or refuted on the full finite image mod p (f factors through the
-    reduction).
+    confirmed or refuted by its local density: p is ramified exactly when
+    beta(p) = 1, i.e. f vanishes on the whole image mod p.
     """
     if len(sample) == 0:
         raise ValueError("empty sample")
@@ -500,13 +716,14 @@ def detect_ramified(
         if not fac.complete:
             unresolved.append(-1)  # unknown large candidates in the cofactor
     confirmed = []
+    search = root_search(gens) if candidates else None
     for p in candidates:
         try:
-            image = generate_image(gens, p, cap=cap)
+            d = local_density(gens, f, p, cap=cap, search=search)
         except (ValueError, ResourceCapError):
             unresolved.append(p)
             continue
-        if count_Nf(image, f) == len(image):
+        if d.beta == 1:
             confirmed.append(p)
     return RamifiedReport(
         confirmed=tuple(sorted(confirmed)),
@@ -533,7 +750,7 @@ def splitting_census(
     dim_V: int,
     primes: Sequence[int],
     variables: Optional[Sequence[str]] = None,
-    brute_budget: int = 2_000_000,
+    brute_budget: int = BRUTE_BUDGET,
 ) -> SplittingCensus:
     """Leading coefficients c_hat(p) = round(count / p^dim_V) with a
     Lang-Weil-shaped acceptance window |count - c_hat p^dim| <= 6 p^(dim-1/2)."""
@@ -573,9 +790,4 @@ def splitting_census(
 
 def sl2_ambient_ideal() -> list[MultiPoly]:
     """det - 1 over the 2x2 entry variables."""
-    variables = entry_variable_names(2)
-    x11 = MultiPoly.var(variables, "x11")
-    x12 = MultiPoly.var(variables, "x12")
-    x21 = MultiPoly.var(variables, "x21")
-    x22 = MultiPoly.var(variables, "x22")
-    return [x11 * x22 - x12 * x21 - MultiPoly.constant(variables, 1)]
+    return [det_minus_one(2)]

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import sympy
 
@@ -97,6 +97,7 @@ class UniSieveResult:
     exhausted: bool  # some search hit its bound before filling its quota
     dropped: int  # points failing final re-certification (should be 0)
     matrices: tuple[MatrixQ, ...] = ()
+    span_stable: Optional[bool] = None  # the Mal'cev lattice's; None off a group
 
 
 @dataclass(frozen=True)
@@ -612,5 +613,9 @@ def unipotent_group_sieve(
         verified.append(pt)
         matrices.append(mat)
     return replace(
-        result, points=tuple(verified), matrices=tuple(matrices), dropped=dropped
+        result,
+        points=tuple(verified),
+        matrices=tuple(matrices),
+        dropped=dropped,
+        span_stable=lattice.span_stable,
     )

@@ -3,9 +3,10 @@
     python tests/replay_records.py OUTDIR [--seed N]
 
 Covers each ``REPLAY`` invocation of ``tests/test_scenario_cli.py`` (under
-``OUTDIR/replay``) and every CLI job of the benchmark workloads at the seed
-(under ``OUTDIR/<workload>``; the ``trend`` jobs call a library function and
-have no record).  Records carry no paths or timestamps, so two checkouts
+``OUTDIR/replay``), each ``EXTRA`` invocation below (under ``OUTDIR/extra``)
+and every CLI job of the benchmark workloads at the seed (under
+``OUTDIR/<workload>``; the ``trend`` jobs call a library function and have
+no record).  Records carry no paths or timestamps, so two checkouts
 agree exactly when ``diff -r`` of their output directories is empty:
 
     python tests/replay_records.py /tmp/new --seed 101
@@ -29,8 +30,16 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from affsieve import cli  # noqa: E402
-from test_scenario_cli import REPLAY  # noqa: E402
+from test_scenario_cli import REPLAY, SL2  # noqa: E402
 import workloads  # noqa: E402
+
+# Invocations beside REPLAY, which holds exactly one per subcommand: beta(p)
+# at primes whose images are large (|SL_2(F_61)| = 226,920), so record diffs
+# cover the certified route where image enumeration is the dual route.
+EXTRA = [
+    ["local-density", "--scenario", SL2, "--p", "61"],
+    ["beta-table", "--scenario", SL2, "--pmax", "47"],
+]
 
 
 def run(argv: list[str], out: Path) -> None:
@@ -51,6 +60,10 @@ def main(argv=None) -> int:
     replay.mkdir(parents=True, exist_ok=True)
     for i, inv in enumerate(REPLAY):
         run(inv, replay / f"{i:02d}-{inv[0]}")
+    extra = args.outdir / "extra"
+    extra.mkdir(exist_ok=True)
+    for i, inv in enumerate(EXTRA):
+        run(inv, extra / f"{i:02d}-{inv[0]}")
 
     for name in workloads.WHY:
         inputs = workloads.build(name, args.seed)

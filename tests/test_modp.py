@@ -1,7 +1,13 @@
 import itertools
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affsieve.core_arith import primes_upto
 from affsieve.matgroup import GeneratorSet, MatrixQ, ResourceCapError, ball, entry_variable_names
@@ -9,6 +15,7 @@ from affsieve.modp import (
     EnumerationBudgetError,
     beta_squarefree,
     count_Nf,
+    det_minus_one,
     detect_ramified,
     enumerate_variety_mod_p,
     generate_image,
@@ -17,6 +24,7 @@ from affsieve.modp import (
     sl2_ambient_ideal,
     sl_order,
     splitting_census,
+    surjectivity_certificate,
     verify_strong_approx,
 )
 from affsieve import modp
@@ -86,6 +94,42 @@ def test_variety_count_against_brute_force():
                 expected += 1
         assert enumerate_variety_mod_p([TR2, *IDEAL], p, V) == expected
         assert expected == p * p  # the conic tr=2 in SL2 has exactly p^2 points
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.dictionaries(
+            st.sampled_from([e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]),
+            st.integers(-3, 3),
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([2, 3, 5, 7]),
+)
+def test_variety_count_matches_plain_enumeration(systems, p):
+    # every route of the counter (elimination, root branches, the degree-one
+    # recursion, brute force solving for a degree-one variable) against F_p^3
+    xyz = ("x", "y", "z")
+    eqs = [MultiPoly(xyz, terms) for terms in systems]
+    expected = sum(
+        all(P.eval(pt) % p == 0 for P in eqs) for pt in itertools.product(range(p), repeat=3)
+    )
+    assert enumerate_variety_mod_p(eqs, p, xyz) == expected
+
+
+def test_univariate_root_counts():
+    # one equation in one variable: elimination in degree one, the closed
+    # form in degree two, the scan above that, against every x in F_p
+    for p in (2, 3, 5, 7, 11, 13):
+        for coeffs in itertools.product(range(-3, 4), repeat=4):
+            if not any(coeffs[1:]):
+                continue
+            P = MultiPoly(("x",), {(k,): c for k, c in enumerate(coeffs) if c})
+            expected = sum(P.eval([x]) % p == 0 for x in range(p))
+            assert enumerate_variety_mod_p([P], p, ("x",)) == expected, (coeffs, p)
 
 
 def test_variety_count_split_nonsplit():
@@ -189,3 +233,110 @@ def test_splitting_census_shape():
         assert residual == 0
     assert cen.unclassified == ()
     assert cen.degree_sum_estimate == 2
+
+
+def transvections(a, b):
+    return GeneratorSet([MatrixQ([[1, a], [0, 1]]), MatrixQ([[1, 0], [b, 1]])])
+
+
+MONOMIALS = [e for e in itertools.product(range(3), repeat=4) if sum(e) <= 2]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from(primes_upto(31)),
+    st.dictionaries(st.sampled_from(MONOMIALS), st.integers(-3, 3), min_size=1, max_size=4),
+)
+def test_certified_density_matches_image_enumeration(a, b, p, terms):
+    gens = transvections(a, b)
+    f = MultiPoly(V, terms)
+    d = local_density(gens, f, p)
+    image = generate_image(gens, p)
+    assert (d.N_f, d.order) == (count_Nf(image, f), len(image))
+    # e12(a) and e21(b) are themselves root elements unless p | ab
+    assert (d.certificate is not None) == (a * b % p != 0)
+
+
+def test_uncertified_fallback_enumerates():
+    # sl2-entry: both generators are I mod 2 and f = x11 is 1 there
+    d = local_density(FREE, MultiPoly.parse("x11", V), 2)
+    assert d.certificate is None
+    assert (d.order, d.N_f, d.beta) == (1, 0, 0)
+
+
+def test_no_certificate_without_roots():
+    borel = GeneratorSet([MatrixQ([[2, 0], [0, Fraction(1, 2)]]), A])
+    assert surjectivity_certificate(borel, 5) is None  # nothing below the diagonal
+    assert surjectivity_certificate(borel, 2) is None  # 1/2 does not reduce mod 2
+    assert surjectivity_certificate(FREE, 15) is None  # not prime
+    assert local_density(borel, TR2, 5).order == 20
+
+
+def test_certificate_skips_elements_that_are_roots_only_mod_3():
+    # [[7,2],[3,1]] - I = [[6,2],[3,0]] is 2 E_12 mod 3 but not mod 5; it (and
+    # its inverse, first in ball order) must be passed over at p = 5
+    gens = GeneratorSet([[[7, 2], [3, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+    for p in (3, 5, 7):
+        cert = surjectivity_certificate(gens, p)
+        cert.check()
+        assert local_density(gens, TR2, p).N_f == count_Nf(generate_image(gens, p), TR2)
+
+
+def test_certificate_is_checked_and_rechecks():
+    cert = surjectivity_certificate(FREE, 7)
+    cert.check()
+    assert sorted((i, j) for i, j, _, _ in cert.roots) == [(0, 1), (1, 0)]
+    (i, j, word, gamma), other = cert.roots
+    identity = ((1, 0), (0, 1))
+    forgeries = [
+        replace(cert, p=2),  # every root is I mod 2
+        replace(cert, p=49),
+        replace(cert, roots=(other,)),
+        replace(cert, roots=((i, j, (), identity), other)),
+        replace(cert, roots=((i, j, word + word, gamma), other)),
+        replace(cert, generators=cert.generators[:-1] + (((2, 0), (0, 1)),)),
+    ]
+    for forged in forgeries:
+        with pytest.raises(CertificateError):
+            forged.check()
+
+
+FORGED_CERTIFICATE = """
+from dataclasses import replace
+from affsieve.matgroup import GeneratorSet
+from affsieve.modp import surjectivity_certificate
+from affsieve.polyalg import CertificateError
+cert = surjectivity_certificate(GeneratorSet([[[1, 2], [0, 1]], [[1, 0], [2, 1]]]), 5)
+i, j, _, _ = cert.roots[0]
+forged = replace(cert, roots=((i, j, (), ((1, 0), (0, 1))),) + cert.roots[1:])
+try:
+    forged.check()
+except CertificateError:
+    raise SystemExit(0)
+raise SystemExit("forged certificate passed its check")
+"""
+
+
+def test_forged_certificate_fails_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_CERTIFICATE], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_det_minus_one_is_the_determinant(rows):
+    flat = [x for row in rows for x in row]
+    assert det_minus_one(len(rows)).eval(flat) == MatrixQ(rows).det() - 1

@@ -6,6 +6,9 @@ import pytest
 
 from affsieve import cli
 from affsieve.cli import build_parser, main
+from affsieve.core_arith import primes_upto
+from affsieve.modp import local_density
+from affsieve.orbit_sieve import sieve_dimension_fit
 from affsieve.polyalg import CertificateError
 from affsieve.scenario import (
     load_scenario,
@@ -206,9 +209,92 @@ def test_cli_exit_code_budget(tmp_path):
 
 
 def test_cli_image_cap_exit_code(tmp_path):
-    raw = json.loads(open(SL2).read())
-    raw["params"]["image_cap"] = 10
+    # the Borel group mod 5 has order 20 and no lower root element, so p = 5
+    # is not certified and its image is enumerated past the cap
+    raw = minimal_scenario()
+    raw["generators"] = [[[2, 0], [0, "1/2"]], [[1, 1], [0, 1]]]
+    raw["params"] = {"image_cap": 10}
     assert exit_code(tmp_path, raw, "local-density", "--p", "5") == 3
+
+
+def test_certified_density_ignores_image_cap(tmp_path):
+    # sl2-free is certified at 5: no image is enumerated, so a cap of 10
+    # (below |SL_2(F_5)| = 120) changes nothing
+    def outputs(raw, name):
+        path, rec = tmp_path / f"{name}.json", tmp_path / f"{name}.rec"
+        path.write_text(json.dumps(raw))
+        argv = ["local-density", "--scenario", str(path), "--p", "5", "--record", str(rec)]
+        assert main(argv) == 0
+        return json.loads(rec.read_text())["outputs"]
+
+    raw = json.loads(open(SL2).read())
+    default = outputs(raw, "default")
+    raw["params"]["image_cap"] = 10
+    assert outputs(raw, "capped") == default
+    assert default["order"] == 120
+
+
+def sieve_dim_outputs(tmp_path, scenario_path, *args):
+    rec = tmp_path / "sieve-dim.json"
+    argv = ["sieve-dim", "--scenario", str(scenario_path), *args, "--record", str(rec)]
+    assert main(argv) == 0
+    return json.loads(rec.read_text())["outputs"]
+
+
+def test_sieve_dim_uses_local_density(tmp_path):
+    # sl2-entry's generators are I mod 2 and f = x11 is 1 there, so
+    # beta(2) = 0, not #V / |SL_2(F_2)| = 1/3
+    sc = load_scenario(ENTRY)
+    table = {p: local_density(sc.generators, sc.f, p).beta for p in primes_upto(50)}
+    assert table[2] == 0
+    out = sieve_dim_outputs(tmp_path, ENTRY, "--pmax", "50", "--w", "2")
+    fit = sieve_dimension_fit(table, 2, 50)
+    # the cumulative sum starts with beta(2) log 2: the intercept shows it
+    assert (float(out["slope"]), float(out["intercept"])) == (fit.slope, fit.intercept)
+    assert out["uncertified"] == [2]
+
+
+def test_sieve_dim_leaves_out_primes_without_reduction(tmp_path):
+    # 1/2 has no reduction mod 2: no beta(2), and p = 2 is listed, not fitted
+    raw = minimal_scenario()
+    raw["generators"] = [[[2, 0], [0, "1/2"]], [[1, 2], [0, 1]], [[1, 0], [2, 1]]]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    out = sieve_dim_outputs(tmp_path, path, "--pmax", "50", "--w", "2")
+    assert out["uncertified"] == [2]
+    assert out["n_primes"] == len(primes_upto(50)) - 1
+
+
+def test_sieve_dim_confirms_ramified_primes_up_to_pmax(tmp_path):
+    # f = 101 x12 vanishes mod 101 on the whole group: beta(101) is 0 by fiat,
+    # as beta(2) is, although 101 lies above the default search bound 100
+    raw = minimal_scenario()
+    raw["f"] = "101*x12"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    sc = load_scenario(str(path))
+    out = sieve_dim_outputs(tmp_path, path, "--pmax", "120")
+    table = {
+        p: local_density(sc.generators, sc.f, p, ramified=[2, 101]).beta for p in primes_upto(120)
+    }
+    fit = sieve_dimension_fit(table, 3, 120)
+    assert (float(out["slope"]), float(out["intercept"])) == (fit.slope, fit.intercept)
+
+
+def test_sieve_dim_trivial_images_mod_2_and_3(tmp_path):
+    # e12(18), e21(12) are I mod 2 and mod 3, where f(I) = 1: beta = 0 there
+    raw = minimal_scenario()
+    raw["generators"] = [[[1, 18], [0, 1]], [[1, 0], [12, 1]]]
+    raw["f"] = "2*x11 + x12 - 2*x21 - 1"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    sc = load_scenario(str(path))
+    assert local_density(sc.generators, sc.f, 3).beta == 0
+    out = sieve_dim_outputs(tmp_path, path, "--pmax", "60")
+    assert out["uncertified"] == [2, 3]
+    table = {p: local_density(sc.generators, sc.f, p).beta for p in primes_upto(60)}
+    fit = sieve_dimension_fit(table, 3, 60)
+    assert (float(out["slope"]), float(out["intercept"])) == (fit.slope, fit.intercept)
 
 
 def test_sieve_dim_rejects_non_SL_kind(tmp_path, capsys):

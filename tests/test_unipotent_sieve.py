@@ -1,9 +1,14 @@
+import json
 import math
+import os
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 import sympy
 
+from affsieve import unipotent_sieve
+from affsieve.cli import main
 from affsieve.core_arith import FactorBudget
 from affsieve.matgroup import MatrixQ
 from affsieve.polyalg import CertificateError, MultiPoly, bad_prime_bound
@@ -173,3 +178,25 @@ def test_family_certificate_identity_is_checked(monkeypatch):
     monkeypatch.setattr(sympy.Poly, "gcdex", corrupted)
     with pytest.raises(CertificateError):
         _family_certificate(members, "b", ("a",))
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HEIS = os.path.join(ROOT, "scenarios", "heisenberg.json")
+
+
+def test_span_stable_is_reported(monkeypatch, tmp_path):
+    args = ["uni-sieve", "--scenario", HEIS, "--want", "2", "--prefixes", "5", "--record"]
+    x13 = MultiPoly.parse("x13", tuple(f"x{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)))
+    budget = SieveBudget(value_want=2, prefix_want=5)
+    assert unipotent_group_sieve(heisenberg_generators(), x13, [], budget).span_stable is True
+    assert main(args + [str(tmp_path / "stable.json")]) == 0
+    assert json.loads((tmp_path / "stable.json").read_text())["outputs"]["span_stable"] is True
+
+    true_lattice = unipotent_sieve.malcev_lattice
+    def unstable(gens):
+        return replace(true_lattice(gens), span_stable=False)
+
+    monkeypatch.setattr(unipotent_sieve, "malcev_lattice", unstable)
+    assert unipotent_group_sieve(heisenberg_generators(), x13, [], budget).span_stable is False
+    assert main(args + [str(tmp_path / "unstable.json")]) == 0
+    assert json.loads((tmp_path / "unstable.json").read_text())["outputs"]["span_stable"] is False
