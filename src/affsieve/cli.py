@@ -192,9 +192,9 @@ def _decomposition(sc: Scenario, args):
     beta_squarefree once for each squarefree d: the product of the local
     densities beta(p), p | d (certified ones from the variety counter), which
     beta_squarefree cross-checks by enumerating the image mod d when d is
-    composite and at most 50."""
+    composite and at most 50.  Ramified primes are confirmed up to D."""
     f = _need(sc, "f", "a regular function f")
-    ram = _ramified_set(sc, f).confirmed
+    ram = _ramified_set(sc, f, p_max=max(args.D, 100)).confirmed
     seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
     beta = partial(beta_squarefree, sc.generators, f, ramified=ram, cap=sc.image_cap)
     return moduli_decomposition(seq, beta, args.D)

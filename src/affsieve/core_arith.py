@@ -1,5 +1,6 @@
 """Exact integer and rational arithmetic: the scalar rule ``exact``, budgeted
-factorization, p-adic valuations, S-integer parts and S-units.
+factorization, p-adic valuations, S-integer parts, S-units and rational
+brackets for ln n.
 
 Everything here is a pure function on immutable values.  Factorization
 failure is a value (``complete=False``), not an exception, so census-style
@@ -276,6 +277,20 @@ def s_integer_part(q: Fraction | int, S: Iterable[int]) -> int:
         while n % p == 0:
             n //= p
     return n
+
+
+def ln_bracket(n: int, terms: int) -> tuple[Fraction, Fraction]:
+    """lo < ln n < hi for n >= 2.  With n = 2^k m, 1 <= m < 2,
+    ln n = 2k atanh(1/3) + 2 atanh(y), y = (m-1)/(m+1) < 1/3; each atanh(y) =
+    sum_j y^(2j+1)/(2j+1) is cut after ``terms`` terms, and the rest is below
+    the geometric bound y^(2 terms+1) / ((2 terms+1)(1 - y^2))."""
+    k = n.bit_length() - 1
+    lo = hi = Fraction(0)
+    for y, weight in ((Fraction(1, 3), 2 * k), (Fraction(n - 2**k, n + 2**k), 2)):
+        head = sum(y ** (2 * j + 1) / (2 * j + 1) for j in range(terms))
+        lo += weight * head
+        hi += weight * (head + y ** (2 * terms + 1) / ((2 * terms + 1) * (1 - y * y)))
+    return lo, hi
 
 
 def is_unit_in_ZS(q: Fraction | int, S: Iterable[int]) -> bool:

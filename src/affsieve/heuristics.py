@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
-from .core_arith import FactorBudget, check_prime_set, factorize
+from .core_arith import FactorBudget, check_prime_set, factorize, ln_bracket
 from .matgroup import MatrixQ
 
 
@@ -223,13 +221,51 @@ class BorelCantelliReport:
     checkpoints: tuple[int, ...]
     partial_sums: tuple[float, ...]
     increments: tuple[float, ...]  # sums between consecutive checkpoints
-    integral_bound: float  # upper bound for the full sum (integral test)
+    integral_bound: float  # upper bound for the full sum (integral test), rounded up
 
 
 def _shell_count(t: int, s: int) -> int:
     if s == 0:
         return 1
     return (2 * s + 1) ** t - (2 * s - 1) ** t
+
+
+def _ln_outward(n: int) -> tuple[Fraction, Fraction]:
+    """lo <= ln n <= hi for n >= 2: ``ln_bracket`` widened to multiples of
+    2^-64, so that powers of the ends stay small Fractions."""
+    lo, hi = ln_bracket(n, 16)
+    scale = 1 << 64
+    return (
+        Fraction(lo.numerator * scale // lo.denominator, scale),
+        Fraction(-(-hi.numerator * scale // hi.denominator), scale),
+    )
+
+
+def _tail_upper(t: int, nu: int, power: int, H: int) -> Fraction:
+    """An upper bound for the integral over [H, oo) of
+    2t (3x)^(t-1) ln(x+1)^power / (x+1)^nu, nu > t.  With u = ln(x+1) and
+    (e^u - 1)^(t-1) expanded binomially it is
+    2t 3^(t-1) sum_i C(t-1,i) (-1)^(t-1-i) (H+1)^-a P_a(u0), a = nu-1-i >= 1,
+    P_a(u0) = sum_{j<=power} (power!/j!) u0^j / a^(power-j+1), u0 = ln(H+1).
+    P_a increases in u0 >= 0, so each term takes the end of u0's bracket that
+    makes it larger."""
+    lo, hi = _ln_outward(H + 1)
+    total = Fraction(0)
+    for i in range(t):
+        a = nu - 1 - i
+        c = Fraction(math.comb(t - 1, i) * (-1) ** (t - 1 - i), (H + 1) ** a)
+        u = hi if c > 0 else lo
+        P = sum(
+            Fraction(math.factorial(power) // math.factorial(j), a ** (power - j + 1)) * u**j
+            for j in range(power + 1)
+        )
+        total += c * P
+    return 2 * t * 3 ** (t - 1) * total
+
+
+def _round_up(q: Fraction) -> float:
+    x = float(q)  # correctly rounded
+    return math.nextafter(x, math.inf) if x < q else x
 
 
 def borel_cantelli_sum(
@@ -239,7 +275,9 @@ def borel_cantelli_sum(
     [log(|m|+1)]^(nu(r-1)) / (|m|+1)^nu, grouped by sup-norm shells.
 
     Convergent exactly when nu > t (enforced); the integral-test bound covers
-    the infinite tail so partial sums must stay below it.
+    the infinite tail so partial sums must stay below it.  The partial sums
+    are floats; the bound is computed in Fractions from rational brackets of
+    every logarithm and rounded up to a float.
     """
     if not (nu > t >= 1):
         raise ValueError("need nu > t >= 1")
@@ -248,6 +286,8 @@ def borel_cantelli_sum(
     cps = sorted(set(int(c) for c in checkpoints) | {M})
     if any(c < 1 for c in cps):
         raise ValueError("checkpoints must be >= 1")
+    import numpy as np
+
     power = nu * (r - 1)
     sums = []
     total = 1.0 if power == 0 else 0.0  # s = 0 shell: log(1)^power / 1
@@ -266,24 +306,13 @@ def borel_cantelli_sum(
     # for s >= 1, and the summand is decreasing for s+1 > e^(power/nu).  The
     # head sums the shells 1..head_end exactly; the integral from head_end
     # bounds every later shell.
-    from scipy.integrate import quad
-
-    def integrand(x):
-        return 2 * t * (3 * x) ** (t - 1) * math.log(x + 1) ** power / (x + 1) ** nu
-
     head_end = max(2, math.floor(math.exp(power / nu)))
     head = sum(
-        _shell_count(t, s) * math.log(s + 1) ** power / (s + 1) ** nu
+        _shell_count(t, s) * _ln_outward(s + 1)[1] ** power / (s + 1) ** nu
         for s in range(1, head_end + 1)
     )
-    # with full_output, quad appends a message instead of warning when its
-    # result is unreliable; an unreliable integral is no bound
-    tail, _err, _info, *problem = quad(integrand, head_end, np.inf, full_output=1)
-    if problem:
-        msg = problem[0].splitlines()[0]
-        raise ValueError(f"tail integral for (t, nu, r) = ({t}, {nu}, {r}) is unreliable: {msg}")
-    base = 1.0 if power == 0 else 0.0
-    bound = base + head + tail
+    base = 1 if power == 0 else 0
+    bound = _round_up(base + head + _tail_upper(t, nu, power, head_end))
     return BorelCantelliReport(
         t=t,
         nu=nu,

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-import numpy as np
-
 from .core_arith import (
     FactorBudget,
     check_prime_set,
     factorize,
+    ln_bracket,
     omega_outside,
     primes_upto,
     s_integer_part,
@@ -155,6 +154,8 @@ def sieve_dimension_fit(
 ) -> DimensionFit:
     """Least-squares slope of the cumulative sum of beta(p) log p against
     log x over an expanding window of primes in [w, z]."""
+    import numpy as np
+
     ps = sorted(p for p in beta_table if w <= p <= z)
     if len(ps) < 10:
         return DimensionFit((w, z), 0.0, 0.0, 0.0, len(ps), conclusive=False)
@@ -338,20 +339,6 @@ def saturation_estimate(
     )
 
 
-def _ln_bracket(n: int, terms: int) -> tuple[Fraction, Fraction]:
-    """lo < ln n < hi for n >= 2.  With n = 2^k m, 1 <= m < 2,
-    ln n = 2k atanh(1/3) + 2 atanh(y), y = (m-1)/(m+1) < 1/3; each atanh(y) =
-    sum_j y^(2j+1)/(2j+1) is cut after ``terms`` terms, and the rest is below
-    the geometric bound y^(2 terms+1) / ((2 terms+1)(1 - y^2))."""
-    k = n.bit_length() - 1
-    lo = hi = Fraction(0)
-    for y, weight in ((Fraction(1, 3), 2 * k), (Fraction(n - 2**k, n + 2**k), 2)):
-        head = sum(y ** (2 * j + 1) / (2 * j + 1) for j in range(terms))
-        lo += weight * head
-        hi += weight * (head + y ** (2 * terms + 1) / ((2 * terms + 1) * (1 - y * y)))
-    return lo, hi
-
-
 def r_formula(
     deg_ftilde: int,
     s_count: int,
@@ -375,7 +362,7 @@ def r_formula(
     scale = num / (1 - tau)
     terms = 16
     while True:
-        lo, hi = _ln_bracket(omega_size, terms)
+        lo, hi = ln_bracket(omega_size, terms)
         a, b = math.floor(scale / lo), math.floor(scale / hi)
         if a == b:
             return a + 1

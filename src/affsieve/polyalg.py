@@ -4,22 +4,22 @@ avoidance, nilpotent exp/log, lattice coordinates for unipotent groups, and
 a bounded-degree density test for finite point sets.
 
 Coefficients are exact scalars (``core_arith.exact``: int, or Fraction where
-a coefficient is not integral); no floats.  sympy is used internally for
-parsing, for multivariate gcd/content and for the extended Euclid behind gcd
-certificates; every certificate identity it yields is re-checked here with
-``MultiPoly`` arithmetic.
+a coefficient is not integral); no floats.  Polynomial text is read by a
+recursive-descent parser that evaluates nothing.  sympy, imported only by the
+functions that need it, runs the extended Euclid behind gcd certificates
+(and the unipotent sieve's multivariate gcd, content and factoring); every
+certificate identity it yields is re-checked here with ``MultiPoly``
+arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
-
-import sympy
-from sympy.parsing.sympy_parser import parse_expr, standard_transformations
 
 from .core_arith import exact, factorize, primes_upto
 from .matgroup import _freeze, _identity, _matmul, bfs, rational_row_reduce
@@ -62,28 +62,16 @@ class MultiPoly:
 
     @classmethod
     def parse(cls, text: str, variables: Sequence[str]) -> "MultiPoly":
-        """Parse standard infix with integer/rational coefficients.
-
-        Variables must come from the declared list; anything else is rejected.
-        """
-        variables = tuple(variables)
-        syms = {name: sympy.Symbol(name) for name in variables}
-        try:
-            expr = parse_expr(
-                text,
-                local_dict=syms,
-                transformations=standard_transformations,
-                evaluate=True,
-            )
-        except Exception as exc:  # noqa: BLE001 - surface as input error
-            raise ValueError(f"cannot parse polynomial {text!r}: {exc}") from exc
-        extra = expr.free_symbols - set(syms.values())
-        if extra:
-            raise ValueError(f"unknown variables in {text!r}: {sorted(map(str, extra))}")
-        return cls.from_sympy(expr, variables)
+        """Parse integer literals, declared variables, ``+ - *``, unary minus,
+        ``/`` by a nonzero constant, ``**`` by a non-negative integer and
+        parentheses, with Python's precedence.  Anything else, an undeclared
+        variable included, raises ValueError."""
+        return _PolyParser(text, tuple(variables)).parse()
 
     @classmethod
     def from_sympy(cls, expr, variables: Sequence[str]) -> "MultiPoly":
+        import sympy
+
         variables = tuple(variables)
         syms = [sympy.Symbol(v) for v in variables]
         poly = sympy.Poly(sympy.expand(expr), *syms, domain="QQ")
@@ -93,6 +81,8 @@ class MultiPoly:
         return cls(variables, terms)
 
     def to_sympy(self):
+        import sympy
+
         syms = [sympy.Symbol(v) for v in self.variables]
         expr = sympy.Integer(0)
         for exps, c in self.terms.items():
@@ -146,7 +136,15 @@ class MultiPoly:
         return hash((self.variables, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        return f"MultiPoly({sympy.sstr(self.to_sympy())})"
+        """Terms by descending degree, in the syntax ``parse`` reads."""
+        text = ""
+        for exps, c in sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            mono = "*".join(v if e == 1 else f"{v}**{e}" for v, e in zip(self.variables, exps) if e)
+            mag = abs(c)
+            body = mono if mag == 1 and mono else f"{mag}*{mono}" if mono else str(mag)
+            sign = "-" if c < 0 else "+"
+            text = f"{text} {sign} {body}" if text else body if c > 0 else "-" + body
+        return f"MultiPoly({text or 0})"
 
     # -- arithmetic ----------------------------------------------------
 
@@ -285,6 +283,94 @@ class MultiPoly:
         return math.gcd(*(abs(c.numerator) for c in self.terms.values())) if self.terms else 0
 
 
+# a token, or (last group) any other character, which is an error
+_TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*/()])|(\S))")
+
+
+class _PolyParser:
+    """Recursive descent over the grammar of ``MultiPoly.parse``:
+    sum := product (('+' | '-') product)*; product := unary (('*' | '/')
+    unary)*; unary := '-' unary | power; power := atom ('**' unary)?;
+    atom := integer | variable | '(' sum ')'."""
+
+    def __init__(self, text: str, variables: tuple[str, ...]):
+        self.text, self.variables = text, variables
+        self.tokens: list[str] = []
+        for m in _TOKEN.finditer(text):
+            if m.group(2):
+                raise self.error(f"unexpected character {m.group(2)!r}")
+            self.tokens.append(m.group(1))
+        self.i = 0
+
+    def error(self, why: str) -> ValueError:
+        return ValueError(f"cannot parse polynomial {self.text!r}: {why}")
+
+    def peek(self) -> Optional[str]:
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self) -> str:
+        if self.i == len(self.tokens):
+            raise self.error("unexpected end")
+        self.i += 1
+        return self.tokens[self.i - 1]
+
+    def parse(self) -> MultiPoly:
+        out = self.sum()
+        if self.i < len(self.tokens):
+            raise self.error(f"unexpected {self.peek()!r}")
+        return out
+
+    def sum(self) -> MultiPoly:
+        out = self.product()
+        while self.peek() in ("+", "-"):
+            out = out + self.product() if self.take() == "+" else out - self.product()
+        return out
+
+    def product(self) -> MultiPoly:
+        out = self.unary()
+        while self.peek() in ("*", "/"):
+            if self.take() == "*":
+                out = out * self.unary()
+                continue
+            d = self.unary()
+            if not d.is_constant() or d.is_zero():
+                raise self.error("division by a nonconstant or zero polynomial")
+            out = out.scale(1 / Fraction(d.constant_value()))
+        return out
+
+    def unary(self) -> MultiPoly:
+        if self.peek() == "-":
+            self.take()
+            return -self.unary()
+        return self.power()
+
+    def power(self) -> MultiPoly:
+        base = self.atom()
+        if self.peek() != "**":
+            return base
+        self.take()
+        e = self.unary()
+        k = e.constant_value() if e.is_constant() else None
+        if type(k) is not int or k < 0:
+            raise self.error("exponent is not a non-negative integer")
+        return base**k
+
+    def atom(self) -> MultiPoly:
+        tok = self.take()
+        if tok.isdigit():
+            return MultiPoly.constant(self.variables, int(tok))
+        if tok in self.variables:
+            return MultiPoly.var(self.variables, tok)
+        if tok.isidentifier():
+            raise self.error(f"unknown variable {tok!r}")
+        if tok != "(":
+            raise self.error(f"unexpected {tok!r}")
+        out = self.sum()
+        if self.take() != ")":
+            raise self.error("missing ')'")
+        return out
+
+
 def eval_residues(terms: Mapping[tuple[int, ...], int], values: Sequence[int], m: int) -> int:
     """Value mod m of residue terms (``MultiPoly.residues``) at the point whose
     i-th coordinate is ``values[i]``."""
@@ -354,6 +440,8 @@ def gcd_certificate(
         if len(names) > 1:
             raise ValueError(f"family is not univariate: {sorted(names)}")
         pivot = next(iter(names)) if names else variables[0]
+    import sympy
+
     pivot_sym = sympy.Symbol(pivot)
     other_syms = [sympy.Symbol(v) for v in others]
     domain = sympy.QQ.frac_field(*other_syms) if other_syms else sympy.QQ

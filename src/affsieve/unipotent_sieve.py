@@ -21,8 +21,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-import sympy
-
 from .core_arith import (
     FactorBudget,
     factorize,
@@ -60,6 +58,8 @@ class UniSieveProblem:
     families: tuple[tuple[MultiPoly, ...], ...]
 
     def __post_init__(self):
+        import sympy
+
         for fam in self.families:
             g = sympy.Integer(0)
             for m in fam:
@@ -187,6 +187,8 @@ def _refine_family(
     the original gcd.  A family containing a nonzero integer constant is
     dropped (its gcd divides that constant).
     """
+    import sympy
+
     const_primes: set[int] = set()
     factor_lists: list[list[MultiPoly]] = []
     for member in family:
@@ -237,6 +239,8 @@ def _content_split(
     Both H and the H_i come back with integer-primitive normalization pushed
     into H where possible.
     """
+    import sympy
+
     deg = P.degree_in(pivot)
     coeffs = [P.coeff_in(pivot, i) for i in range(deg + 1)]
     g = sympy.Integer(0)

@@ -102,11 +102,44 @@ def test_borel_cantelli_partial_sums_below_bound(t, extra, r, M):
     assert rep.partial_sums[-1] <= rep.integral_bound
 
 
-def test_borel_cantelli_unreliable_integral_is_an_error():
-    # quad does not converge here (IntegrationWarning) and returns ~4.6e19;
-    # an unreliable integral is not a bound
-    with pytest.raises(ValueError, match=r"\(t, nu, r\) = \(4, 5, 5\)"):
-        borel_cantelli_sum(4, 5, 5, 100)
+def _mpmath_bound(t, nu, r):
+    """The integral-test bound of borel_cantelli_sum at 50 digits, with the
+    tail integral by mpmath's quad, split at powers of 10 (the integrand
+    peaks near x = e^(power/(nu-t+1)))."""
+    import mpmath
+
+    power = nu * (r - 1)
+    H = max(2, math.floor(math.exp(power / nu)))
+
+    def integrand(x):
+        return 2 * t * (3 * x) ** (t - 1) * mpmath.log(x + 1) ** power / (x + 1) ** nu
+
+    with mpmath.workdps(50):
+        head = sum(
+            ((2 * s + 1) ** t - (2 * s - 1) ** t) * mpmath.log(s + 1) ** power / mpmath.mpf(s + 1) ** nu
+            for s in range(1, H + 1)
+        )
+        cuts = [H] + [mpmath.mpf(10) ** j for j in range(2, 30) if 10**j > H] + [mpmath.inf]
+        tail = mpmath.quad(integrand, cuts)
+        return (1 if power == 0 else 0) + head + tail, tail
+
+
+def test_borel_cantelli_bound_certified_where_quad_failed():
+    # scipy's quad flagged this integral as unreliable and returned ~4.6e19;
+    # the closed form's rational bound covers the 50-digit value from above
+    exact, tail = _mpmath_bound(4, 5, 5)
+    assert abs(tail / 5.2550608120089e20 - 1) < 1e-13
+    bound = borel_cantelli_sum(4, 5, 5, 100).integral_bound
+    assert bound >= exact
+    assert (bound - exact) / exact < 1e-12
+
+
+@pytest.mark.parametrize("t, nu, r", [(1, 2, 2), (2, 3, 2), (2, 4, 3), (3, 5, 2)])
+def test_borel_cantelli_bound_matches_quad(t, nu, r):
+    exact, _ = _mpmath_bound(t, nu, r)
+    bound = borel_cantelli_sum(t, nu, r, 100).integral_bound
+    assert bound >= exact
+    assert (bound - exact) / exact < 1e-12
 
 
 def test_borel_cantelli_domain():

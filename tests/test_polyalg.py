@@ -33,6 +33,65 @@ def test_parse_and_eval():
         MultiPoly.parse("n + m", V)
 
 
+# expression trees in the parser's grammar, joined with or without
+# parentheses: the right operand of '/' and '**' is always an integer literal,
+# so every join stays inside the grammar, and both parsers read it with
+# Python's precedence
+PARSE_VARS = ("x", "y", "z")
+
+
+def _join(children):
+    def render(parts):
+        left, op, right, wrap = parts
+        text = f"{left} {op} {right}"
+        return f"({text})" if wrap else text
+
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*"]), children, st.booleans()).map(render),
+        st.tuples(children, st.just("/"), st.integers(1, 9).map(str), st.booleans()).map(render),
+        st.tuples(children, st.just("**"), st.integers(0, 3).map(str), st.booleans()).map(render),
+        children.map(lambda c: f"-{c}"),
+    )
+
+
+POLY_TEXT = st.recursive(
+    st.one_of(st.integers(0, 30).map(str), st.sampled_from(PARSE_VARS)), _join, max_leaves=8
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(POLY_TEXT)
+def test_parse_matches_sympy(text):
+    import sympy
+    from sympy.parsing.sympy_parser import parse_expr, standard_transformations
+
+    syms = {v: sympy.Symbol(v) for v in PARSE_VARS}
+    expr = parse_expr(text, local_dict=syms, transformations=standard_transformations)
+    p = MultiPoly.parse(text, PARSE_VARS)
+    assert p == MultiPoly.from_sympy(expr, PARSE_VARS)
+    # repr writes the syntax parse reads
+    assert MultiPoly.parse(repr(p)[len("MultiPoly(") : -1], PARSE_VARS) == p
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(lambda: 7)()*n",
+        "n**(1/2)",
+        "n/(n - 1)",
+        "n/0",
+        "2n",
+        "+n",
+        "(n + 1",
+        "",
+    ],
+)
+def test_parse_rejects_outside_grammar(text):
+    # beside the CLI cases in test_scenario_cli
+    with pytest.raises(ValueError, match="cannot parse polynomial"):
+        MultiPoly.parse(text, V)
+
+
 def test_arithmetic_roundtrip():
     p = (X + 1) * (X - 1)
     assert p == X * X - 1

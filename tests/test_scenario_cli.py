@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -137,6 +139,36 @@ def test_float_literals_rejected(tmp_path):
     p.write_text(text)
     with pytest.raises(ValueError, match="float"):
         load_scenario(str(p))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        "len('abc')*x11",
+        "__import__('os').getpid()*x11",
+        "sqrt(2)*x11",
+        "x11**-1",
+        "x11/x12",
+        "0.1*x11",
+    ],
+)
+def test_polynomial_outside_grammar_exits_2(tmp_path, capsys, f):
+    # the parser evaluates nothing: code, functions, negative powers,
+    # rational functions and float literals are invalid input
+    raw = minimal_scenario()
+    raw["f"] = f
+    assert exit_code(tmp_path, raw, "ball", "--L", "1") == 2
+    assert "cannot parse polynomial" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_sympy_numpy_scipy_unloaded():
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, affsieve.cli; print(sorted({'sympy', 'numpy', 'scipy'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_determinant_checked():
@@ -279,6 +311,22 @@ def test_sieve_dim_confirms_ramified_primes_up_to_pmax(tmp_path):
     }
     fit = sieve_dimension_fit(table, 3, 120)
     assert (float(out["slope"]), float(out["intercept"])) == (fit.slope, fit.intercept)
+
+
+def test_decompose_confirms_ramified_primes_up_to_D(tmp_path):
+    # f = 101 x12 vanishes mod 101 on the whole group, so beta(101) = 0 and
+    # row 101 predicts 0, as row 2 does, although 101 lies above 100
+    raw = minimal_scenario()
+    raw["f"] = "101*x12"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    rec = tmp_path / "decompose.json"
+    argv = ["decompose", "--scenario", str(path), "--L", "2", "--D", "101", "--record", str(rec)]
+    assert main(argv) == 0
+    rows = json.loads(rec.read_text())["outputs"]["rows"]
+    assert Fraction(rows["2"]["prediction"]) == 0
+    assert Fraction(rows["101"]["prediction"]) == 0
+    assert Fraction(rows["101"]["remainder"]) == rows["101"]["A_d"] > 0
 
 
 def test_sieve_dim_trivial_images_mod_2_and_3(tmp_path):
