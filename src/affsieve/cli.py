@@ -23,6 +23,7 @@ from .heuristics import TorusSpec, borel_cantelli_sum, norm_growth_check
 from .matgroup import ResourceCapError, ball, orbit
 from .modp import (
     EnumerationBudgetError,
+    RootSearch,
     beta_squarefree,
     detect_ramified,
     enumerate_variety_mod_p,
@@ -74,9 +75,11 @@ def _emit(args, command: str, scenario, flags: dict, outputs: dict) -> None:
         print(f"record written to {args.record}")
 
 
-def _ramified_set(sc: Scenario, f: MultiPoly, L_sample: int = 3, p_max: int = 100):
+def _ramified_set(
+    sc: Scenario, f: MultiPoly, L_sample: int = 3, p_max: int = 100, search: RootSearch | None = None
+):
     sample = ball(sc.generators, L_sample, cap=sc.ball_cap)
-    return detect_ramified(sc.generators, f, sample, p_max=p_max, cap=sc.image_cap)
+    return detect_ramified(sc.generators, f, sample, p_max=p_max, cap=sc.image_cap, search=search)
 
 
 def _need(sc: Scenario, attr: str, what: str):
@@ -119,8 +122,8 @@ def cmd_local_density(sc: Scenario, args):
 
 def cmd_beta_table(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
-    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100))
     search = root_search(sc.generators)
+    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100), search=search)
     table = {}
     for p in primes_upto(args.pmax):
         d = local_density(
@@ -192,11 +195,15 @@ def _decomposition(sc: Scenario, args):
     beta_squarefree once for each squarefree d: the product of the local
     densities beta(p), p | d (certified ones from the variety counter), which
     beta_squarefree cross-checks by enumerating the image mod d when d is
-    composite and at most 50.  Ramified primes are confirmed up to D."""
+    composite and at most 50.  Ramified primes are confirmed up to D.  One
+    root search serves the run, and each beta(p) is computed once."""
     f = _need(sc, "f", "a regular function f")
-    ram = _ramified_set(sc, f, p_max=max(args.D, 100)).confirmed
+    search = root_search(sc.generators)
+    ram = _ramified_set(sc, f, p_max=max(args.D, 100), search=search).confirmed
     seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
-    beta = partial(beta_squarefree, sc.generators, f, ramified=ram, cap=sc.image_cap)
+    beta = partial(
+        beta_squarefree, sc.generators, f, ramified=ram, cap=sc.image_cap, search=search, betas={}
+    )
     return moduli_decomposition(seq, beta, args.D)
 
 
@@ -234,8 +241,8 @@ def cmd_sieve_dim(sc: Scenario, args):
         # beta(p) is certified only as N_f / |SL_n(F_p)|; off SL every prime
         # would enumerate its image
         raise ValueError(f"sieve-dim needs ambient.kind 'SL', not {sc.kind!r}")
-    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100)).confirmed
     search = root_search(sc.generators)
+    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100), search=search).confirmed
     # Gamma or f has no reduction mod a prime dividing a denominator
     denominators = math.lcm(search.denominators, f.denominator_lcm())
     table: dict[int, Fraction] = {}

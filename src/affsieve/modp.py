@@ -7,7 +7,10 @@ beta(p) = N_f(p) / |pi_p(Gamma)| has two routes.  Where a surjectivity
 certificate proves pi_p(Gamma) = SL_n(F_p), N_f(p) is the variety count of
 {f = 0, det = 1} and the order is |SL_n(F_p)|; elsewhere the image is
 enumerated.  Strong approximation says the first route covers all but
-finitely many p.
+finitely many p.  For squarefree q whose primes are all certified and at
+least 5, Goursat's lemma lifts the certificates: the image mod q is the
+product of the SL_n(F_p), so ``verify_strong_approx`` reads its order off
+them instead of enumerating it.
 
 The variety counter is exact and avoids full brute force where it can:
 univariate root counts (closed form for quadratics) and scans, elimination of variables that appear linearly with a
@@ -150,29 +153,51 @@ def verify_strong_approx(
 
     ``expected_orders`` maps p to the order of the target group over F_p;
     defaults to the SL_n order formula.  Unknown orders give holds=None.
+
+    A prime p | q with a surjectivity certificate has pi_p(Gamma) =
+    SL_n(F_p), so its observed order is |SL_n(F_p)|; the image mod p is
+    enumerated only at the other primes.  When every p | q is certified and
+    p >= 5, pi_q(Gamma) is the whole product of the SL_n(F_p) and nothing is
+    enumerated.  Proof: for p >= 5, SL_n(F_p) is perfect and PSL_n(F_p) is
+    simple, so a proper normal subgroup of SL_n(F_p) is central and every
+    nontrivial quotient has PSL_n(F_p) as a composition factor; for fixed n
+    these simple groups have distinct orders at distinct p.  By Goursat's
+    lemma a subgroup H of G_1 x G_2 that maps onto both factors is the graph
+    of an isomorphism G_1/N_1 = G_2/N_2.  Take G_1 = SL_n(F_p) and G_2 the
+    product over the other primes, onto which H maps by induction on the
+    number of primes.  The composition factors of G_2 are cyclic or a
+    PSL_n(F_p') with p' != p, so G_1/N_1 is trivial, hence so is G_2/N_2, and
+    H = G_1 x G_2.  Otherwise the image mod q is enumerated (``cap`` bounds
+    it).
     """
     fac = factorize(q)
     if any(e > 1 for _, e in fac.factors) or not fac.complete:
         raise ValueError("modulus must be squarefree and factorable")
+    n = gens.n
     if expected_orders is None:
-        n = gens.n
         expected_orders = lambda p: sl_order(n, p)  # noqa: E731
-    image = generate_image(gens, q, cap=cap)
+    primes = fac.primes()
+    search = root_search(gens)
+    certified = {p for p in primes if search.certificate(p) is not None}
+    if primes and certified == set(primes) and min(primes) >= 5:
+        image_order = math.prod(sl_order(n, p) for p in primes)
+    else:
+        image_order = len(generate_image(gens, q, cap=cap))
     per_prime = []
     expected_total: Optional[int] = 1
-    for p in fac.primes():
-        sub = generate_image(gens, p, cap=cap)
+    for p in primes:
+        observed = sl_order(n, p) if p in certified else len(generate_image(gens, p, cap=cap))
         exp = expected_orders(p)
-        per_prime.append((p, len(sub), exp))
+        per_prime.append((p, observed, exp))
         if exp is None or expected_total is None:
             expected_total = None
         else:
             expected_total *= exp
-    holds = None if expected_total is None else (len(image) == expected_total)
+    holds = None if expected_total is None else (image_order == expected_total)
     return StrongApproxVerdict(
         q=q,
         holds=holds,
-        image_order=len(image),
+        image_order=image_order,
         expected_order=expected_total,
         per_prime=tuple(per_prime),
     )
@@ -647,10 +672,15 @@ def beta_squarefree(
     ramified: Iterable[int] = (),
     cross_check_bound: int = 50,
     cap: int = 5_000_000,
+    search: Optional[RootSearch] = None,
+    betas: Optional[dict[int, Fraction]] = None,
 ) -> Fraction:
     """prod_{p|d} beta(p) for squarefree d; 0 when d meets a ramified prime.
 
     Cross-checked against the direct mod-d count when d is small.
+    ``search``, from ``root_search(gens)``, is shared by the local densities;
+    ``betas`` maps p to beta(p) for these gens and f and gains each one
+    computed here, so calls at many d compute each beta(p) once.
     """
     if d == 1:
         return Fraction(1)
@@ -660,9 +690,15 @@ def beta_squarefree(
     ram = set(check_prime_set(ramified))
     if any(p in ram for p in fac.primes()):
         return Fraction(0)
+    if search is None:
+        search = root_search(gens)
+    if betas is None:
+        betas = {}
     beta = Fraction(1)
     for p in fac.primes():
-        beta *= local_density(gens, f, p, cap=cap).beta
+        if p not in betas:
+            betas[p] = local_density(gens, f, p, cap=cap, search=search).beta
+        beta *= betas[p]
     if 1 < d <= cross_check_bound and len(fac.primes()) > 1:
         image = generate_image(gens, d, cap=cap)
         direct = Fraction(count_Nf(image, f), len(image))
@@ -690,13 +726,15 @@ def detect_ramified(
     sample: Ball,
     p_max: int = 100,
     cap: int = 5_000_000,
+    search: Optional[RootSearch] = None,
 ) -> RamifiedReport:
     """Primes dividing f on the whole group.
 
     A ramified prime divides every sampled value, so the prime divisors of the
     gcd over the ball exhaust the candidates; each candidate <= p_max is then
     confirmed or refuted by its local density: p is ramified exactly when
-    beta(p) = 1, i.e. f vanishes on the whole image mod p.
+    beta(p) = 1, i.e. f vanishes on the whole image mod p.  ``search``, from
+    ``root_search(gens)``, lets the caller share its short ball.
     """
     if len(sample) == 0:
         raise ValueError("empty sample")
@@ -716,7 +754,8 @@ def detect_ramified(
         if not fac.complete:
             unresolved.append(-1)  # unknown large candidates in the cofactor
     confirmed = []
-    search = root_search(gens) if candidates else None
+    if candidates and search is None:
+        search = root_search(gens)
     for p in candidates:
         try:
             d = local_density(gens, f, p, cap=cap, search=search)

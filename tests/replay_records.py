@@ -35,10 +35,14 @@ import workloads  # noqa: E402
 
 # Invocations beside REPLAY, which holds exactly one per subcommand: beta(p)
 # at primes whose images are large (|SL_2(F_61)| = 226,920), so record diffs
-# cover the certified route where image enumeration is the dual route.
+# cover the certified route where image enumeration is the dual route; and
+# strong approximation mod 35 (every prime certified and >= 5, nothing
+# enumerated) and mod 15 (p = 3 < 5, the image mod 15 enumerated).
 EXTRA = [
     ["local-density", "--scenario", SL2, "--p", "61"],
     ["beta-table", "--scenario", SL2, "--pmax", "47"],
+    ["strong-approx", "--scenario", SL2, "--q", "35"],
+    ["strong-approx", "--scenario", SL2, "--q", "15"],
 ]
 
 

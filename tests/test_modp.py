@@ -6,7 +6,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affsieve.core_arith import primes_upto
@@ -83,6 +83,35 @@ def test_strong_approx_table():
     assert v2.image_order == 1
     with pytest.raises(ValueError):
         verify_strong_approx(FREE, 4)  # not squarefree
+
+
+def test_strong_approx_certified_beyond_enumeration():
+    # 385 = 5 * 7 * 11, all certified: |SL_2(Z/385)| = 120 * 336 * 1320,
+    # read off the certificates (enumerating it would hold 53M elements)
+    v = verify_strong_approx(FREE, 385)
+    assert v.image_order == 53_222_400
+    assert v.holds is True
+    assert v.per_prime == ((5, 120, 120), (7, 336, 336), (11, 1320, 1320))
+
+
+@settings(max_examples=12, deadline=None)
+@given(a=st.integers(1, 12), b=st.integers(1, 12), q=st.sampled_from([15, 21, 35]))
+@example(a=2, b=2, q=35)  # every p | q certified and >= 5: nothing enumerated
+@example(a=5, b=1, q=35)  # 5 | a: p = 5 uncertified, image order 1680
+@example(a=1, b=7, q=35)  # 7 | b: p = 7 uncertified, image order 840
+@example(a=2, b=2, q=15)  # p = 3 is certified but below 5: enumerated, 2880
+@example(a=1, b=1, q=21)  # likewise at 21: 8064
+def test_strong_approx_matches_enumeration(a, b, q):
+    # dual route: the orders the verdict reads off certificates against the
+    # images enumerated mod q and mod each p | q
+    gens = GeneratorSet([MatrixQ([[1, a], [0, 1]]), MatrixQ([[1, 0], [b, 1]])])
+    primes = [p for p in (3, 5, 7) if q % p == 0]
+    image_order = len(generate_image(gens, q))
+    expected = sl_order(2, primes[0]) * sl_order(2, primes[1])
+    v = verify_strong_approx(gens, q)
+    assert v.image_order == image_order
+    assert v.per_prime == tuple((p, len(generate_image(gens, p)), sl_order(2, p)) for p in primes)
+    assert v.holds is (image_order == expected)
 
 
 def test_variety_count_against_brute_force():
@@ -184,6 +213,27 @@ def test_beta_squarefree():
     assert beta_squarefree(FREE, TR2, 6, ramified=[2]) == 0
     with pytest.raises(ValueError):
         beta_squarefree(FREE, TR2, 9)
+
+
+def test_beta_squarefree_shares_search_and_local_densities(monkeypatch):
+    # one root search and one beta(p) table across many d: each p is
+    # computed once, and the products agree with fresh calls
+    calls = []
+    true_density = modp.local_density
+
+    def counted(gens, f, p, **kwargs):
+        calls.append(p)
+        return true_density(gens, f, p, **kwargs)
+
+    search, betas = modp.root_search(FREE), {}
+    shared = {d: beta_squarefree(FREE, TR2, d, search=search, betas=betas) for d in (15, 21, 105)}
+    monkeypatch.setattr(modp, "local_density", counted)
+    shared[1155] = beta_squarefree(FREE, TR2, 1155, search=search, betas=betas)
+    assert calls == [11]
+    assert sorted(betas) == [3, 5, 7, 11]
+    monkeypatch.undo()
+    for d, beta in shared.items():
+        assert beta == beta_squarefree(FREE, TR2, d), d
 
 
 def test_beta_squarefree_cross_check_raises_certificate_error(monkeypatch):

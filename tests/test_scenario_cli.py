@@ -266,6 +266,19 @@ def test_certified_density_ignores_image_cap(tmp_path):
     assert default["order"] == 120
 
 
+def test_certified_strong_approx_ignores_image_cap(tmp_path):
+    # sl2-free is certified at 5 and 7: the image mod 35 is SL_2(F_5) x
+    # SL_2(F_7) by Goursat's lemma, so a cap of 1000 (below 40,320) never binds
+    raw = json.loads(open(SL2).read())
+    raw["params"]["image_cap"] = 1000
+    path, rec = tmp_path / "capped.json", tmp_path / "capped.rec"
+    path.write_text(json.dumps(raw))
+    assert main(["strong-approx", "--scenario", str(path), "--q", "35", "--record", str(rec)]) == 0
+    out = json.loads(rec.read_text())["outputs"]
+    assert out["holds"] is True
+    assert out["image_order"] == 40320
+
+
 def sieve_dim_outputs(tmp_path, scenario_path, *args):
     rec = tmp_path / "sieve-dim.json"
     argv = ["sieve-dim", "--scenario", str(scenario_path), *args, "--record", str(rec)]
