@@ -23,13 +23,11 @@ from .heuristics import TorusSpec, borel_cantelli_sum, norm_growth_check
 from .matgroup import ResourceCapError, ball, orbit
 from .modp import (
     EnumerationBudgetError,
-    RootSearch,
     beta_squarefree,
     detect_ramified,
     enumerate_variety_mod_p,
     local_density,
     root_search,
-    sl_order,
     splitting_census,
     verify_strong_approx,
 )
@@ -75,11 +73,9 @@ def _emit(args, command: str, scenario, flags: dict, outputs: dict) -> None:
         print(f"record written to {args.record}")
 
 
-def _ramified_set(
-    sc: Scenario, f: MultiPoly, L_sample: int = 3, p_max: int = 100, search: RootSearch | None = None
-):
+def _ramified_set(sc: Scenario, f: MultiPoly, L_sample: int = 3, p_max: int = 100):
     sample = ball(sc.generators, L_sample, cap=sc.ball_cap)
-    return detect_ramified(sc.generators, f, sample, p_max=p_max, cap=sc.image_cap, search=search)
+    return detect_ramified(sc.generators, f, sample, p_max=p_max, cap=sc.image_cap)
 
 
 def _need(sc: Scenario, attr: str, what: str):
@@ -87,6 +83,11 @@ def _need(sc: Scenario, attr: str, what: str):
     if value is None:
         raise ValueError(f"scenario {sc.name!r} does not declare {what}")
     return value
+
+
+def _need_SL(sc: Scenario, command: str) -> None:
+    if sc.kind != "SL":
+        raise ValueError(f"{command} needs ambient.kind 'SL', not {sc.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,20 +123,18 @@ def cmd_local_density(sc: Scenario, args):
 
 def cmd_beta_table(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
-    search = root_search(sc.generators)
-    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100), search=search)
+    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100))
     table = {}
     for p in primes_upto(args.pmax):
-        d = local_density(
-            sc.generators, f, p, ramified=ram.confirmed, cap=sc.image_cap, search=search
-        )
+        d = local_density(sc.generators, f, p, ramified=ram.confirmed, cap=sc.image_cap)
         table[p] = d.beta
     return {"pmax": args.pmax, "ramified": list(ram.confirmed), "beta": table}
 
 
 def cmd_strong_approx(sc: Scenario, args):
-    expected = (lambda p: sl_order(sc.n, p)) if sc.kind == "SL" else None
-    v = verify_strong_approx(sc.generators, args.q, expected, cap=sc.image_cap)
+    # the expected order is prod |SL_n(F_p)|, which says nothing off SL
+    _need_SL(sc, "strong-approx")
+    v = verify_strong_approx(sc.generators, args.q, cap=sc.image_cap)
     return {
         "q": args.q,
         "holds": v.holds,
@@ -195,15 +194,12 @@ def _decomposition(sc: Scenario, args):
     beta_squarefree once for each squarefree d: the product of the local
     densities beta(p), p | d (certified ones from the variety counter), which
     beta_squarefree cross-checks by enumerating the image mod d when d is
-    composite and at most 50.  Ramified primes are confirmed up to D.  One
-    root search serves the run, and each beta(p) is computed once."""
+    composite and at most 50.  Ramified primes are confirmed up to D.  The
+    modp memo computes each beta(p) once."""
     f = _need(sc, "f", "a regular function f")
-    search = root_search(sc.generators)
-    ram = _ramified_set(sc, f, p_max=max(args.D, 100), search=search).confirmed
+    ram = _ramified_set(sc, f, p_max=max(args.D, 100)).confirmed
     seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
-    beta = partial(
-        beta_squarefree, sc.generators, f, ramified=ram, cap=sc.image_cap, search=search, betas={}
-    )
+    beta = partial(beta_squarefree, sc.generators, f, ramified=ram, cap=sc.image_cap)
     return moduli_decomposition(seq, beta, args.D)
 
 
@@ -237,21 +233,19 @@ def cmd_level_report(sc: Scenario, args):
 
 def cmd_sieve_dim(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
-    if sc.kind != "SL":
-        # beta(p) is certified only as N_f / |SL_n(F_p)|; off SL every prime
-        # would enumerate its image
-        raise ValueError(f"sieve-dim needs ambient.kind 'SL', not {sc.kind!r}")
-    search = root_search(sc.generators)
-    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100), search=search).confirmed
+    # beta(p) is certified only as N_f / |SL_n(F_p)|; off SL every prime
+    # would enumerate its image
+    _need_SL(sc, "sieve-dim")
+    ram = _ramified_set(sc, f, p_max=max(args.pmax, 100)).confirmed
     # Gamma or f has no reduction mod a prime dividing a denominator
-    denominators = math.lcm(search.denominators, f.denominator_lcm())
+    denominators = math.lcm(root_search(sc.generators).denominators, f.denominator_lcm())
     table: dict[int, Fraction] = {}
     uncertified = []
     for p in primes_upto(args.pmax):
         if denominators % p == 0:
             uncertified.append(p)
             continue
-        d = local_density(sc.generators, f, p, ramified=ram, cap=sc.image_cap, search=search)
+        d = local_density(sc.generators, f, p, ramified=ram, cap=sc.image_cap)
         table[p] = d.beta
         if not d.ramified and d.certificate is None:
             uncertified.append(p)

@@ -12,6 +12,13 @@ least 5, Goursat's lemma lifts the certificates: the image mod q is the
 product of the SL_n(F_p), so ``verify_strong_approx`` reads its order off
 them instead of enumerating it.
 
+One memo decides how mod-p work is shared: ``root_search`` is memoized on
+the generators, ``det_minus_one`` on n, and the unramified result of
+``local_density`` on (gens, f, p, cap), so callers pass no sharing state.
+The memo holds only these small results, never a ``FiniteImage``: images
+are enumerated afresh, so the dual routes (``beta_squarefree``'s count mod
+d) never read it.
+
 The variety counter is exact and avoids full brute force where it can:
 univariate root counts (closed form for quadratics) and scans, elimination of variables that appear linearly with a
 constant coefficient, and a three-way recursion on a variable of degree one
@@ -22,11 +29,12 @@ last resort and is budgeted.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core_arith import check_prime_set, factorize, is_prime, primes_upto
 from .matgroup import (
@@ -137,22 +145,14 @@ def generate_image(
 @dataclass(frozen=True)
 class StrongApproxVerdict:
     q: int
-    holds: Optional[bool]  # None = unverifiable (no expected order)
+    holds: bool
     image_order: int
-    expected_order: Optional[int]
-    per_prime: tuple[tuple[int, int, Optional[int]], ...]  # (p, observed, expected)
+    expected_order: int
+    per_prime: tuple[tuple[int, int, int], ...]  # (p, observed, expected)
 
 
-def verify_strong_approx(
-    gens: GeneratorSet,
-    q: int,
-    expected_orders: Optional[Callable[[int], Optional[int]]] = None,
-    cap: int = 5_000_000,
-) -> StrongApproxVerdict:
-    """Compare |pi_q(Gamma)| with the product of expected per-prime orders.
-
-    ``expected_orders`` maps p to the order of the target group over F_p;
-    defaults to the SL_n order formula.  Unknown orders give holds=None.
+def verify_strong_approx(gens: GeneratorSet, q: int, cap: int = 5_000_000) -> StrongApproxVerdict:
+    """Compare |pi_q(Gamma)| with prod_{p | q} |SL_n(F_p)|.
 
     A prime p | q with a surjectivity certificate has pi_p(Gamma) =
     SL_n(F_p), so its observed order is |SL_n(F_p)|; the image mod p is
@@ -174,31 +174,23 @@ def verify_strong_approx(
     if any(e > 1 for _, e in fac.factors) or not fac.complete:
         raise ValueError("modulus must be squarefree and factorable")
     n = gens.n
-    if expected_orders is None:
-        expected_orders = lambda p: sl_order(n, p)  # noqa: E731
     primes = fac.primes()
     search = root_search(gens)
     certified = {p for p in primes if search.certificate(p) is not None}
+    expected = math.prod(sl_order(n, p) for p in primes)
     if primes and certified == set(primes) and min(primes) >= 5:
-        image_order = math.prod(sl_order(n, p) for p in primes)
+        image_order = expected
     else:
         image_order = len(generate_image(gens, q, cap=cap))
     per_prime = []
-    expected_total: Optional[int] = 1
     for p in primes:
         observed = sl_order(n, p) if p in certified else len(generate_image(gens, p, cap=cap))
-        exp = expected_orders(p)
-        per_prime.append((p, observed, exp))
-        if exp is None or expected_total is None:
-            expected_total = None
-        else:
-            expected_total *= exp
-    holds = None if expected_total is None else (image_order == expected_total)
+        per_prime.append((p, observed, sl_order(n, p)))
     return StrongApproxVerdict(
         q=q,
-        holds=holds,
+        holds=image_order == expected,
         image_order=image_order,
-        expected_order=expected_total,
+        expected_order=expected,
         per_prime=tuple(per_prime),
     )
 
@@ -431,6 +423,7 @@ def _count_points(eqs: list[Terms], active: frozenset[int], p: int, brute_budget
 
 
 BRUTE_BUDGET = 2_000_000  # default number of points a brute force may visit
+CROSS_CHECK_BOUND = 50  # beta_squarefree also counts on the image mod composite d up to this
 
 
 def enumerate_variety_mod_p(
@@ -484,15 +477,23 @@ def count_Nf(image: FiniteImage, f: MultiPoly, d: Optional[int] = None) -> int:
 CERTIFICATE_RADIUS = 2  # word length of the elements searched for root elements
 
 
+def _root_positions(n: int) -> list[tuple[int, int]]:
+    """The adjacent positions (i, i+1) and (i+1, i), in row-major order."""
+    return [(i, j) for i in range(n) for j in range(n) if abs(i - j) == 1]
+
+
 @dataclass(frozen=True)
 class SurjectivityCertificate:
     """Proof that pi_p(Gamma) = SL_n(F_p) for a prime p.
 
     Every generator has det = 1 mod p, so the image lies in SL_n(F_p).  For
-    every i != j, ``roots`` holds a word in the generators whose product gamma
-    is I + t E_ij mod p with t != 0; the powers of gamma fill the root
-    subgroup {I + s E_ij}, and these elementary transvections generate
-    SL_n(F_p).
+    every adjacent position (i, j) = (i, i+1) or (i+1, i), ``roots`` holds a
+    word in the generators whose product gamma is I + t E_ij mod p with
+    t != 0; the powers of gamma fill the root subgroup {I + s E_ij}.  These
+    adjacent root subgroups generate all the others: for distinct i, j, k,
+    [I + s E_ij, I + t E_jk] = I + st E_ik, so by induction on |i - k| every
+    I + s E_ik with i != k lies in the image, and these elementary
+    transvections generate SL_n(F_p).
     """
 
     p: int
@@ -505,8 +506,8 @@ class SurjectivityCertificate:
         if not is_prime(p):
             raise CertificateError(f"{p} is not prime")
         positions = sorted((i, j) for i, j, _, _ in self.roots)
-        if positions != [(i, j) for i in range(n) for j in range(n) if i != j]:
-            raise CertificateError(f"root positions {positions} are not every i != j")
+        if positions != _root_positions(n):
+            raise CertificateError(f"root positions {positions} are not the adjacent ones")
         for g in self.generators:
             det = MatrixQ(g).det()
             if (det.numerator - det.denominator) % p:
@@ -531,19 +532,17 @@ class SurjectivityCertificate:
 class RootSearch:
     """The short ball of Gamma, read once for the certificates at every p.
 
-    ``candidates[(i, j)]`` lists, in ball order, (rest, t, word, gamma) for
-    each element gamma whose gamma - I has numerator t != 0 at (i, j) and
-    whose other entries have numerators with gcd ``rest``; once the
-    generators reduce mod p, gamma = I + t E_ij mod p with t != 0 exactly
-    when p divides rest and not t.  ``det_minus_one`` is None when its
-    n! terms exceed the counter's brute-force budget.
+    ``candidates[(i, j)]`` lists, for each adjacent position (i, j) and in
+    ball order, (rest, t, word, gamma) for each element gamma whose gamma - I
+    has numerator t != 0 at (i, j) and whose other entries have numerators
+    with gcd ``rest``; once the generators reduce mod p, gamma = I + t E_ij
+    mod p with t != 0 exactly when p divides rest and not t.
     """
 
     generators: tuple[Entries, ...]
     denominators: int  # lcm of the generator entries' denominators
     det_gaps: tuple[int, ...]  # numerator - denominator of each generator's det
     candidates: dict[tuple[int, int], tuple[tuple[int, int, tuple[int, ...], Entries], ...]]
-    det_minus_one: Optional[MultiPoly]
 
     def certificate(self, p: int) -> Optional[SurjectivityCertificate]:
         """A checked certificate for p, or None when the short ball has none."""
@@ -560,9 +559,10 @@ class RootSearch:
         return cert
 
 
+@functools.cache
 def root_search(gens: GeneratorSet) -> RootSearch:
     """Word-labelled ball of radius CERTIFICATE_RADIUS, sorted into root
-    candidates, and det - 1 over the entry variables."""
+    candidates; memoized on the generators."""
     n = gens.n
     generators = tuple(g.entries for g in gens.generators)
     words = bfs(
@@ -574,7 +574,7 @@ def root_search(gens: GeneratorSet) -> RootSearch:
         start_label=(),
         what="certificate ball",
     )
-    candidates: dict = {(i, j): [] for i in range(n) for j in range(n) if i != j}
+    candidates: dict = {pos: [] for pos in _root_positions(n)}
     for gamma, word in words.items():
         num = [[(x - (a == b)).numerator for b, x in enumerate(row)] for a, row in enumerate(gamma)]
         for (i, j), found in candidates.items():
@@ -587,19 +587,21 @@ def root_search(gens: GeneratorSet) -> RootSearch:
         denominators=math.lcm(*(x.denominator for g in generators for row in g for x in row)),
         det_gaps=tuple(d.numerator - d.denominator for d in dets),
         candidates={k: tuple(v) for k, v in candidates.items()},
-        det_minus_one=det_minus_one(n) if math.factorial(n) <= BRUTE_BUDGET else None,
     )
 
 
 def surjectivity_certificate(gens: GeneratorSet, p: int) -> Optional[SurjectivityCertificate]:
     """A checked proof that pi_p(Gamma) = SL_n(F_p), or None when the ball of
-    radius CERTIFICATE_RADIUS holds no root element for some i != j (or p is
-    not prime, or a generator does not reduce to SL_n(F_p))."""
+    radius CERTIFICATE_RADIUS holds no root element for some adjacent
+    position (or p is not prime, or a generator does not reduce to
+    SL_n(F_p))."""
     return root_search(gens).certificate(p)
 
 
+@functools.cache
 def det_minus_one(n: int) -> MultiPoly:
-    """det - 1 over the n x n entry variables, by the Leibniz expansion."""
+    """det - 1 over the n x n entry variables, by the Leibniz expansion;
+    memoized on n."""
     terms = {(0,) * (n * n): -1}
     for perm in itertools.permutations(range(n)):
         exps = [0] * (n * n)
@@ -629,27 +631,28 @@ def local_density(
     p: int,
     ramified: Iterable[int] = (),
     cap: int = 5_000_000,
-    search: Optional[RootSearch] = None,
 ) -> LocalDensity:
     """beta(p) = N_f(p) / |pi_p(Gamma)|; 0 by fiat at ramified primes.
 
     With a surjectivity certificate, N_f(p) = #{x in SL_n(F_p) : f(x) = 0}
     from the variety counter; without one, or when the counter exceeds its
-    budget, the image mod p is enumerated (``cap`` bounds its size).
-    ``search``, from ``root_search(gens)``, lets calls at many p share the
-    short ball and det - 1.
+    budget, the image mod p is enumerated (``cap`` bounds its size).  The
+    unramified result is memoized on (gens, f, p, cap).
     """
     ram = set(check_prime_set(ramified))
     if p in ram:
         return LocalDensity(p=p, N_f=0, order=0, beta=Fraction(0), ramified=True)
     entry_positions(f.variables, gens.n)
-    if search is None:
-        search = root_search(gens)
-    elif search.generators != tuple(g.entries for g in gens.generators):
-        raise ValueError("root search was built for other generators")
-    cert = search.certificate(p)
-    if cert is not None and search.det_minus_one is not None:
-        ideal = search.det_minus_one
+    return _unramified_density(gens, f, p, cap)
+
+
+@functools.cache
+def _unramified_density(gens: GeneratorSet, f: MultiPoly, p: int, cap: int) -> LocalDensity:
+    """``local_density`` at an unramified p.  det - 1 is built only when its
+    n! terms fit the counter's brute-force budget."""
+    cert = root_search(gens).certificate(p)
+    if cert is not None and math.factorial(gens.n) <= BRUTE_BUDGET:
+        ideal = det_minus_one(gens.n)
         try:
             nf = enumerate_variety_mod_p([f, ideal], p, ideal.variables)
         except EnumerationBudgetError:
@@ -670,17 +673,13 @@ def beta_squarefree(
     f: MultiPoly,
     d: int,
     ramified: Iterable[int] = (),
-    cross_check_bound: int = 50,
     cap: int = 5_000_000,
-    search: Optional[RootSearch] = None,
-    betas: Optional[dict[int, Fraction]] = None,
 ) -> Fraction:
     """prod_{p|d} beta(p) for squarefree d; 0 when d meets a ramified prime.
 
-    Cross-checked against the direct mod-d count when d is small.
-    ``search``, from ``root_search(gens)``, is shared by the local densities;
-    ``betas`` maps p to beta(p) for these gens and f and gains each one
-    computed here, so calls at many d compute each beta(p) once.
+    Each beta(p) comes from the memoized ``local_density``, so calls at many
+    d compute it once.  For composite d <= CROSS_CHECK_BOUND the product is
+    cross-checked against the image enumerated mod d, afresh on every call.
     """
     if d == 1:
         return Fraction(1)
@@ -690,16 +689,10 @@ def beta_squarefree(
     ram = set(check_prime_set(ramified))
     if any(p in ram for p in fac.primes()):
         return Fraction(0)
-    if search is None:
-        search = root_search(gens)
-    if betas is None:
-        betas = {}
     beta = Fraction(1)
     for p in fac.primes():
-        if p not in betas:
-            betas[p] = local_density(gens, f, p, cap=cap, search=search).beta
-        beta *= betas[p]
-    if 1 < d <= cross_check_bound and len(fac.primes()) > 1:
+        beta *= local_density(gens, f, p, cap=cap).beta
+    if d <= CROSS_CHECK_BOUND and len(fac.primes()) > 1:
         image = generate_image(gens, d, cap=cap)
         direct = Fraction(count_Nf(image, f), len(image))
         if direct != beta:
@@ -726,15 +719,13 @@ def detect_ramified(
     sample: Ball,
     p_max: int = 100,
     cap: int = 5_000_000,
-    search: Optional[RootSearch] = None,
 ) -> RamifiedReport:
     """Primes dividing f on the whole group.
 
     A ramified prime divides every sampled value, so the prime divisors of the
     gcd over the ball exhaust the candidates; each candidate <= p_max is then
     confirmed or refuted by its local density: p is ramified exactly when
-    beta(p) = 1, i.e. f vanishes on the whole image mod p.  ``search``, from
-    ``root_search(gens)``, lets the caller share its short ball.
+    beta(p) = 1, i.e. f vanishes on the whole image mod p.
     """
     if len(sample) == 0:
         raise ValueError("empty sample")
@@ -754,11 +745,9 @@ def detect_ramified(
         if not fac.complete:
             unresolved.append(-1)  # unknown large candidates in the cofactor
     confirmed = []
-    if candidates and search is None:
-        search = root_search(gens)
     for p in candidates:
         try:
-            d = local_density(gens, f, p, cap=cap, search=search)
+            d = local_density(gens, f, p, cap=cap)
         except (ValueError, ResourceCapError):
             unresolved.append(p)
             continue

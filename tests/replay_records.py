@@ -30,19 +30,21 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from affsieve import cli  # noqa: E402
-from test_scenario_cli import REPLAY, SL2  # noqa: E402
+from test_scenario_cli import HEIS, REPLAY, SL2  # noqa: E402
 import workloads  # noqa: E402
 
 # Invocations beside REPLAY, which holds exactly one per subcommand: beta(p)
 # at primes whose images are large (|SL_2(F_61)| = 226,920), so record diffs
-# cover the certified route where image enumeration is the dual route; and
+# cover the certified route where image enumeration is the dual route;
 # strong approximation mod 35 (every prime certified and >= 5, nothing
-# enumerated) and mod 15 (p = 3 < 5, the image mod 15 enumerated).
+# enumerated) and mod 15 (p = 3 < 5, the image mod 15 enumerated); and
+# strong approximation on the unipotent Heisenberg group, refused (exit 2).
 EXTRA = [
     ["local-density", "--scenario", SL2, "--p", "61"],
     ["beta-table", "--scenario", SL2, "--pmax", "47"],
     ["strong-approx", "--scenario", SL2, "--q", "35"],
     ["strong-approx", "--scenario", SL2, "--q", "15"],
+    ["strong-approx", "--scenario", HEIS, "--q", "5"],
 ]
 
 

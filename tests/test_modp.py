@@ -216,24 +216,60 @@ def test_beta_squarefree():
 
 
 def test_beta_squarefree_shares_search_and_local_densities(monkeypatch):
-    # one root search and one beta(p) table across many d: each p is
-    # computed once, and the products agree with fresh calls
-    calls = []
-    true_density = modp.local_density
+    # the root search and beta(p) are memoized on their inputs: across many
+    # d one root search is built and the variety counter runs once per p,
+    # and the products are the exact prod p / (p^2 - 1)
+    modp.root_search.cache_clear()
+    modp._unramified_density.cache_clear()
+    counted = []
+    true_count = modp.enumerate_variety_mod_p
 
-    def counted(gens, f, p, **kwargs):
-        calls.append(p)
-        return true_density(gens, f, p, **kwargs)
+    def counting(equations, p, *args, **kwargs):
+        counted.append(p)
+        return true_count(equations, p, *args, **kwargs)
 
-    search, betas = modp.root_search(FREE), {}
-    shared = {d: beta_squarefree(FREE, TR2, d, search=search, betas=betas) for d in (15, 21, 105)}
-    monkeypatch.setattr(modp, "local_density", counted)
-    shared[1155] = beta_squarefree(FREE, TR2, 1155, search=search, betas=betas)
-    assert calls == [11]
-    assert sorted(betas) == [3, 5, 7, 11]
-    monkeypatch.undo()
-    for d, beta in shared.items():
-        assert beta == beta_squarefree(FREE, TR2, d), d
+    monkeypatch.setattr(modp, "enumerate_variety_mod_p", counting)
+    for d, primes in ((15, (3, 5)), (21, (3, 7)), (105, (3, 5, 7)), (1155, (3, 5, 7, 11))):
+        want = Fraction(1)
+        for p in primes:
+            want *= Fraction(p, p * p - 1)
+        assert beta_squarefree(FREE, TR2, d) == want, d
+    assert sorted(counted) == [3, 5, 7, 11]
+    assert modp.root_search.cache_info().misses == 1
+
+
+def test_local_density_memo_is_keyed_by_cap():
+    # the Borel group mod 5 is uncertified: its image (order 20) is
+    # enumerated, and a memoized answer at the default cap must not let a
+    # call with cap=10 pass
+    borel = GeneratorSet([MatrixQ([[2, 0], [0, Fraction(1, 2)]]), A])
+    assert local_density(borel, TR2, 5).order == 20
+    with pytest.raises(ResourceCapError):
+        local_density(borel, TR2, 5, cap=10)
+
+
+def test_beta_squarefree_cross_check_enumerates_afresh(monkeypatch):
+    # the dual route never reads the memo: each call enumerates mod 15 again
+    moduli = []
+    true_image = modp.generate_image
+
+    def counting(gens, q, *args, **kwargs):
+        moduli.append(q)
+        return true_image(gens, q, *args, **kwargs)
+
+    monkeypatch.setattr(modp, "generate_image", counting)
+    assert beta_squarefree(FREE, TR2, 15) == beta_squarefree(FREE, TR2, 15) == Fraction(5, 64)
+    assert moduli == [15, 15]
+
+
+def test_strong_approx_builds_no_det_minus_one(monkeypatch):
+    # det - 1 has n! terms and strong approximation never reads it
+    def refuse(n):
+        raise AssertionError(f"det_minus_one({n}) built")
+
+    monkeypatch.setattr(modp, "det_minus_one", refuse)
+    assert verify_strong_approx(FREE, 35).holds is True
+    modp.root_search.__wrapped__(FREE)  # uncached, so a warm memo hides nothing
 
 
 def test_beta_squarefree_cross_check_raises_certificate_error(monkeypatch):
@@ -351,6 +387,53 @@ def test_certificate_is_checked_and_rechecks():
     for forged in forgeries:
         with pytest.raises(CertificateError):
             forged.check()
+
+
+def elementary(n, i, j, t):
+    rows = [[int(a == b) for b in range(n)] for a in range(n)]
+    rows[i][j] = t
+    return MatrixQ(rows)
+
+
+def adjacent_elementary(n, t):
+    """e_{i,i+1}(t) and e_{i+1,i}(t) for every i."""
+    return GeneratorSet(
+        [elementary(n, i, i + 1, t) for i in range(n - 1)]
+        + [elementary(n, i + 1, i, t) for i in range(n - 1)]
+    )
+
+
+def test_certificate_needs_only_adjacent_positions():
+    # e12(2), e21(2), e23(2), e32(2): positions (1,3) and (3,1) have no root
+    # element in the short ball, and need none, as commutators give them
+    sl3 = adjacent_elementary(3, 2)
+    for p in (5, 7):
+        cert = surjectivity_certificate(sl3, p)
+        cert.check()
+        assert sorted((i, j) for i, j, _, _ in cert.roots) == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    # the cap of 1000 fails fast if anything (5.6M elements mod 35) is enumerated
+    v = verify_strong_approx(sl3, 35, cap=1000)
+    assert v.image_order == sl_order(3, 5) * sl_order(3, 7)
+    assert v.holds is True
+
+
+def test_certificate_missing_an_adjacent_position_fails():
+    cert = surjectivity_certificate(adjacent_elementary(3, 2), 5)
+    for k in range(len(cert.roots)):
+        with pytest.raises(CertificateError, match="adjacent"):
+            replace(cert, roots=cert.roots[:k] + cert.roots[k + 1 :]).check()
+
+
+def test_certified_sl3_density_matches_image_enumeration():
+    # dual route at n = 3: the variety count on {f, det - 1} against the
+    # enumerated image (88 of 168 at p = 2, 1,863 of 5,616 at p = 3)
+    sl3 = adjacent_elementary(3, 1)
+    f = MultiPoly.parse("x11 + x22 - 2", entry_variable_names(3))
+    for p, want in ((2, (88, 168)), (3, (1863, 5616))):
+        d = local_density(sl3, f, p)
+        assert d.certificate is not None
+        image = generate_image(sl3, p)
+        assert (d.N_f, d.order) == (count_Nf(image, f), len(image)) == want
 
 
 FORGED_CERTIFICATE = """

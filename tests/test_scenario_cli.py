@@ -367,6 +367,13 @@ def test_sieve_dim_rejects_non_SL_kind(tmp_path, capsys):
     assert "ambient.kind" in capsys.readouterr().err
 
 
+def test_strong_approx_rejects_non_SL_kind(capsys):
+    # the expected order is prod |SL_n(F_p)|: on the unipotent Heisenberg
+    # group it used to report holds: False against |SL_3(F_5)| and exit 0
+    assert main(["strong-approx", "--scenario", HEIS, "--q", "5"]) == 2
+    assert "ambient.kind" in capsys.readouterr().err
+
+
 def test_cli_r_formula_no_scenario(capsys):
     assert main(
         ["r-formula", "--deg", "1", "--s", "1", "--dim", "3", "--tau", "1/2", "--omega", "4"]
