@@ -221,11 +221,17 @@ def omega_outside(
 
     Counts with multiplicity by default (almost-prime convention).
     """
+    return _omega_outside(n, check_prime_set(S), with_multiplicity, budget)
+
+
+def _omega_outside(
+    n: int, S: tuple[int, ...], with_multiplicity: bool = True, budget: FactorBudget = FactorBudget()
+) -> Optional[int]:
+    """omega_outside for an S that check_prime_set has already returned."""
     if n == 0:
         raise ValueError("omega_outside undefined at 0")
-    Sset = set(check_prime_set(S))
     n = abs(n)
-    for p in Sset:
+    for p in S:
         while n % p == 0:
             n //= p
     if n == 1:
@@ -260,20 +266,24 @@ def s_integer_part(q: Fraction | int, S: Iterable[int]) -> int:
     Requires every prime of the denominator to lie in S, otherwise the input
     was mis-declared as an S-integer.
     """
-    q = Fraction(q)
+    return _s_integer_part(Fraction(q), check_prime_set(S))
+
+
+def _s_integer_part(q: Fraction | int, S: tuple[int, ...]) -> int:
+    """s_integer_part for an exact q (int or Fraction) and an S that
+    check_prime_set has already returned."""
     if q == 0:
         raise ValueError("s_integer_part undefined at 0")
-    Sset = check_prime_set(S)
     den = q.denominator
-    for p in Sset:
+    for p in S:
         while den % p == 0:
             den //= p
     if den != 1:
         raise ValueError(
-            f"denominator of {q} has a prime factor outside S={list(Sset)}"
+            f"denominator of {q} has a prime factor outside S={list(S)}"
         )
     n = abs(q.numerator)
-    for p in Sset:
+    for p in S:
         while n % p == 0:
             n //= p
     return n

@@ -1,6 +1,7 @@
 """Exact matrix groups over Q: generator sets, word-metric balls and orbit
 slices, and the kernels every finite computation shares: the matrix product
-``_matmul``, the breadth-first search ``bfs`` and the walk ``Ball.values``.
+and action generated once per size (``_kernels``, behind ``_matmul`` and
+``_apply``), the breadth-first search ``bfs`` and the walk ``Ball.values``.
 
 Matrices are immutable tuples of tuples of exact scalars (``core_arith.exact``:
 int, or Fraction where an entry is not integral); dedup is by exact entries,
@@ -10,10 +11,10 @@ so relations in the group are handled without any freeness assumption.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core_arith import exact
 
@@ -34,14 +35,68 @@ def _freeze(mat) -> Entries:
     return tuple(tuple(map(exact, row)) for row in getattr(mat, "entries", mat))
 
 
+class _Kernels(NamedTuple):
+    mul: Callable  # mul(a, b) = a b
+    mulmod: Callable  # mulmod(a, b, q) = a b with every entry reduced mod q
+    apply: Callable  # apply(v, rows) = rows v
+
+
+@functools.cache
+def _kernels(n: int) -> _Kernels:
+    """The matrix product, the product mod q and the action on vectors for
+    n x n matrices given as row tuples, as straight-line code: every entry is
+    unpacked into a local and every output entry is one expression, so no
+    loop runs per product.  The source text holds only names built from the
+    int indices, never an entry or a modulus, and it is compiled once per n.
+    The kernels work over any ring whose elements support + and * (int,
+    Fraction, MultiPoly); each entry is the left-to-right sum of its
+    products, so its value and type are those of the naive triple loop."""
+    if type(n) is not int:
+        raise TypeError(f"matrix size must be an int, not {type(n).__name__}")
+    if n < 1:
+        raise ValueError(f"matrix size must be >= 1, not {n}")
+    idx = range(n)
+
+    def unpack(name):
+        return ", ".join("(" + ", ".join(f"{name}{i}_{j}" for j in idx) + ",)" for i in idx)
+
+    def dot(i, j):  # (a b)_ij
+        return " + ".join(f"a{i}_{k}*b{k}_{j}" for k in idx)
+
+    def rows(entry):
+        return ", ".join("(" + ", ".join(entry(i, j) for j in idx) + ",)" for i in idx)
+
+    vector = ", ".join(f"v{k}" for k in idx)
+    action = ", ".join(" + ".join(f"m{i}_{k}*v{k}" for k in idx) for i in idx)
+    source = f"""
+def mul(a, b):
+    {unpack("a")}, = a
+    {unpack("b")}, = b
+    return ({rows(dot)},)
+
+def mulmod(a, b, q):
+    {unpack("a")}, = a
+    {unpack("b")}, = b
+    return ({rows(lambda i, j: f"({dot(i, j)}) % q")},)
+
+def apply(v, m):
+    {vector}, = v
+    {unpack("m")}, = m
+    return ({action},)
+"""
+    namespace: dict = {}
+    exec(compile(source, f"<matgroup kernels n={n}>", "exec"), namespace)
+    return _Kernels(namespace["mul"], namespace["mulmod"], namespace["apply"])
+
+
 def _matmul(a, b, q: int = 0):
     """Product of square matrices given as row tuples, over any ring whose
     elements support + and * (int, Fraction, MultiPoly); with q, every entry
     is reduced mod q."""
-    cols = tuple(zip(*b))
-    if q:
-        return tuple(tuple(sum(map(mul, row, col)) % q for col in cols) for row in a)
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    if type(q) is not int:
+        raise TypeError(f"modulus must be an int, not {type(q).__name__}")
+    kernels = _kernels(len(a))
+    return kernels.mulmod(a, b, q) if q else kernels.mul(a, b)
 
 
 def _identity(n: int, one=1, zero=0):
@@ -172,7 +227,8 @@ class MatrixQ:
 
 
 def _apply(v: tuple, rows: Entries) -> tuple:
-    return tuple(sum(map(mul, row, v)) for row in rows)
+    """rows v, for a vector v of the same size."""
+    return _kernels(len(rows)).apply(v, rows)
 
 
 def rational_row_reduce(rows: list[list]) -> list[list[Fraction]]:
@@ -268,12 +324,13 @@ class Ball:
         return elems
 
     def values(self, f) -> Iterator[tuple[Entries, int | Fraction]]:
-        """(entries, f(entries)) for every element in ball order; f's variables
-        are matched to entry positions once and f is evaluated by position."""
-        index = entry_positions(f.variables, len(next(iter(self.length))))
+        """(entries, f(entries)) for every element in ball order; f's term
+        plan is mapped to row-major entry positions once and run on each
+        element's flattened entries."""
+        plan = f.term_plan(entry_positions(f.variables, len(next(iter(self.length)))))
+        run = f.run_plan
         for e in self.length:
-            flat = sum(e, ())
-            yield e, f.eval([flat[k] for k in index])
+            yield e, run(plan, sum(e, ()))
 
     def __len__(self):
         return len(self.length)
@@ -289,7 +346,7 @@ def ball(gens: GeneratorSet, L: int, cap: int = 5_000_000) -> Ball:
         raise ValueError("radius must be >= 0")
     start = MatrixQ.identity(gens.n).entries
     words = [g.entries for g in gens.generators]
-    return Ball(L=L, length=bfs(start, words, _matmul, L, cap, what="ball"))
+    return Ball(L=L, length=bfs(start, words, _kernels(gens.n).mul, L, cap, what="ball"))
 
 
 @dataclass(frozen=True)
@@ -310,4 +367,4 @@ def orbit(gens: GeneratorSet, v: Sequence, L: int, cap: int = 5_000_000) -> Orbi
     if len(base) != gens.n:
         raise ValueError("vector dimension mismatch")
     words = [g.entries for g in gens.generators]
-    return OrbitSlice(base=base, points=bfs(base, words, _apply, L, cap, what="orbit"))
+    return OrbitSlice(base=base, points=bfs(base, words, _kernels(gens.n).apply, L, cap, what="orbit"))

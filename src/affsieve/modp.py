@@ -44,6 +44,7 @@ from .matgroup import (
     MatrixQ,
     ResourceCapError,
     _identity,
+    _kernels,
     _matmul,
     bfs,
     entry_positions,
@@ -130,10 +131,11 @@ def generate_image(
     contains inverses; no inverse computation mod q is needed.
     """
     reduced = tuple(reduce_mod(g, q) for g in gens.generators)
+    mulmod = _kernels(gens.n).mulmod
     words = bfs(
         _identity(gens.n),
         [g.entries for g in reduced],
-        lambda a, b: _matmul(a, b, q),
+        lambda a, b: mulmod(a, b, q),
         cap=cap,
         label=lambda word, i: word + (i,),
         start_label=(),
@@ -568,7 +570,7 @@ def root_search(gens: GeneratorSet) -> RootSearch:
     words = bfs(
         _identity(n),
         generators,
-        _matmul,
+        _kernels(n).mul,
         CERTIFICATE_RADIUS,
         label=lambda word, i: word + (i,),
         start_label=(),

@@ -16,12 +16,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .core_arith import (
     FactorBudget,
+    _omega_outside,
+    _s_integer_part,
     check_prime_set,
     factorize,
     ln_bracket,
-    omega_outside,
     primes_upto,
-    s_integer_part,
 )
 from .matgroup import Ball, Entries, GeneratorSet, ball, entry_variable_names
 from .polyalg import MultiPoly, zariski_density_test
@@ -64,7 +64,7 @@ def build_sequence(
         if val == 0:
             skipped += 1
             continue
-        n = s_integer_part(val, Sset)
+        n = _s_integer_part(val, Sset)
         entries[n] = entries.get(n, 0) + 1
     return SieveSequence(L=L, S_used=Sset, entries=entries, skipped=skipped)
 
@@ -242,9 +242,9 @@ def _census(
         if val == 0:
             skipped += 1
             continue
-        n = s_integer_part(val, Sset)
+        n = _s_integer_part(val, Sset)
         if n not in omega:
-            omega[n] = omega_outside(n, Sset, with_multiplicity=True, budget=budget)
+            omega[n] = _omega_outside(n, Sset, with_multiplicity=True, budget=budget)
         om = omega[n]
         if om is None:
             incomplete += 1

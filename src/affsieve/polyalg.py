@@ -26,9 +26,13 @@ from .matgroup import _freeze, _identity, _matmul, bfs, rational_row_reduce
 
 
 class MultiPoly:
-    """Sparse polynomial over Q with a fixed ordered variable tuple."""
+    """Sparse polynomial over Q with a fixed ordered variable tuple.
 
-    __slots__ = ("variables", "terms")
+    ``terms`` is read, never changed, after construction: the term plan that
+    ``eval`` runs is built from it on first use and kept in a slot.
+    """
+
+    __slots__ = ("variables", "terms", "_plan")
 
     def __init__(
         self,
@@ -45,6 +49,7 @@ class MultiPoly:
                 raise ValueError("exponent vector length mismatch")
             clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
+        self._plan = None
 
     # -- constructors -------------------------------------------------
 
@@ -194,20 +199,39 @@ class MultiPoly:
 
     # -- evaluation & substitution --------------------------------------
 
-    def eval(self, point: Mapping[str, Fraction | int] | Sequence) -> int | Fraction:
-        """Exact value at a point of exact scalars: int arithmetic when the
-        point and the coefficients are integers."""
-        if not isinstance(point, Mapping):
-            point = dict(zip(self.variables, point))
-        vals = [point[v] for v in self.variables]
+    def term_plan(self, positions: Sequence[int] | None = None) -> tuple:
+        """The terms as (coefficient, ((position, exponent), ...)), zero
+        exponents dropped; variable k sits at position k of a point, or at
+        ``positions[k]`` when positions are given."""
+        if self._plan is None:
+            self._plan = tuple(
+                (c, tuple((k, e) for k, e in enumerate(exps) if e)) for exps, c in self.terms.items()
+            )
+        if positions is None:
+            return self._plan
+        return tuple((c, tuple((positions[k], e) for k, e in factors)) for c, factors in self._plan)
+
+    @staticmethod
+    def run_plan(plan: tuple, values: Sequence) -> int | Fraction:
+        """Sum over the plan's terms of coefficient * prod values[position]**exponent:
+        int arithmetic when the values and the coefficients are integers."""
         total = 0
-        for exps, c in self.terms.items():
-            t = c
-            for val, e in zip(vals, exps):
-                if e:
-                    t *= val**e
+        for t, factors in plan:
+            for k, e in factors:
+                t *= values[k] if e == 1 else values[k] ** e
             total += t
         return total
+
+    def eval(self, point: Mapping[str, Fraction | int] | Sequence) -> int | Fraction:
+        """Exact value at a point of exact scalars, given as a mapping from
+        variable names or as a sequence in variable order."""
+        if hasattr(point, "keys"):
+            point = [point[v] for v in self.variables]
+        elif len(point) != len(self.variables):
+            raise ValueError(
+                f"point has {len(point)} coordinates, polynomial has {len(self.variables)} variables"
+            )
+        return self.run_plan(self.term_plan(), point)
 
     def eval_mod(self, point: Mapping[str, int], p: int) -> int:
         missing = [v for v in self.variables if v not in point]

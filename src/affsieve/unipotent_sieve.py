@@ -23,6 +23,8 @@ from typing import Iterable, Optional, Sequence
 
 from .core_arith import (
     FactorBudget,
+    _omega_outside,
+    check_prime_set,
     factorize,
     omega_outside,
     primes_upto,
@@ -122,7 +124,7 @@ def single_variable_almost_primes(
     a, b = progression
     if a <= 0:
         raise ValueError("progression step must be positive")
-    Sset = tuple(sorted(set(int(p) for p in S)))
+    Sset = check_prime_set(S)
     values = []
     omegas = []
     exhausted = False
@@ -142,7 +144,7 @@ def single_variable_almost_primes(
         val = P.eval({name: n for name in P.variables})
         if val == 0:
             continue
-        om = omega_outside(val.numerator, Sset, with_multiplicity=True, budget=budget)
+        om = _omega_outside(val.numerator, Sset, with_multiplicity=True, budget=budget)
         if om is None:
             continue  # factoring budget: skip, never guess
         if om <= r:
@@ -494,7 +496,7 @@ def multivariable_sieve(
     level = _sieve_level(
         problem.P, list(problem.families), variables, variables, budget
     )
-    S = tuple(sorted(level.S))
+    S = check_prime_set(level.S)
     points: list[EmittedPoint] = []
     dropped = 0
     max_omega = 0
@@ -504,7 +506,7 @@ def multivariable_sieve(
         if val == 0:
             dropped += 1
             continue
-        om = omega_outside(val.numerator, S, budget=budget.factor)
+        om = _omega_outside(val.numerator, S, budget=budget.factor)
         gcds = []
         ok = om is not None
         for fam in problem.families:

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from affsieve import matgroup
 from affsieve.matgroup import (
     GeneratorSet,
     MatrixQ,
     ResourceCapError,
+    _apply,
+    _kernels,
+    _matmul,
     ball,
     entry_variable_names,
     orbit,
 )
+from affsieve.polyalg import MultiPoly
 
 A = MatrixQ([[1, 2], [0, 1]])
 B = MatrixQ([[1, 0], [2, 1]])
@@ -130,3 +135,99 @@ def test_inverse_frozen_non_unit_pivot():
     assert all(type(x) is int for row in M.inverse().entries for x in row)
     with pytest.raises(ValueError):
         MatrixQ([[2, 4], [1, 2]]).inverse()
+
+
+# -- the generated kernels against the naive triple loop ------------------
+
+
+def _naive_matmul(a, b, q=0):
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = 0
+            for k in range(n):
+                total = total + a[i][k] * b[k][j]
+            row.append(total % q if q else total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _naive_apply(v, rows):
+    out = []
+    for row in rows:
+        total = 0
+        for x, y in zip(row, v):
+            total = total + x * y
+        out.append(total)
+    return tuple(out)
+
+
+def _types(m):
+    return [[type(x) for x in row] for row in m]
+
+
+POLY_ENTRIES = st.builds(
+    lambda terms: MultiPoly(("s", "t"), terms),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), st.integers(-3, 3), max_size=3),
+)
+ENTRY_KINDS = {
+    "int": st.integers(-10**20, 10**20),
+    # integral Fractions too: a product may hold Fraction(2, 1) beside 2
+    "fraction": st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)),
+    "multipoly": st.one_of(st.integers(-3, 3), POLY_ENTRIES),
+}
+
+
+@st.composite
+def kernel_inputs(draw):
+    kind = draw(st.sampled_from(sorted(ENTRY_KINDS)))
+    n = draw(st.integers(1, 4))
+    square = st.lists(st.lists(ENTRY_KINDS[kind], min_size=n, max_size=n).map(tuple), min_size=n, max_size=n)
+    a, b = draw(square.map(tuple)), draw(square.map(tuple))
+    v = draw(st.lists(ENTRY_KINDS[kind], min_size=n, max_size=n).map(tuple))
+    q = draw(st.integers(2, 10**6)) if kind != "multipoly" else 0
+    return a, b, v, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_inputs())
+def test_kernels_match_the_naive_loops(inputs):
+    # equal values and equal types: records write int and Fraction differently
+    a, b, v, q = inputs
+    for got, want in ((_matmul(a, b), _naive_matmul(a, b)), (_matmul(a, b, q), _naive_matmul(a, b, q))):
+        assert got == want and _types(got) == _types(want)
+        assert type(got) is tuple and all(type(row) is tuple for row in got)
+    got = _apply(v, a)
+    assert got == _naive_apply(v, a) and type(got) is tuple
+    assert [type(x) for x in got] == [type(x) for x in _naive_apply(v, a)]
+
+
+def test_kernels_refuse_non_int_sizes_and_moduli(monkeypatch):
+    # only int indices may reach the generated source text
+    built = []
+
+    def spy(source, *args):
+        built.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(matgroup, "compile", spy, raising=False)
+    _kernels.cache_clear()
+    try:
+        _kernels(1), _kernels(2)  # cached, and 1.0, True and 2.0 compare equal to them
+        assert len(built) == 2
+        for n in (1.0, 2.0, True, Fraction(2), "2", "0) + __import__('os').getpid() + (1"):
+            with pytest.raises(TypeError):
+                _kernels(n)
+        with pytest.raises(ValueError):
+            _kernels(0)
+        I3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        for q in (5.0, Fraction(5), "5"):
+            with pytest.raises(TypeError):
+                _matmul(I3, I3, q)  # n = 3 is not cached yet
+        assert len(built) == 2
+        assert _matmul(I3, ((6, 7, 8),) * 3, 5) == ((1, 2, 3),) * 3
+        assert len(built) == 3
+    finally:
+        _kernels.cache_clear()

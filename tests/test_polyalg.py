@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsieve.matgroup import MatrixQ
+from affsieve.matgroup import MatrixQ, ball, entry_positions, entry_variable_names
 from affsieve.polyalg import (
     MultiPoly,
     bad_prime_bound,
@@ -20,6 +20,7 @@ from affsieve.polyalg import (
     progression_avoiding,
     zariski_density_test,
 )
+from affsieve.scenario import load_scenario
 
 V = ("n",)
 X = MultiPoly.var(V, "n")
@@ -340,3 +341,55 @@ def test_eval_is_exact(terms, ipoint, qpoint, m):
     if all(type(c) is int or c.denominator == 1 for c in terms.values()):
         # integer coefficients at an integer point: int arithmetic throughout
         assert type(p.eval(ipoint)) is int
+
+
+def test_eval_refuses_a_point_of_the_wrong_length():
+    p = MultiPoly.parse("x*y + 1", ("x", "y"))
+    assert p.eval([2, 3]) == 7 and p.eval({"x": 2, "y": 3, "z": 99}) == 7
+    for point in ([2, 3, 99], [2], ()):
+        with pytest.raises(ValueError, match=f"point has {len(point)} coordinates, polynomial has 2 variables"):
+            p.eval(point)
+
+
+SCENARIOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scenarios")
+# sl2-free has int entries; the torus diag(2, 1/2) has Fraction entries,
+# some of them integral Fractions (0 + 0 * 1/2)
+BALLS = [ball(load_scenario(os.path.join(SCENARIOS, name)).generators, 4) for name in ("sl2-free.json", "torus.json")]
+
+
+def _term_sum(f, point):
+    """The naive term sum, skipping zero exponents as the evaluator does."""
+    total = 0
+    for exps, c in f.terms.items():
+        t = c
+        for x, e in zip(point, exps):
+            if e:
+                t = t * x**e
+        total = total + t
+    return total
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.permutations(entry_variable_names(2)).flatmap(
+        lambda names: st.tuples(
+            st.integers(1, 4).map(lambda k: names[:k]),
+            st.dictionaries(st.lists(st.integers(0, 3), min_size=4, max_size=4).map(tuple), COEFFS, max_size=5),
+        )
+    ),
+)
+def test_eval_and_ball_values_match_the_term_sum(drawn):
+    # Ball.values runs f's term plan by entry position; eval runs it by
+    # variable position.  Values and types must agree with the naive sum.
+    names, terms = drawn
+    f = MultiPoly(names, {exps[: len(names)]: c for exps, c in terms.items()})
+    positions = entry_positions(names, 2)
+    for B in BALLS:
+        values = list(B.values(f))
+        assert [e for e, _ in values] == list(B.length)
+        for e, value in values:
+            flat = sum(e, ())
+            point = [flat[k] for k in positions]
+            want = _term_sum(f, point)
+            for got in (value, f.eval(point), f.eval(dict(zip(names, point)))):
+                assert got == want and type(got) is type(want)
