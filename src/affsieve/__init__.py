@@ -46,7 +46,6 @@ from .polyalg import (
     GcdCertificate,
     MultiPoly,
     bad_prime_bound,
-    eval_residues,
     gcd_certificate,
     malcev_lattice,
     nilpotent_exp,
@@ -68,6 +67,5 @@ from .heuristics import (
     hilbert_schmidt,
     norm_growth_check,
     prime_factor_trend,
-    two_power_product,
 )
 from .scenario import Scenario, load_scenario, parse_rational, rational_str

@@ -301,18 +301,3 @@ def ln_bracket(n: int, terms: int) -> tuple[Fraction, Fraction]:
         lo += weight * head
         hi += weight * (head + y ** (2 * terms + 1) / ((2 * terms + 1) * (1 - y * y)))
     return lo, hi
-
-
-def is_unit_in_ZS(q: Fraction | int, S: Iterable[int]) -> bool:
-    """True iff all primes of numerator and denominator lie in S."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("0 is not a unit anywhere")
-    Sset = check_prime_set(S)
-    for n in (abs(q.numerator), q.denominator):
-        for p in Sset:
-            while n % p == 0:
-                n //= p
-        if n != 1:
-            return False
-    return True

@@ -208,11 +208,6 @@ def prime_factor_trend(
     )
 
 
-def two_power_product(m: int) -> int:
-    """(2^m - 2)(2^m - 1), the orbit value in the rank-1 doubling example."""
-    return (2**m - 2) * (2**m - 1)
-
-
 @dataclass(frozen=True)
 class BorelCantelliReport:
     t: int

@@ -210,9 +210,6 @@ class MatrixQ:
     def is_identity(self) -> bool:
         return self == MatrixQ.identity(self.n)
 
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ(list(zip(*self.entries)))
-
     def entry_dict(self, prefix: str = "x") -> dict:
         """Entries keyed x11, x12, ... for polynomial evaluation."""
         out = {}
@@ -334,9 +331,6 @@ class Ball:
 
     def __len__(self):
         return len(self.length)
-
-    def word_length(self, gamma: MatrixQ) -> int:
-        return self.length[gamma.entries]
 
 
 def ball(gens: GeneratorSet, L: int, cap: int = 5_000_000) -> Ball:

@@ -19,12 +19,15 @@ The memo holds only these small results, never a ``FiniteImage``: images
 are enumerated afresh, so the dual routes (``beta_squarefree``'s count mod
 d) never read it.
 
-The variety counter is exact and avoids full brute force where it can:
-univariate root counts (closed form for quadratics) and scans, elimination of variables that appear linearly with a
-constant coefficient, and a three-way recursion on a variable of degree one
-(its leading coefficient is either invertible, giving one solution per
-assignment of the rest, or zero, giving p or none).  Full enumeration is the
-last resort and is budgeted.
+The variety counter is exact and avoids full brute force where it can: a
+factor p for each variable that no equation uses, univariate root counts
+(closed form for quadratics) and scans, elimination of variables that appear
+linearly with a constant coefficient, and a three-way recursion on a
+variable of degree one (its leading coefficient is either invertible, giving
+one solution per assignment of the rest, or zero, giving p or none).  Full
+enumeration is the last resort and is budgeted.  Its equations are
+``MultiPoly``s reduced by ``MultiPoly.mod(p)``; it has no arithmetic of its
+own.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .matgroup import (
     entry_positions,
     entry_variable_names,
 )
-from .polyalg import CertificateError, MultiPoly, eval_residues
+from .polyalg import CertificateError, MultiPoly
 
 EntriesMod = tuple[tuple[int, ...], ...]
 
@@ -200,84 +203,6 @@ def verify_strong_approx(gens: GeneratorSet, q: int, cap: int = 5_000_000) -> St
 # ---------------------------------------------------------------------------
 # exact point counting over F_p
 
-Terms = dict[tuple[int, ...], int]
-
-
-def _p_normalize(t: Terms, p: int) -> Terms:
-    return {e: c % p for e, c in t.items() if c % p}
-
-
-def _p_add(a: Terms, b: Terms, p: int) -> Terms:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = (out.get(e, 0) + c) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _p_mul(a: Terms, b: Terms, p: int) -> Terms:
-    out: Terms = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = tuple(x + y for x, y in zip(e1, e2))
-            out[key] = (out.get(key, 0) + c1 * c2) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _p_deg_in(t: Terms, i: int) -> int:
-    return max((e[i] for e in t), default=0)
-
-
-def _p_coeff_of(t: Terms, i: int, k: int) -> Terms:
-    out = {}
-    for e, c in t.items():
-        if e[i] == k:
-            key = e[:i] + (0,) + e[i + 1 :]
-            out[key] = out.get(key, 0) + c
-    return {e: c for e, c in out.items() if c}
-
-
-def _p_set_var(t: Terms, i: int, val: int, p: int) -> Terms:
-    out: Terms = {}
-    for e, c in t.items():
-        key = e[:i] + (0,) + e[i + 1 :]
-        cc = c * pow(val, e[i], p) % p if e[i] else c % p
-        out[key] = (out.get(key, 0) + cc) % p
-    return {e: c for e, c in out.items() if c}
-
-
-def _p_subst(t: Terms, i: int, repl: Terms, p: int) -> Terms:
-    """Substitute variable i by the polynomial repl (which must not use i)."""
-    nvars = len(next(iter(t))) if t else 0
-    out: Terms = {}
-    pow_cache: list[Terms] = [{(0,) * nvars: 1}]
-    maxe = _p_deg_in(t, i)
-    for _ in range(maxe):
-        pow_cache.append(_p_mul(pow_cache[-1], repl, p))
-    for e, c in t.items():
-        base = {e[:i] + (0,) + e[i + 1 :]: c % p}
-        term = _p_mul(base, pow_cache[e[i]], p) if e[i] else _p_normalize(base, p)
-        out = _p_add(out, term, p)
-    return out
-
-
-def _p_used_vars(t: Terms) -> set[int]:
-    used = set()
-    for e in t:
-        for i, k in enumerate(e):
-            if k:
-                used.add(i)
-    return used
-
-
-def _univariate(t: Terms, i: int, p: int) -> list[int]:
-    """Coefficients mod p, constant first, of a polynomial in variable i only."""
-    coeffs = [0] * (_p_deg_in(t, i) + 1)
-    for e, c in t.items():
-        coeffs[e[i]] = (coeffs[e[i]] + c) % p
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
 
 def _count_roots(coeffs: list[int], p: int) -> int:
     """Number of roots in F_p: for a quadratic and odd p, Euler's criterion on
@@ -306,115 +231,103 @@ class EnumerationBudgetError(RuntimeError):
     pass
 
 
-def _count_points(eqs: list[Terms], active: frozenset[int], p: int, brute_budget: int) -> int:
-    # normalize; constants decide immediately
-    live: list[Terms] = []
-    for t in eqs:
-        t = _p_normalize(t, p)
-        if not t:
+def _count_points(
+    eqs: list[MultiPoly], active: frozenset[str], p: int, brute_budget: int
+) -> int:
+    """#{x in F_p^active : every equation vanishes at x}.  The equations share
+    one variable tuple and use no variable outside ``active`` (substitutions
+    clear the variables they eliminate)."""
+    live: list[tuple[MultiPoly, tuple[str, ...]]] = []  # (equation, its variables in tuple order)
+    for u in eqs:
+        t = u.mod(p)
+        if t.is_zero() or any(t == s for s, _ in live):  # zero or a duplicate
             continue
-        used = _p_used_vars(t) & active
+        used = t.used_variables()
         if not used:
             return 0  # nonzero constant equation
-        live.append(t)
-    if not live:
-        return pow(p, len(active))
-    # drop duplicate equations
-    uniq = []
-    seen = set()
-    for t in live:
-        key = tuple(sorted(t.items()))
-        if key not in seen:
-            seen.add(key)
-            uniq.append(t)
-    live = uniq
+        live.append((t, tuple(filter(used.__contains__, t.variables))))
+    # an active variable that no equation uses contributes a factor p
+    bound = frozenset().union(*(used for _, used in live))
+    return pow(p, len(active - bound)) * (_count_bound(live, bound, p, brute_budget) if live else 1)
 
-    # inactive variables appearing in equations would be a bug
-    # (substitutions always clear them), so active-set bookkeeping is implicit.
 
+def _count_bound(
+    live: list[tuple[MultiPoly, tuple[str, ...]]], active: frozenset[str], p: int, brute_budget: int
+) -> int:
+    """``_count_points`` on reduced, distinct, nonconstant equations that use
+    every active variable."""
     # 1) linear elimination: a variable with degree 1 and constant leading coeff
-    for idx, t in enumerate(live):
-        for i in sorted(_p_used_vars(t) & active):
-            if _p_deg_in(t, i) != 1:
+    for idx, (t, used) in enumerate(live):
+        for i in used:
+            if t.degree_in(i) != 1:
                 continue
-            lead = _p_coeff_of(t, i, 1)
-            if len(lead) == 1 and next(iter(lead)) == (0,) * len(next(iter(lead))):
-                c = next(iter(lead.values())) % p
-                rest = _p_coeff_of(t, i, 0)
-                inv = pow(c, -1, p)
-                repl = {e: (-v * inv) % p for e, v in rest.items()}
-                repl = {e: v for e, v in repl.items() if v}
-                new_eqs = [
-                    _p_subst(u, i, repl, p) for j, u in enumerate(live) if j != idx
-                ]
+            lead = t.coeff_in(i, 1)
+            if lead.is_constant():
+                repl = t.coeff_in(i, 0).scale(-pow(lead.constant_value(), -1, p))
+                new_eqs = [u.substitute({i: repl}) for j, (u, _) in enumerate(live) if j != idx]
                 return _count_points(new_eqs, active - {i}, p, brute_budget)
 
     # 2) a univariate equation: branch over its (few) roots
-    for idx, t in enumerate(live):
-        used = _p_used_vars(t) & active
+    for idx, (t, used) in enumerate(live):
         if len(used) == 1:
-            i = next(iter(used))
-            coeffs = _univariate(t, i, p)
-            others = [u for j, u in enumerate(live) if j != idx]
+            i = used[0]
+            coeffs = [t.coeff_in(i, k).constant_value() for k in range(t.degree_in(i) + 1)]
+            others = [u for j, (u, _) in enumerate(live) if j != idx]
             if not others:
                 return _count_roots(coeffs, p) * pow(p, len(active) - 1)
-            total = 0
-            for r in _scan_roots(coeffs, p):
-                sub = [_p_set_var(u, i, r, p) for u in others]
-                total += _count_points(sub, active - {i}, p, brute_budget)
-            return total
+            return sum(
+                _count_points([u.substitute({i: r}) for u in others], active - {i}, p, brute_budget)
+                for r in _scan_roots(coeffs, p)
+            )
 
     # 3) single equation with a degree-1 variable (polynomial coefficient):
     #    N = #{lead != 0} + p * #{lead = 0 and rest = 0}
     if len(live) == 1:
-        t = live[0]
-        for i in sorted(_p_used_vars(t) & active):
-            if _p_deg_in(t, i) == 1:
-                lead = _p_coeff_of(t, i, 1)
-                rest = _p_coeff_of(t, i, 0)
+        t, used = live[0]
+        for i in used:
+            if t.degree_in(i) == 1:
+                lead, rest = t.coeff_in(i, 1), t.coeff_in(i, 0)
                 others = active - {i}
-                k = len(others)
-                zeros_lead = _count_points([lead], frozenset(others), p, brute_budget)
-                zeros_both = _count_points(
-                    [lead, rest], frozenset(others), p, brute_budget
-                )
-                return (pow(p, k) - zeros_lead) + p * zeros_both
+                zeros_lead = _count_points([lead], others, p, brute_budget)
+                zeros_both = _count_points([lead, rest], others, p, brute_budget)
+                return (pow(p, len(others)) - zeros_lead) + p * zeros_both
 
     # 4) budgeted brute force over the active variables, except one of degree
     #    one in some equation lead * x + rest: x = -rest / lead where lead != 0,
     #    and every x where lead = rest = 0
     solved = next(
-        (
-            (idx, i)
-            for idx, t in enumerate(live)
-            for i in sorted(_p_used_vars(t) & active)
-            if _p_deg_in(t, i) == 1
-        ),
+        ((idx, i) for idx, (t, used) in enumerate(live) for i in used if t.degree_in(i) == 1),
         None,
     )
-    order = sorted(active - {solved[1]}) if solved else sorted(active)
+    variables = live[0][0].variables
+    order = [k for k, v in enumerate(variables) if v in active and not (solved and v == solved[1])]
     total_points = pow(p, len(order))
     if total_points > brute_budget:
         raise EnumerationBudgetError(
             f"brute force over p^{len(order)} = {total_points} exceeds budget"
         )
-    values = [0] * len(next(iter(live[0])))
+    values = [0] * len(variables)
+    run = MultiPoly.run_plan
 
-    def zero(eqs) -> bool:
-        return all(eval_residues(t, values, p) == 0 for t in eqs)
+    def zero(plans) -> bool:
+        return all(run(plan, values) % p == 0 for plan in plans)
 
     if solved:
-        idx, x = solved
-        lead, rest = _p_coeff_of(live[idx], x, 1), _p_coeff_of(live[idx], x, 0)
-        others = live[:idx] + live[idx + 1 :]
+        idx, name = solved
+        t = live[idx][0]
+        lead, rest = t.coeff_in(name, 1).term_plan(), t.coeff_in(name, 0).term_plan()
+        others = [u.term_plan() for j, (u, _) in enumerate(live) if j != idx]
+        x = variables.index(name)
+    else:
+        plans = [t.term_plan() for t, _ in live]
     count = 0
     for assignment in itertools.product(range(p), repeat=len(order)):
-        for i, v in zip(order, assignment):
-            values[i] = v
+        for k, v in zip(order, assignment):
+            values[k] = v
         if not solved:
-            count += zero(live)
+            count += zero(plans)
             continue
-        a, b = eval_residues(lead, values, p), eval_residues(rest, values, p)
+        a, b = run(lead, values) % p, run(rest, values) % p
         if a:
             values[x] = -b * pow(a, -1, p) % p
             count += zero(others)
@@ -443,12 +356,8 @@ def enumerate_variety_mod_p(
     if variables is None:
         variables = equations[0].variables if equations else ()
     variables = tuple(variables)
-    nvars = len(variables)
-    eqs = [
-        (P if P.variables == variables else P.extend(variables)).residues(p)
-        for P in equations
-    ]
-    return _count_points(eqs, frozenset(range(nvars)), p, brute_budget)
+    eqs = [P if P.variables == variables else P.extend(variables) for P in equations]
+    return _count_points(eqs, frozenset(variables), p, brute_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +372,9 @@ def count_Nf(image: FiniteImage, f: MultiPoly, d: Optional[int] = None) -> int:
     d = image.q if d is None else d
     if image.q % d != 0:
         raise ValueError("d must divide the image modulus")
-    index = entry_positions(f.variables, len(next(iter(image.words))))
-    terms = f.residues(d)
-    count = 0
-    for entries in image.words:
-        flat = sum(entries, ())
-        if eval_residues(terms, [flat[k] for k in index], d) == 0:
-            count += 1
-    return count
+    plan = f.mod(d).term_plan(entry_positions(f.variables, len(next(iter(image.words)))))
+    run = MultiPoly.run_plan
+    return sum(run(plan, sum(entries, ())) % d == 0 for entries in image.words)
 
 
 # ---------------------------------------------------------------------------
@@ -816,8 +720,3 @@ def splitting_census(
         unclassified=tuple(unclassified),
         degree_sum_estimate=degree_sum,
     )
-
-
-def sl2_ambient_ideal() -> list[MultiPoly]:
-    """det - 1 over the 2x2 entry variables."""
-    return [det_minus_one(2)]

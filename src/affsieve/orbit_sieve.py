@@ -9,6 +9,7 @@ report summaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -233,8 +234,9 @@ def _census(
     """Census over one ball.  Omega depends only on the S-integer part n of
     the value, so it is computed once per distinct n; the counts still count
     elements."""
-    counts = {r: 0 for r in range(r_max + 1)}
-    samples: dict[int, list[Entries]] = {r: [] for r in range(r_max + 1)}
+    histogram = [0] * (r_max + 1)  # Omega -> elements
+    elements: list[Entries] = []  # those with Omega <= r_max, in ball order
+    omegas: list[int] = []  # their Omega
     omega: dict[int, Optional[int]] = {1: 0}
     skipped = 0
     incomplete = 0
@@ -248,11 +250,12 @@ def _census(
         om = omega[n]
         if om is None:
             incomplete += 1
-            continue
-        for r in range(om, r_max + 1):
-            counts[r] += 1
-            if len(samples[r]) < SAMPLE_LIMIT:
-                samples[r].append(e)
+        elif om <= r_max:
+            histogram[om] += 1
+            elements.append(e)
+            omegas.append(om)
+    counts = dict(enumerate(itertools.accumulate(histogram)))
+    samples = {r: [e for e, om in zip(elements, omegas) if om <= r][:SAMPLE_LIMIT] for r in counts}
     return CensusResult(
         L=B.L, S_used=Sset, counts=counts, incomplete=incomplete, skipped=skipped, samples=samples
     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,15 @@ class MultiPoly:
             clean[tuple(int(e) for e in exps)] = c
         self.terms = clean
         self._plan = None
+
+    @classmethod
+    def _of(cls, variables: tuple[str, ...], terms: dict) -> "MultiPoly":
+        """A polynomial from terms that MultiPoly's own arithmetic built,
+        unchecked: exponent tuples match the variables, and coefficients are
+        nonzero ints, or Fractions where not integral (``_exact_terms``)."""
+        out = cls.__new__(cls)
+        out.variables, out.terms, out._plan = variables, terms, None
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -104,7 +114,7 @@ class MultiPoly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return not any(map(any, self.terms))
 
     def constant_value(self) -> int | Fraction:
         if not self.is_constant():
@@ -120,15 +130,10 @@ class MultiPoly:
         if not self.terms:
             return 0
         i = self.variables.index(name)
-        return max((exps[i] for exps in self.terms), default=0)
+        return max(map(operator.itemgetter(i), self.terms))
 
     def used_variables(self) -> frozenset[str]:
-        used = set()
-        for exps in self.terms:
-            for v, e in zip(self.variables, exps):
-                if e:
-                    used.add(v)
-        return frozenset(used)
+        return frozenset(itertools.compress(self.variables, map(any, zip(*self.terms))))
 
     def __eq__(self, other) -> bool:
         return (
@@ -165,22 +170,17 @@ class MultiPoly:
         terms = dict(self.terms)
         for exps, c in other.terms.items():
             terms[exps] = terms.get(exps, 0) + c
-        return MultiPoly(self.variables, terms)
+        return MultiPoly._of(self.variables, _exact_terms(terms))
 
     def __neg__(self):
-        return MultiPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._of(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        terms: dict[tuple[int, ...], int | Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                terms[key] = terms.get(key, 0) + c1 * c2
-        return MultiPoly(self.variables, terms)
+        terms = _product(self.terms, self._coerce(other).terms)
+        return MultiPoly._of(self.variables, _exact_terms(terms))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -195,7 +195,8 @@ class MultiPoly:
 
     def scale(self, c) -> "MultiPoly":
         c = exact(c)
-        return MultiPoly(self.variables, {e: c * v for e, v in self.terms.items()})
+        terms = {e: c * v for e, v in self.terms.items()}
+        return MultiPoly._of(self.variables, _exact_terms(terms))
 
     # -- evaluation & substitution --------------------------------------
 
@@ -237,40 +238,64 @@ class MultiPoly:
         missing = [v for v in self.variables if v not in point]
         if missing:
             raise ValueError(f"no value for variables {missing}")
-        return eval_residues(self.residues(p), [int(point[v]) for v in self.variables], p)
+        return self.run_plan(self.mod(p).term_plan(), [int(point[v]) for v in self.variables]) % p
 
-    def residues(self, m: int) -> dict[tuple[int, ...], int]:
-        """The coefficients mod m, zeros dropped: the one place a coefficient
-        denominator is checked to be invertible mod m."""
+    def mod(self, m: int) -> "MultiPoly":
+        """The polynomial over the residues mod m: coefficients in [0, m),
+        zeros dropped.  The one place a coefficient denominator is checked to
+        be invertible mod m."""
         out = {}
         for exps, c in self.terms.items():
-            if math.gcd(c.denominator, m) != 1:
-                raise ValueError(f"coefficient denominator {c.denominator} not invertible mod {m}")
-            r = c.numerator * pow(c.denominator, -1, m) % m
+            if type(c) is not int:
+                if math.gcd(c.denominator, m) != 1:
+                    raise ValueError(f"coefficient denominator {c.denominator} not invertible mod {m}")
+                c = c.numerator * pow(c.denominator, -1, m)
+            r = c % m
             if r:
                 out[exps] = r
-        return out
+        return MultiPoly._of(self.variables, out)
 
-    def substitute(self, assignment: Mapping[str, "MultiPoly | Fraction | int"]) -> "MultiPoly":
-        """Substitute polynomials or constants for variables (exact expansion)."""
-        base = {
-            v: (
-                assignment[v]
-                if isinstance(assignment.get(v), MultiPoly)
-                else MultiPoly.constant(self.variables, assignment[v])
-            )
-            if v in assignment
-            else MultiPoly.var(self.variables, v)
-            for v in self.variables
-        }
-        out = MultiPoly.constant(self.variables, 0)
+    def substitute(
+        self,
+        assignment: Mapping[str, "MultiPoly | Fraction | int"],
+        variables: Sequence[str] | None = None,
+    ) -> "MultiPoly":
+        """Substitute polynomials or constants for variables (exact expansion).
+
+        The result is over ``variables`` (default: this polynomial's tuple),
+        which the polynomial images must share; a variable that occurs and
+        has no image must be one of them.  Each image's powers are built
+        once, and only for variables that occur."""
+        target = self.variables if variables is None else tuple(variables)
+        powers: dict[int, list[dict]] = {}  # position k -> terms of image**1 .. image**degree
+        kept: list[tuple[int, int]] = []  # (position here, position in target)
+        for k, (v, degree) in enumerate(zip(self.variables, map(max, zip(*self.terms)))):
+            if not degree:
+                continue
+            if v in assignment:
+                image = assignment[v]
+                image = image if isinstance(image, MultiPoly) else MultiPoly.constant(target, image)
+                if image.variables != target:
+                    raise ValueError("variable tuples differ")
+                powers[k] = [image.terms]
+                for _ in range(degree - 1):
+                    powers[k].append(_product(powers[k][-1], image.terms))
+            elif v in target:
+                kept.append((k, target.index(v)))
+            else:
+                raise ValueError(f"no image for variable {v}")
+        out: dict[tuple[int, ...], int | Fraction] = {}
         for exps, c in self.terms.items():
-            t = MultiPoly.constant(self.variables, c)
-            for v, e in zip(self.variables, exps):
-                for _ in range(e):
-                    t = t * base[v]
-            out = out + t
-        return out
+            mono = [0] * len(target)
+            for k, j in kept:
+                mono[j] = exps[k]
+            term = {tuple(mono): c}
+            for k, images in powers.items():
+                if exps[k]:
+                    term = _product(term, images[exps[k] - 1])
+            for e, x in term.items():
+                out[e] = out.get(e, 0) + x
+        return MultiPoly._of(target, _exact_terms(out))
 
     def extend(self, variables: Sequence[str]) -> "MultiPoly":
         """Re-express over a larger variable tuple."""
@@ -287,13 +312,8 @@ class MultiPoly:
     def coeff_in(self, name: str, k: int) -> "MultiPoly":
         """Coefficient of name^k, as a polynomial over the same variable tuple."""
         i = self.variables.index(name)
-        terms = {}
-        for exps, c in self.terms.items():
-            if exps[i] == k:
-                new = list(exps)
-                new[i] = 0
-                terms[tuple(new)] = c
-        return MultiPoly(self.variables, terms)
+        terms = {e[:i] + (0,) + e[i + 1 :]: c for e, c in self.terms.items() if e[i] == k}
+        return MultiPoly._of(self.variables, terms)
 
     # -- integrality helpers --------------------------------------------
 
@@ -305,6 +325,21 @@ class MultiPoly:
         if self.denominator_lcm() != 1:
             raise ValueError("integer_content requires integer coefficients")
         return math.gcd(*(abs(c.numerator) for c in self.terms.values())) if self.terms else 0
+
+
+def _exact_terms(terms: dict) -> dict:
+    """The terms without zero coefficients, integral Fractions made int."""
+    return {e: c if type(c) is int else exact(c) for e, c in terms.items() if c}
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The terms of the product of two polynomials' terms, zeros kept."""
+    terms: dict[tuple[int, ...], int | Fraction] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            key = tuple(map(operator.add, e1, e2))
+            terms[key] = terms.get(key, 0) + c1 * c2
+    return terms
 
 
 # a token, or (last group) any other character, which is an error
@@ -393,18 +428,6 @@ class _PolyParser:
         if self.take() != ")":
             raise self.error("missing ')'")
         return out
-
-
-def eval_residues(terms: Mapping[tuple[int, ...], int], values: Sequence[int], m: int) -> int:
-    """Value mod m of residue terms (``MultiPoly.residues``) at the point whose
-    i-th coordinate is ``values[i]``."""
-    total = 0
-    for exps, c in terms.items():
-        for v, e in zip(values, exps):
-            if e:
-                c = c * pow(v, e, m) % m
-        total += c
-    return total % m
 
 
 # ---------------------------------------------------------------------------

@@ -224,15 +224,6 @@ def _refine_family(
     return out, const_primes
 
 
-def _family_certificate(
-    members: Sequence[MultiPoly], pivot: str, others: tuple[str, ...]
-) -> MultiPoly:
-    """Q(x') in Z[others] with sum_j S_j * member_j = Q identically, so
-    gcd_j member_j(x', v) divides Q(x') for all integer v (``gcd_certificate``,
-    whose identity check raises CertificateError)."""
-    return gcd_certificate(members, pivot, others).Q
-
-
 def _content_split(
     P: MultiPoly, pivot: str, variables: tuple[str, ...]
 ) -> tuple[MultiPoly, list[MultiPoly]]:
@@ -289,10 +280,6 @@ class _LevelResult:
     assignments: list[dict[str, int]]
     prefixes: list[PrefixRecord]
     exhausted: bool
-
-
-def _depends_on(m: MultiPoly, pivot: str) -> bool:
-    return pivot in m.used_variables()
 
 
 def _sieve_level(
@@ -352,7 +339,7 @@ def _sieve_level(
     certificates: list[MultiPoly] = []
     dependent_members: list[MultiPoly] = []
     for fam in refined:
-        deps = [m for m in fam if _depends_on(m, pivot)]
+        deps = [m for m in fam if pivot in m.used_variables()]
         if not deps:
             rec_families.append(fam)
             continue
@@ -364,7 +351,9 @@ def _sieve_level(
             )
             if not any(c.is_constant() for c in coeff_fam):
                 rec_families.append(coeff_fam)
-        certificates.append(_family_certificate(fam, pivot, rest))
+        # Q in Z[rest] with sum_j S_j * member_j = Q, so gcd_j member_j(x', v)
+        # divides Q(x') at every integer v
+        certificates.append(gcd_certificate(fam, pivot, rest).Q)
 
     # drop recursive families that contain a nonzero constant (auto-coprime)
     kept_rec = []
@@ -572,23 +561,10 @@ def unipotent_group_sieve(
         for j in range(n):
             subst[f"x{i+1}{j+1}"] = entries[i][j]
 
-    def rewrite(poly: MultiPoly) -> MultiPoly:
-        out = MultiPoly.constant(yvars, 0)
-        for exps, c in poly.terms.items():
-            term = MultiPoly.constant(yvars, c)
-            for name, e in zip(poly.variables, exps):
-                if e:
-                    if name not in subst:
-                        raise ValueError(f"unknown entry variable {name}")
-                    for _ in range(e):
-                        term = term * subst[name]
-            out = out + term
-        return out
-
     problem = UniSieveProblem(
         variables=yvars,
-        P=rewrite(p),
-        families=tuple(tuple(rewrite(m) for m in fam) for fam in families),
+        P=p.substitute(subst, yvars),
+        families=tuple(tuple(m.substitute(subst, yvars) for m in fam) for fam in families),
     )
     result = multivariable_sieve(problem, budget)
 

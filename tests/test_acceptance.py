@@ -14,15 +14,15 @@ import sympy
 
 from affsieve.cli import main as cli_main
 from affsieve.core_arith import primes_upto
-from affsieve.heuristics import borel_cantelli_sum, prime_factor_trend, two_power_product
+from affsieve.heuristics import borel_cantelli_sum, prime_factor_trend
 from affsieve.matgroup import GeneratorSet, MatrixQ, ball, entry_variable_names
 from affsieve.modp import (
     count_Nf,
     detect_ramified,
     enumerate_variety_mod_p,
     generate_image,
+    det_minus_one,
     local_density,
-    sl2_ambient_ideal,
     sl_order,
     splitting_census,
     verify_strong_approx,
@@ -41,7 +41,12 @@ B = MatrixQ([[1, 0], [2, 1]])
 FREE = GeneratorSet([A, B])
 V = entry_variable_names(2)
 TR2 = MultiPoly.parse("x11 + x22 - 2", V)
-IDEAL = sl2_ambient_ideal()
+IDEAL = [det_minus_one(2)]
+
+
+def two_power_product(m: int) -> int:
+    """(2^m - 2)(2^m - 1), the orbit value in the rank-1 doubling example."""
+    return (2**m - 2) * (2**m - 1)
 
 
 def report(num: int, label: str, ok: bool, detail: str = ""):

@@ -10,12 +10,26 @@ from affsieve.core_arith import (
     check_prime_set,
     factorize,
     is_prime,
-    is_unit_in_ZS,
     omega_outside,
     padic_valuation,
     primes_upto,
     s_integer_part,
 )
+
+
+def is_unit_in_ZS(q: Fraction | int, S) -> bool:
+    """True iff all primes of numerator and denominator lie in S."""
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("0 is not a unit anywhere")
+    Sset = check_prime_set(S)
+    for n in (abs(q.numerator), q.denominator):
+        for p in Sset:
+            while n % p == 0:
+                n //= p
+        if n != 1:
+            return False
+    return True
 
 
 def test_primes_upto_small():

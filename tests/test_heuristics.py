@@ -12,9 +12,14 @@ from affsieve.heuristics import (
     hilbert_schmidt,
     norm_growth_check,
     prime_factor_trend,
-    two_power_product,
 )
 from affsieve.matgroup import MatrixQ
+
+
+def two_power_product(m: int) -> int:
+    """(2^m - 2)(2^m - 1), the orbit value in the rank-1 doubling example."""
+    return (2**m - 2) * (2**m - 1)
+
 
 DIAG = MatrixQ([[2, 0], [0, Fraction(1, 2)]])
 

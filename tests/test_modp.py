@@ -21,7 +21,6 @@ from affsieve.modp import (
     generate_image,
     local_density,
     reduce_mod,
-    sl2_ambient_ideal,
     sl_order,
     splitting_census,
     surjectivity_certificate,
@@ -35,7 +34,7 @@ B = MatrixQ([[1, 0], [2, 1]])
 FREE = GeneratorSet([A, B])
 V = entry_variable_names(2)
 TR2 = MultiPoly.parse("x11 + x22 - 2", V)
-IDEAL = sl2_ambient_ideal()
+IDEAL = [det_minus_one(2)]
 
 
 def test_sl_order():
@@ -140,13 +139,15 @@ def test_variety_count_against_brute_force():
 )
 def test_variety_count_matches_plain_enumeration(systems, p):
     # every route of the counter (elimination, root branches, the degree-one
-    # recursion, brute force solving for a degree-one variable) against F_p^3
+    # recursion, brute force solving for a degree-one variable) against F_p^3;
+    # w, which no equation uses, multiplies the count by p
     xyz = ("x", "y", "z")
     eqs = [MultiPoly(xyz, terms) for terms in systems]
     expected = sum(
         all(P.eval(pt) % p == 0 for P in eqs) for pt in itertools.product(range(p), repeat=3)
     )
     assert enumerate_variety_mod_p(eqs, p, xyz) == expected
+    assert enumerate_variety_mod_p(eqs, p, xyz + ("w",)) == p * expected
 
 
 def test_univariate_root_counts():
@@ -165,6 +166,18 @@ def test_variety_count_split_nonsplit():
     f = MultiPoly.parse("x11*x11 + 1", V)
     assert enumerate_variety_mod_p([f, *IDEAL], 5, V) == 50  # -1 square mod 5
     assert enumerate_variety_mod_p([f, *IDEAL], 7, V) == 0  # -1 non-square mod 7
+
+
+def test_variety_count_factors_out_free_variables():
+    # x y (x + y - 2) = 0 is three lines in the (x, y) plane, 3p - 3 points;
+    # z, w and v occur in no equation, so each is a factor p and is never
+    # enumerated: at p = 31 the brute force stays at 31^2 points, far below
+    # the budget that 31^5 would exceed
+    xs = ("x", "y", "z", "w", "v")
+    f = MultiPoly.parse("x * y * (x + y - 2)", xs)
+    assert enumerate_variety_mod_p([f], 7, xs) == 18 * 7**3
+    assert enumerate_variety_mod_p([f], 31, xs) == 90 * 31**3 == 2_681_190
+    assert enumerate_variety_mod_p([f], 31, xs, brute_budget=31**2) == 2_681_190
 
 
 def test_variety_count_budget():
@@ -186,6 +199,19 @@ def test_count_Nf_multiplicativity():
     n3 = count_Nf(generate_image(FREE, 3), TR2)
     n7 = count_Nf(generate_image(FREE, 7), TR2)
     assert count_Nf(img21, TR2) == n3 * n7
+
+
+def test_count_Nf_matches_a_naive_count_mod_composite_d():
+    # f has a coefficient 1/2, invertible mod 15; every d | 15 against the
+    # exact value reduced mod d at each element of the image mod 15
+    img15 = generate_image(FREE, 15)
+    f = MultiPoly.parse("x11**2 / 2 + x12*x21 - 3*x22 + 1", V)
+    for d in (15, 5, 3):
+        expected = 0
+        for entries in img15.words:
+            value = f.eval(sum(entries, ()))
+            expected += value.numerator * pow(value.denominator, -1, d) % d == 0
+        assert count_Nf(img15, f, d) == expected, d
 
 
 def test_count_Nf_rejects_non_entry_variables():

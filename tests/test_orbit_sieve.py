@@ -17,7 +17,7 @@ from affsieve.core_arith import (
     s_integer_part,
 )
 from affsieve.matgroup import GeneratorSet, MatrixQ, ball, entry_variable_names
-from affsieve.modp import local_density, sl2_ambient_ideal
+from affsieve.modp import det_minus_one, local_density
 from affsieve.orbit_sieve import (
     ModuliDecomposition,
     SieveSequence,
@@ -38,7 +38,7 @@ B = MatrixQ([[1, 0], [2, 1]])
 FREE = GeneratorSet([A, B])
 V = entry_variable_names(2)
 TR2 = MultiPoly.parse("x11 + x22 - 2", V)
-IDEAL = sl2_ambient_ideal()
+IDEAL = [det_minus_one(2)]
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENTRY = os.path.join(ROOT, "scenarios", "sl2-entry.json")
 

@@ -105,8 +105,12 @@ def test_eval_mod():
     p = MultiPoly.parse("n**2 + 1", V)
     assert p.eval_mod({"n": 2}, 5) == 0
     assert p.eval_mod({"n": 1}, 5) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="denominator 5 not invertible mod 5"):
         MultiPoly.parse("n/5", V).eval_mod({"n": 1}, 5)
+    # 1/6 reduces mod 5 but not mod the composite 21
+    assert MultiPoly.parse("n**2 + n/6", V).eval_mod({"n": 1}, 5) == 2
+    with pytest.raises(ValueError, match="denominator 6 not invertible mod 21"):
+        MultiPoly.parse("n**2 + n/6", V).eval_mod({"n": 1}, 21)
 
 
 def test_eval_mod_missing_variable_raises():
@@ -341,6 +345,57 @@ def test_eval_is_exact(terms, ipoint, qpoint, m):
     if all(type(c) is int or c.denominator == 1 for c in terms.values()):
         # integer coefficients at an integer point: int arithmetic throughout
         assert type(p.eval(ipoint)) is int
+
+
+def _rewrite(poly, images, yvars):
+    """poly with each variable replaced by its image over yvars: the term by
+    term expansion, one factor at a time, that ``substitute`` replaces."""
+    out = MultiPoly.constant(yvars, 0)
+    for exps, c in poly.terms.items():
+        term = MultiPoly.constant(yvars, c)
+        for name, e in zip(poly.variables, exps):
+            for _ in range(e):
+                term = term * images[name]
+        out = out + term
+    return out
+
+
+YVARS = ("y1", "y2")
+Y_POLYS = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), COEFFS, max_size=3).map(
+    lambda terms: MultiPoly(YVARS, terms)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 4), COEFFS, max_size=4),
+    st.tuples(Y_POLYS, Y_POLYS, st.one_of(Y_POLYS, COEFFS)),
+)
+def test_substitute_into_other_variables_matches_the_term_expansion(terms, images):
+    # the unipotent sieve maps entry polynomials into lattice coordinates;
+    # y2, given no image, moves from position 0 to its place in YVARS
+    xs = ("y2", "x11", "x12", "x22")
+    poly = MultiPoly(xs, terms)
+    images = dict(zip(xs[1:], images))
+    as_polys = {x: v if isinstance(v, MultiPoly) else MultiPoly.constant(YVARS, v) for x, v in images.items()}
+    got = poly.substitute(images, YVARS)
+    want = _rewrite(poly, {**as_polys, "y2": MultiPoly.var(YVARS, "y2")}, YVARS)
+    assert got.variables == YVARS
+    assert got.terms == want.terms
+    assert all(type(c) is int or c.denominator > 1 for c in got.terms.values())
+    # within the same tuple, substituting y-polynomials for y-variables
+    assert want.substitute({"y1": as_polys["x11"]}).terms == _rewrite(
+        want, {"y1": as_polys["x11"], "y2": MultiPoly.var(YVARS, "y2")}, YVARS
+    ).terms
+
+
+def test_substitute_needs_an_image_for_every_variable_that_occurs():
+    p = MultiPoly.parse("x11 * x12 + 1", ("x11", "x12"))
+    with pytest.raises(ValueError, match="no image for variable x12"):
+        p.substitute({"x11": MultiPoly.var(YVARS, "y1")}, YVARS)
+    # x12 does not occur in x11 + 1, so it needs no image
+    q = MultiPoly.parse("x11 + 1", ("x11", "x12"))
+    assert q.substitute({"x11": MultiPoly.var(YVARS, "y1")}, YVARS) == MultiPoly.parse("y1 + 1", YVARS)
 
 
 def test_eval_refuses_a_point_of_the_wrong_length():

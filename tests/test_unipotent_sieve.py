@@ -11,12 +11,11 @@ from affsieve import unipotent_sieve
 from affsieve.cli import main
 from affsieve.core_arith import FactorBudget
 from affsieve.matgroup import MatrixQ
-from affsieve.polyalg import CertificateError, MultiPoly, bad_prime_bound
+from affsieve.polyalg import CertificateError, MultiPoly, bad_prime_bound, gcd_certificate
 from affsieve.unipotent_sieve import (
     CoprimalityError,
     SieveBudget,
     UniSieveProblem,
-    _family_certificate,
     _sieve_level,
     multivariable_sieve,
     single_variable_almost_primes,
@@ -168,7 +167,7 @@ def test_family_certificate_identity_is_checked(monkeypatch):
     b = MultiPoly.var(variables, "b")
     members = (a * b + 2, b + a)
     # b = -a gives a*b + 2 = 2 - a^2: the value gcd divides a^2 - 2
-    assert _family_certificate(members, "b", ("a",)) == MultiPoly.parse("a**2 - 2", ("a",))
+    assert gcd_certificate(members, "b", ("a",)).Q == MultiPoly.parse("a**2 - 2", ("a",))
     true_gcdex = sympy.Poly.gcdex
 
     def corrupted(self, other):
@@ -177,7 +176,7 @@ def test_family_certificate_identity_is_checked(monkeypatch):
 
     monkeypatch.setattr(sympy.Poly, "gcdex", corrupted)
     with pytest.raises(CertificateError):
-        _family_certificate(members, "b", ("a",))
+        gcd_certificate(members, "b", ("a",)).Q
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
