@@ -6,12 +6,14 @@ and action generated once per size (``_kernels``, behind ``_matmul`` and
 Matrices are immutable tuples of tuples of exact scalars (``core_arith.exact``:
 int, or Fraction where an entry is not integral); dedup is by exact entries,
 so relations in the group are handled without any freeness assumption.
-``rational_row_reduce`` is the one Gaussian elimination over Q.
+``rational_row_reduce`` is the one elimination over Q: fraction-free and
+incremental, in int arithmetic until the final reduced basis.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
@@ -198,9 +200,6 @@ class MatrixQ:
             raise ValueError("singular matrix")
         return MatrixQ([row[n:] for row in rref])
 
-    def trace(self) -> int | Fraction:
-        return sum(self.entries[i][i] for i in range(self.n))
-
     def apply(self, v: Sequence) -> tuple:
         vv = tuple(map(exact, v))
         if len(vv) != self.n:
@@ -229,25 +228,41 @@ def _apply(v: tuple, rows: Entries) -> tuple:
 
 
 def rational_row_reduce(rows: list[list]) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q (in place on a copy)."""
-    rows = [list(map(Fraction, r)) for r in rows]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, nrows) if rows[r][col] != 0), None)
-        if sel is None:
-            continue
-        rows[pivot_row], rows[sel] = rows[sel], rows[pivot_row]
-        pv = rows[pivot_row][col]
-        rows[pivot_row] = [x / pv for x in rows[pivot_row]]
-        for r in range(nrows):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == nrows:
+    """Reduced row echelon form over Q: the nonzero rows of the RREF of
+    ``rows``, pivots ascending.
+
+    Fraction-free and incremental: each row is scaled to a primitive integer
+    vector and reduced in int arithmetic against the echelon basis built so
+    far, one row per pivot column.  Reading stops once every column has a
+    pivot, since any later row would reduce to zero.  Only the final basis of
+    at most ncols rows is made reduced over Q, so the output is the unique
+    RREF whatever the order of the rows."""
+    ncols = len(rows[0]) if rows else 0
+    basis: dict[int, list[int]] = {}  # pivot column -> int row
+    for row in rows:
+        if len(basis) == ncols:
             break
-    return rows[:pivot_row] + [r for r in rows[pivot_row:] if any(r)]
+        den = math.lcm(*(x.denominator for x in row))
+        v = [int(x * den) for x in row]
+        for col in sorted(basis):
+            if v[col]:
+                v = _cancel(v, basis[col], col)
+        if any(v):
+            g = math.gcd(*v)
+            basis[next(j for j, x in enumerate(v) if x)] = [x // g for x in v]
+    pivots = sorted(basis)
+    for k in reversed(range(len(pivots))):
+        for above in pivots[:k]:
+            if basis[above][pivots[k]]:
+                basis[above] = _cancel(basis[above], basis[pivots[k]], pivots[k])
+    return [[Fraction(x, basis[col][col]) for x in basis[col]] for col in pivots]
+
+
+def _cancel(v: list[int], b: list[int], col: int) -> list[int]:
+    """The int combination s v - t b whose entry at col is 0, s and t coprime."""
+    g = math.gcd(b[col], v[col])
+    s, t = b[col] // g, v[col] // g
+    return [s * x - t * y for x, y in zip(v, b)]
 
 
 def entry_variable_names(n: int, prefix: str = "x") -> tuple[str, ...]:
@@ -313,12 +328,6 @@ class Ball:
 
     L: int
     length: dict[Entries, int]  # in ball order: word length, then BFS discovery
-
-    @property
-    def elements(self) -> list[MatrixQ]:
-        elems = [MatrixQ(e) for e in self.length]
-        elems.sort(key=lambda m: (self.length[m.entries], _sort_key(m)))
-        return elems
 
     def values(self, f) -> Iterator[tuple[Entries, int | Fraction]]:
         """(entries, f(entries)) for every element in ball order; f's term

@@ -154,9 +154,8 @@ def sieve_dimension_fit(
     beta_table: dict[int, Fraction], w: int, z: int
 ) -> DimensionFit:
     """Least-squares slope of the cumulative sum of beta(p) log p against
-    log x over an expanding window of primes in [w, z]."""
-    import numpy as np
-
+    log x over an expanding window of primes in [w, z]: the closed-form
+    simple regression, with exactly rounded sums."""
     ps = sorted(p for p in beta_table if w <= p <= z)
     if len(ps) < 10:
         return DimensionFit((w, z), 0.0, 0.0, 0.0, len(ps), conclusive=False)
@@ -167,13 +166,14 @@ def sieve_dimension_fit(
         acc += float(beta_table[p]) * math.log(p)
         xs.append(math.log(p))
         ys.append(acc)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = float(
-        np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.asarray(ys)) ** 2))
+    n = len(ps)
+    x_mean, y_mean = math.fsum(xs) / n, math.fsum(ys) / n
+    slope = math.fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / math.fsum(
+        (x - x_mean) ** 2 for x in xs
     )
-    return DimensionFit(
-        (w, z), float(slope), float(intercept), resid, len(ps), conclusive=True
-    )
+    intercept = y_mean - slope * x_mean
+    resid = math.sqrt(math.fsum((slope * x + intercept - y) ** 2 for x, y in zip(xs, ys)) / n)
+    return DimensionFit((w, z), slope, intercept, resid, n, conclusive=True)
 
 
 @dataclass(frozen=True)

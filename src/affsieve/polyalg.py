@@ -1,7 +1,8 @@
 """Exact sparse multivariate polynomials and the polynomial machinery behind
 the unipotent sieve: gcd certificates, bad-prime bounds, progression
-avoidance, nilpotent exp/log, lattice coordinates for unipotent groups, and
-a bounded-degree density test for finite point sets.
+avoidance, nilpotent exp/log, lattice coordinates for unipotent groups on a
+Mal'cev basis in canonical Hermite normal form, and a bounded-degree density
+test for finite point sets on the one elimination ``rational_row_reduce``.
 
 Coefficients are exact scalars (``core_arith.exact``: int, or Fraction where
 a coefficient is not integral); no floats.  Polynomial text is read by a
@@ -702,56 +703,39 @@ def _coords_to_upper(vec, n):
 
 
 def _integer_hnf(rows: list[list[int]]) -> list[list[int]]:
-    """Row-style Hermite normal form of the lattice spanned by integer rows."""
-    rows = [list(r) for r in rows if any(r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    basis: list[list[int]] = []
-    work = rows
-    col = 0
-    while col < ncols and work:
-        nonzero = [r for r in work if r[col] != 0]
-        rest = [r for r in work if r[col] == 0]
-        if not nonzero:
-            col += 1
-            continue
-        # gcd-reduce the column by repeated euclidean steps
-        while len(nonzero) > 1:
-            nonzero.sort(key=lambda r: abs(r[col]))
-            pivot = nonzero[0]
-            new_nonzero = [pivot]
-            for r in nonzero[1:]:
-                q = r[col] // pivot[col]
-                reduced = [x - q * y for x, y in zip(r, pivot)]
-                if reduced[col] != 0:
-                    new_nonzero.append(reduced)
-                elif any(reduced):
-                    rest.append(reduced)
-            if len(new_nonzero) == len(nonzero) and all(
-                r[col] % pivot[col] == 0 for r in new_nonzero[1:]
-            ):
-                # fully reduced
-                for r in new_nonzero[1:]:
-                    q = r[col] // pivot[col]
-                    reduced = [x - q * y for x, y in zip(r, pivot)]
-                    if any(reduced):
-                        rest.append(reduced)
-                new_nonzero = [pivot]
-            nonzero = new_nonzero
-        pivot = nonzero[0]
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        work = rest
-        col += 1
-    # reduce above-pivot entries for canonical output
-    for i in range(len(basis) - 1, -1, -1):
-        lead = next(j for j, x in enumerate(basis[i]) if x != 0)
+    """Row-style Hermite normal form of the lattice spanned by integer rows:
+    the canonical basis, with positive pivots in strictly increasing columns
+    and every entry above a pivot in [0, pivot).
+
+    Each row is inserted by unimodular extended-gcd steps against the basis
+    row that owns its leading column; then the entries above each pivot are
+    reduced, in ascending pivot order, so no step undoes an earlier one."""
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    for row in rows:
+        v = list(row)
+        while any(v):
+            col = next(j for j, x in enumerate(v) if x)
+            if col not in basis:
+                basis[col] = v if v[col] > 0 else [-x for x in v]
+                break
+            b = basis[col]
+            # s b[col] + t v[col] = g = gcd; [[s, t], [-v/g, b/g]] has det 1
+            g, s, t, g1, s1, t1 = b[col], 1, 0, v[col], 0, 1
+            while g1:
+                q = g // g1
+                g, s, t, g1, s1, t1 = g1, s1, t1, g - q * g1, s - q * s1, t - q * t1
+            if g < 0:
+                g, s, t = -g, -s, -t
+            bq, vq = b[col] // g, v[col] // g
+            basis[col] = [s * x + t * y for x, y in zip(b, v)]
+            v = [bq * y - vq * x for x, y in zip(b, v)]
+    out = [basis[col] for col in sorted(basis)]
+    for i, col in enumerate(sorted(basis)):
         for k in range(i):
-            q = basis[k][lead] // basis[i][lead]
-            basis[k] = [x - q * y for x, y in zip(basis[k], basis[i])]
-    return basis
+            q = out[k][col] // out[i][col]
+            if q:
+                out[k] = [x - q * y for x, y in zip(out[k], out[i])]
+    return out
 
 
 @dataclass(frozen=True)
@@ -791,11 +775,12 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
     """Lattice coordinates for the group generated by unipotent upper
     triangular matrices.
 
-    The Z-span of logarithms of short words is row reduced to a basis; span
-    stability is checked by growing the word length once.  The scale starts at
-    1 and is enlarged one prime factor at a time until exp(scale * span) lands
-    in the integral form, verified on all basis combinations with
-    |coefficients| <= box.
+    The Z-span of logarithms of short words is reduced to its canonical
+    Hermite basis; span stability is checked by growing the word length once
+    and comparing the two bases, which are equal exactly when the lattices
+    are.  The scale starts at 1 and is enlarged one prime factor at a time
+    until exp(scale * span) lands in the integral form, verified on all basis
+    combinations with |coefficients| <= box.
     """
     mats = [_freeze(g) for g in gens]
     if not mats:
@@ -908,70 +893,45 @@ def zariski_density_test(
     Exact rational nullspace; no floats.  ``dense=False`` comes with a witness
     polynomial.  ``sufficient_points`` is False when the point count cannot
     possibly pin down the monomial space, so a negative verdict may just mean
-    "feed me more points".
+    "feed me more points".  Every point must have one coordinate per variable.
     """
     if not points:
         raise ValueError("need at least one point")
-    k = len(points[0])
     if variables is None:
-        variables = tuple(f"x{i+1}" for i in range(k))
+        variables = tuple(f"x{i+1}" for i in range(len(points[0])))
     variables = tuple(variables)
+    for i, pt in enumerate(points):
+        if len(pt) != len(variables):
+            raise ValueError(f"point {i} has {len(pt)} coordinates; expected {len(variables)}")
     monos = monomials_upto(variables, D)
+    column = {e: j for j, e in enumerate(monos)}
 
     # span of ambient combinations of degree <= D, as vectors over monos
-    ambient_rows: list[list[int | Fraction]] = []
+    ambient_rows = []
     for g in ambient_ideal_basis:
         g = g if g.variables == variables else g.extend(variables)
         room = D - g.degree()
         if room < 0:
             continue
-        for mexp in monomials_upto(variables, room):
-            prod = g * MultiPoly(variables, {mexp: 1})
-            ambient_rows.append([prod.terms.get(e, 0) for e in monos])
-    ambient_rref = rational_row_reduce(ambient_rows) if ambient_rows else []
-    ambient_rank = len(ambient_rref)
+        for shift in monomials_upto(variables, room):
+            row = [0] * len(monos)
+            for e, c in g.terms.items():
+                row[column[tuple(map(operator.add, e, shift))]] = c
+            ambient_rows.append(row)
+    ambient = rational_row_reduce(ambient_rows)
+    sufficient = len(points) >= len(monos) - len(ambient)
+    needed = max(0, len(monos) - len(ambient) - len(points))
 
-    mono_polys = [MultiPoly(variables, {e: 1}) for e in monos]
-    rows = []
-    for pt in points:
-        point = dict(zip(variables, pt))
-        rows.append([m.eval(point) for m in mono_polys])
-
-    # nullspace of the evaluation matrix
-    rref = rational_row_reduce(rows)
-    pivots = []
-    for r in rref:
-        lead = next((j for j, x in enumerate(r) if x != 0), None)
-        if lead is not None:
-            pivots.append(lead)
-    rank = len(pivots)
-    free = [j for j in range(len(monos)) if j not in pivots]
-    sufficient = len(points) >= len(monos) - ambient_rank
-    needed = max(0, len(monos) - ambient_rank - len(points))
-    if not free:
-        return DensityVerdict(True, sufficient, 0)
-
-    null_vectors = []
-    for j in free:
-        vec = [0] * len(monos)
-        vec[j] = 1
+    # nullspace of the evaluation matrix, read off the free columns of its
+    # RREF; dense iff every null vector lies in the ambient span
+    rref = rational_row_reduce([[math.prod(map(pow, pt, e)) for e in monos] for pt in points])
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rref]
+    for j in sorted(set(range(len(monos))) - set(pivots)):
+        v = [0] * len(monos)
+        v[j] = 1
         for r, pc in zip(rref, pivots):
-            vec[pc] = -r[j]
-        null_vectors.append(vec)
-
-    # dense iff nullspace is inside the ambient span
-    combined = rational_row_reduce(ambient_rref + null_vectors) if ambient_rref else None
-    if combined is not None and len(combined) == ambient_rank:
-        return DensityVerdict(True, sufficient, 0)
-    witness_vec = None
-    if ambient_rref:
-        for v in null_vectors:
-            if len(rational_row_reduce(ambient_rref + [v])) > ambient_rank:
-                witness_vec = v
-                break
-    else:
-        witness_vec = null_vectors[0]
-    witness = MultiPoly(
-        variables, {e: c for e, c in zip(monos, witness_vec) if c != 0}
-    )
-    return DensityVerdict(False, sufficient, needed, witness)
+            v[pc] = -r[j]
+        if len(rational_row_reduce(ambient + [v])) > len(ambient):
+            witness = MultiPoly(variables, {e: c for e, c in zip(monos, v) if c != 0})
+            return DensityVerdict(False, sufficient, needed, witness)
+    return DensityVerdict(True, sufficient, 0)

@@ -38,13 +38,16 @@ import workloads  # noqa: E402
 # cover the certified route where image enumeration is the dual route;
 # strong approximation mod 35 (every prime certified and >= 5, nothing
 # enumerated) and mod 15 (p = 3 < 5, the image mod 15 enumerated); and
-# strong approximation on the unipotent Heisenberg group, refused (exit 2).
+# strong approximation on the unipotent Heisenberg group, refused (exit 2);
+# saturation at D = 2, where det - 1 gives ambient rows to the density test
+# (the benchmark's saturate runs at D = 1, where it gives none).
 EXTRA = [
     ["local-density", "--scenario", SL2, "--p", "61"],
     ["beta-table", "--scenario", SL2, "--pmax", "47"],
     ["strong-approx", "--scenario", SL2, "--q", "35"],
     ["strong-approx", "--scenario", SL2, "--q", "15"],
     ["strong-approx", "--scenario", HEIS, "--q", "5"],
+    ["saturate", "--scenario", SL2, "--Lmax", "5", "--D", "2"],
 ]
 
 

@@ -28,7 +28,7 @@ FREE = GeneratorSet([A, B])
 def test_matrix_basics():
     assert (A @ A.inverse()).is_identity()
     assert A.det() == 1
-    assert A.trace() == 2
+    assert sum(A.entries[i][i] for i in range(A.n)) == 2  # the trace of A
     assert A.apply((1, 0)) == (Fraction(1), Fraction(0))
     assert A.apply((0, 1)) == (Fraction(2), Fraction(1))
     assert MatrixQ(list(zip(*A.entries))) == B  # the transpose of A
@@ -86,7 +86,7 @@ def test_ball_cap():
 def test_orbit_matches_ball_projection():
     v = (1, 0)
     o = orbit(FREE, v, 3)
-    from_ball = {tuple(m.apply(v)) for m in ball(FREE, 3).elements}
+    from_ball = {MatrixQ(e).apply(v) for e in ball(FREE, 3).length}
     assert set(o.points) == from_ball
 
 
@@ -135,6 +135,42 @@ def test_inverse_frozen_non_unit_pivot():
     assert all(type(x) is int for row in M.inverse().entries for x in row)
     with pytest.raises(ValueError):
         MatrixQ([[2, 4], [1, 2]]).inverse()
+
+
+@st.composite
+def row_lists(draw):
+    """Rows over int or Fraction entries, with zero rows, duplicate rows,
+    rows built from a few others, and often more rows than columns."""
+    ncols = draw(st.integers(1, 5))
+    row = st.lists(SCALARS, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "combination")))
+        if kind == "zero":
+            extra = [0] * ncols
+        elif kind == "duplicate":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(SCALARS)
+            extra = [x + c * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists())
+@example([[0, 0], [0, 0]])
+@example([[1, 2], [2, 4], [3, 6]])
+@example([[Fraction(1, 2), 3], [2, Fraction(-1, 3)], [1, 1], [0, 5]])
+def test_rational_row_reduce_matches_sympy_rref(rows):
+    import sympy
+
+    R, pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]).rref()
+    want = [[Fraction(int(x.p), int(x.q)) for x in R.row(i)] for i in range(len(pivots))]
+    got = matgroup.rational_row_reduce(rows)
+    assert got == want
+    assert all(type(x) is Fraction for r in got for x in r)
 
 
 # -- the generated kernels against the naive triple loop ------------------

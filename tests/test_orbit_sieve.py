@@ -110,6 +110,27 @@ def test_sieve_dimension_fit_synthetic():
         assert abs(fit.slope - c) <= 0.05 * c
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_sieve_dimension_fit_matches_numpy_polyfit(seed):
+    # numpy's least squares, as the fit was computed before the closed form;
+    # summation order differs, so agreement is to a tolerance fixed for float64
+    import random
+
+    import numpy as np
+
+    rng = random.Random(seed)
+    table = {p: Fraction(rng.randint(0, 3 * p), p * rng.randint(1, 3)) for p in primes_upto(rng.choice((60, 500, 3000)))}
+    fit = sieve_dimension_fit(table, 3, 10**4)
+    ps = sorted(p for p in table if p >= 3)
+    xs = [math.log(p) for p in ps]
+    ys = list(itertools.accumulate(float(table[p]) * math.log(p) for p in ps))
+    slope, intercept = np.polyfit(xs, ys, 1)
+    resid = float(np.sqrt(np.mean((np.polyval([slope, intercept], xs) - np.asarray(ys)) ** 2)))
+    assert fit.slope == pytest.approx(slope, rel=1e-9)
+    assert fit.intercept == pytest.approx(intercept, rel=1e-9, abs=1e-9)
+    assert fit.residual == pytest.approx(resid, rel=1e-6, abs=1e-9)
+
+
 def test_sieve_dimension_fit_inconclusive():
     table = {p: Fraction(1, p) for p in (3, 5, 7)}
     assert not sieve_dimension_fit(table, 3, 10).conclusive

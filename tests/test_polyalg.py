@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affsieve.matgroup import MatrixQ, ball, entry_positions, entry_variable_names
+from affsieve.matgroup import MatrixQ, ball, entry_positions, entry_variable_names, rational_row_reduce
 from affsieve.polyalg import (
     MultiPoly,
+    _integer_hnf,
     bad_prime_bound,
     gcd_certificate,
     malcev_lattice,
@@ -255,6 +257,25 @@ def test_malcev_lattice_heisenberg():
         assert all(x.denominator == 1 for row in m.entries for x in row)
 
 
+@pytest.mark.parametrize(
+    "rows, hnf",
+    [
+        ([[-2, 1, 5], [-1, -4, 1], [1, 5, -4]], [[1, 0, 11], [0, 1, 27], [0, 0, 30]]),
+        ([[5, 2, -5], [-2, 4, -1], [-2, -4, 6]], [[1, 2, 0], [0, 8, 5], [0, 0, 6]]),
+    ],
+)
+def test_integer_hnf_is_the_canonical_form(rows, hnf):
+    assert _integer_hnf(rows) == hnf
+
+
+def test_malcev_lattice_span_stable_compares_lattices_not_bases():
+    # the logs of words of length <= 3 and <= 4 span the same lattice; only a
+    # canonical basis lets the two equal lattices compare equal
+    a = MatrixQ([[1, 2, 3, 0], [0, 1, 2, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+    b = MatrixQ([[1, 3, 3, 3], [0, 1, 2, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+    assert malcev_lattice([a, b]).span_stable
+
+
 def test_malcev_lattice_rejects_non_unipotent():
     with pytest.raises(ValueError):
         malcev_lattice([MatrixQ([[2, 0], [0, 1]])])
@@ -299,12 +320,150 @@ def test_density_insufficient_points_flagged():
     assert verdict.needed_points > 0
 
 
+def test_density_refuses_a_point_of_the_wrong_length():
+    for variables in (None, ("x1", "x2")):
+        for pts in ([(1, 2), (3,)], [(1, 2), (3, 4, 5)]):
+            with pytest.raises(ValueError, match="point 1 has"):
+                zariski_density_test(pts, 1, variables=variables)
+    with pytest.raises(ValueError, match="point 0 has 3 coordinates"):
+        zariski_density_test([(1, 2, 3)], 1, variables=("x1", "x2"))
+
+
 def test_density_monotone_in_degree():
     # denser requirements can only flip dense -> not dense, never the reverse
     pts = [(i, i * i + 1) for i in range(4)]
     d1 = zariski_density_test(pts, 1).dense
     d2 = zariski_density_test(pts, 2).dense
     assert d1 or not d2
+
+
+def _density_reference(points, D, ambient_ideal_basis=(), variables=None):
+    """The density test as first written: Fraction evaluation through a
+    MultiPoly per monomial, the full nullspace, then the witness search."""
+    k = len(points[0])
+    if variables is None:
+        variables = tuple(f"x{i+1}" for i in range(k))
+    variables = tuple(variables)
+    monos = monomials_upto(variables, D)
+    ambient_rows = []
+    for g in ambient_ideal_basis:
+        g = g if g.variables == variables else g.extend(variables)
+        room = D - g.degree()
+        if room < 0:
+            continue
+        for mexp in monomials_upto(variables, room):
+            prod = g * MultiPoly(variables, {mexp: 1})
+            ambient_rows.append([prod.terms.get(e, 0) for e in monos])
+    ambient_rref = rational_row_reduce(ambient_rows) if ambient_rows else []
+    ambient_rank = len(ambient_rref)
+    mono_polys = [MultiPoly(variables, {e: 1}) for e in monos]
+    rows = [[m.eval(dict(zip(variables, pt))) for m in mono_polys] for pt in points]
+    rref = rational_row_reduce(rows)
+    pivots = [next(j for j, x in enumerate(r) if x != 0) for r in rref]
+    free = [j for j in range(len(monos)) if j not in pivots]
+    sufficient = len(points) >= len(monos) - ambient_rank
+    needed = max(0, len(monos) - ambient_rank - len(points))
+    if not free:
+        return True, sufficient, 0, None
+    null_vectors = []
+    for j in free:
+        vec = [0] * len(monos)
+        vec[j] = 1
+        for r, pc in zip(rref, pivots):
+            vec[pc] = -r[j]
+        null_vectors.append(vec)
+    combined = rational_row_reduce(ambient_rref + null_vectors) if ambient_rref else None
+    if combined is not None and len(combined) == ambient_rank:
+        return True, sufficient, 0, None
+    witness_vec = null_vectors[0]
+    if ambient_rref:
+        witness_vec = next(
+            v for v in null_vectors if len(rational_row_reduce(ambient_rref + [v])) > ambient_rank
+        )
+    return False, sufficient, needed, {e: c for e, c in zip(monos, witness_vec) if c != 0}
+
+
+@st.composite
+def density_inputs(draw):
+    """Points in k <= 3 variables, D <= 3, and an ambient basis that is
+    empty, holds a polynomial vanishing on the points, or holds one that
+    need not (the last coordinate is a polynomial in the others when
+    ``on_curve``)."""
+    k = draw(st.integers(1, 3))
+    variables = tuple(f"x{i+1}" for i in range(k))
+    D = draw(st.integers(0, 3))
+    coord = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=3))
+    curve_terms = st.dictionaries(
+        st.lists(st.integers(0, 2), min_size=k, max_size=k).map(lambda e: (*e[:-1], 0)),
+        st.integers(-3, 3),
+        max_size=3,
+    )
+    curve = MultiPoly(variables, draw(curve_terms))
+    on_curve = k > 1 and draw(st.booleans())
+    points = []
+    for _ in range(draw(st.integers(1, 14))):
+        pt = draw(st.lists(coord, min_size=k, max_size=k))
+        if on_curve:
+            pt[-1] = curve.eval(pt)
+        points.append(tuple(pt))
+    vanishing = curve - MultiPoly.var(variables, variables[-1])
+    other = MultiPoly(variables, draw(curve_terms))
+    ambient = draw(st.sampled_from(([], [vanishing], [other, vanishing], [other])))
+    return points, D, ambient, variables
+
+
+@settings(max_examples=200, deadline=None)
+@given(density_inputs(), st.booleans())
+def test_density_test_matches_the_reference(inputs, named):
+    points, D, ambient, variables = inputs
+    got = zariski_density_test(points, D, ambient, variables if named else None)
+    want = _density_reference(points, D, ambient, variables if named else None)
+    assert (got.dense, got.sufficient_points, got.needed_points) == want[:3]
+    assert (got.witness.terms if got.witness else None) == want[3]
+    if got.witness is not None:
+        assert all(got.witness.eval(pt) == 0 for pt in points)
+
+
+def _in_lattice(v, hnf):
+    """Whether the int vector v is an integer combination of the HNF rows."""
+    v = list(v)
+    for row in hnf:
+        col = next(j for j, x in enumerate(row) if x)
+        q, rem = divmod(v[col], row[col])
+        if rem:
+            return False
+        v = [x - q * y for x, y in zip(v, row)]
+    return not any(v)
+
+
+def _minor_gcd(rows, r):
+    """gcd of all r x r minors: with equal rank, a lattice containing another
+    equals it iff the two generating sets have equal minor gcds."""
+    g = 0
+    for ri in itertools.combinations(range(len(rows)), r):
+        for ci in itertools.combinations(range(len(rows[0])), r):
+            g = math.gcd(g, int(MatrixQ([[rows[i][j] for j in ci] for i in ri]).det()))
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-30, 30), min_size=n, max_size=n), min_size=1, max_size=5)
+    )
+)
+def test_integer_hnf_is_canonical_and_spans_the_input(rows):
+    hnf = _integer_hnf(rows)
+    leads = [next(j for j, x in enumerate(row) if x) for row in hnf]
+    assert leads == sorted(set(leads))
+    for i, (row, col) in enumerate(zip(hnf, leads)):
+        assert row[col] > 0
+        assert all(0 <= hnf[k][col] < row[col] for k in range(i))
+    assert all(_in_lattice(v, hnf) for v in rows)
+    r = len(hnf)
+    assert r == len(rational_row_reduce(rows))
+    if r:
+        assert _minor_gcd(rows, r) == _minor_gcd(hnf, r)
 
 
 def _fraction_eval(terms, point):

@@ -171,6 +171,24 @@ def test_cli_import_leaves_sympy_numpy_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_sieve_dim_run_leaves_numpy_unloaded(tmp_path):
+    # the dimension fit is a closed-form regression in math.fsum
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    rec = tmp_path / "sieve-dim.json"
+    code = (
+        "import sys, contextlib, io, affsieve.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = affsieve.cli.main(['sieve-dim', '--scenario', {SL2!r}, '--pmax', '100', '--record', {str(rec)!r}])\n"
+        "print(rc, 'numpy' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+    assert json.loads(rec.read_text())["command"] == "sieve-dim"
+
+
 def test_determinant_checked():
     raw = minimal_scenario()
     raw["generators"] = [[[2, 0], [0, 1]]]
