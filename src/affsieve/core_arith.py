@@ -11,20 +11,40 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Optional
 
-# Deterministic Miller-Rabin base set; correct for all n < 3.3 * 10^24,
-# which comfortably covers the 64-bit range required here.
-_MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin bases by size.  psi_t is the least strong pseudoprime to each
+# of the first t prime bases (Jaeschke 1993; Sorenson and Webster, Math.
+# Comp. 2017), so for n < psi_t the first t bases decide primality exactly.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
-# Above the deterministic range we fall back to 128 pseudo-random bases
-# (seeded from n, so reruns are bit-identical).  Failure probability is
-# below 4^-128 < 2^-128.
+# From psi_13 (about 3.3 * 10^24) on, 128 pseudo-random bases (seeded from n,
+# so reruns are bit-identical): a composite passes with probability below
+# 4^-128.
 _MR_ROUNDS_LARGE = 128
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+
+# Trial division takes the gcd of n with the product of this many consecutive
+# trial primes, and divides only inside a chunk that shares a factor with n.
+_TRIAL_CHUNK = 24
 
 
 def exact(x) -> int | Fraction:
@@ -53,8 +73,12 @@ _SMALL_PRIMES = primes_upto(1000)
 
 
 @cache
-def _trial_primes(bound: int) -> tuple[int, ...]:
-    return tuple(primes_upto(bound))
+def _trial_chunks(bound: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """(first prime, product, primes) for consecutive runs of _TRIAL_CHUNK
+    primes <= bound, in increasing order."""
+    primes = primes_upto(bound)
+    chunks = (primes[i : i + _TRIAL_CHUNK] for i in range(0, len(primes), _TRIAL_CHUNK))
+    return tuple((chunk[0], math.prod(chunk), tuple(chunk)) for chunk in chunks)
 
 
 def is_prime(n: int) -> bool:
@@ -68,8 +92,9 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    if n < _MR_DETERMINISTIC_BOUND:
-        bases: Iterable[int] = _MR_BASES_64
+    t = bisect_right(_MR_PSI, n) + 1  # n < psi_t
+    if t <= len(_MR_PSI):
+        bases: Iterable[int] = _MR_BASES[:t]
     else:
         rng = random.Random(n)
         bases = (rng.randrange(2, n - 1) for _ in range(_MR_ROUNDS_LARGE))
@@ -177,7 +202,10 @@ def factorize(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
     """Factor n within an explicit effort budget.
 
     Trial division up to ``budget.trial_bound``, then Brent-rho splitting with
-    Miller-Rabin certification of every factor.  A surviving composite part is
+    a Miller-Rabin test of every factor.  Trial division takes the gcd of n
+    with each chunk's product of primes and divides only where it is not 1;
+    it stops at the first chunk whose least prime squared exceeds what is
+    left of n, which is then 1 or a prime.  A surviving composite part is
     returned as ``cofactor`` with ``complete=False``.
     """
     if n == 0:
@@ -185,12 +213,19 @@ def factorize(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
     sign = 1 if n > 0 else -1
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in _trial_primes(budget.trial_bound):
-        if p * p > n:
+    for first, product, chunk in _trial_chunks(budget.trial_bound):
+        if first * first > n:
             break  # n is 1 or a prime
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
+        g = math.gcd(n, product)
+        if g == 1:
+            continue
+        for p in chunk:
+            if g % p == 0:
+                e = 0
+                while n % p == 0:
+                    n //= p
+                    e += 1
+                factors[p] = e
     cofactor = 1
     stack = [n] if n > 1 else []
     while stack:

@@ -21,10 +21,11 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Mapping, Optional, Sequence
 
 from .core_arith import exact, factorize, primes_upto
-from .matgroup import _freeze, _identity, _matmul, bfs, rational_row_reduce
+from .matgroup import _freeze, _identity, _kernels, _matmul, bfs, rational_row_reduce
 
 
 class MultiPoly:
@@ -661,12 +662,49 @@ def exp_series(N):
     return _nilpotent_series(N, [Fraction(1, math.factorial(k)) for k in range(len(N))])
 
 
+@cache
+def _series_weights(n: int, log: bool) -> tuple[tuple[int, ...], int]:
+    """Integer weights w and a denominator W with w[k] / W the k-th series
+    coefficient, k < n: 1/k! for exp, (-1)^(k+1)/k (and 0 at k = 0) for log."""
+    W = math.factorial(n - 1)
+    if log:
+        return (0, *((-1) ** (k + 1) * W // k for k in range(1, n))), W
+    return tuple(W // math.factorial(k) for k in range(n)), W
+
+
+def _int_series(N, log: bool):
+    """exp or log series of a strictly upper matrix N of exact scalars, in int
+    arithmetic: with D the lcm of N's denominators and M = D N, the sum
+    sum_k w[k] D^(n-1-k) M^k runs through the int product of ``_kernels``,
+    and each entry is divided once by W D^(n-1).  Entries are exact scalars,
+    int wherever integral."""
+    n = len(N)
+    D = 1
+    for row in N:
+        for x in row:
+            D = math.lcm(D, x.denominator)
+    M = tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in N)
+    weights, W = _series_weights(n, log)
+    out = [[weights[0] * D ** (n - 1) if i == j else 0 for j in range(n)] for i in range(n)]
+    mul = _kernels(n).mul
+    term = M
+    for k in range(1, n):
+        c = weights[k] * D ** (n - 1 - k)
+        for orow, trow in zip(out, term):
+            for j, t in enumerate(trow):
+                orow[j] += c * t
+        if k < n - 1:
+            term = mul(term, M)
+    L = W * D ** (n - 1)
+    return tuple(tuple(x // L if x % L == 0 else Fraction(x, L) for x in row) for row in out)
+
+
 def nilpotent_exp(N) -> tuple[tuple[int | Fraction, ...], ...]:
     """Finite-series exponential of a strictly upper triangular matrix."""
     rows = _freeze(N)
     if not is_strictly_upper(rows):
         raise ValueError("nilpotent_exp requires strictly upper triangular input")
-    return exp_series(rows)
+    return _int_series(rows, log=False)
 
 
 def nilpotent_log(u) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -674,9 +712,8 @@ def nilpotent_log(u) -> tuple[tuple[int | Fraction, ...], ...]:
     rows = _freeze(u)
     if not is_unipotent_upper(rows):
         raise ValueError("nilpotent_log requires unipotent upper triangular input")
-    n = len(rows)
     N = tuple(tuple(x - 1 if i == j else x for j, x in enumerate(row)) for i, row in enumerate(rows))
-    return _nilpotent_series(N, [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, n)])
+    return _int_series(N, log=True)
 
 
 def span_element(coords: Sequence, basis: Sequence, n: int):
@@ -828,11 +865,11 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
         ok = True
         for coords in itertools.product(range(-box, box + 1), repeat=len(basis)):
             M = span_element([c * scale for c in coords], basis, n)
-            if not _in_integral_form(nilpotent_exp(M), N):
+            E = nilpotent_exp(M)
+            if not _in_integral_form(E, N):
                 ok = False
                 # enlarge by one prime from the offending denominators
                 worst = 1
-                E = nilpotent_exp(M)
                 for i in range(n):
                     for j in range(i + 1, n):
                         worst = math.lcm(

@@ -40,7 +40,10 @@ import workloads  # noqa: E402
 # enumerated) and mod 15 (p = 3 < 5, the image mod 15 enumerated); and
 # strong approximation on the unipotent Heisenberg group, refused (exit 2);
 # saturation at D = 2, where det - 1 gives ambient rows to the density test
-# (the benchmark's saturate runs at D = 1, where it gives none).
+# (the benchmark's saturate runs at D = 1, where it gives none); and the
+# unipotent sieve on a Heisenberg group with rational generators, whose
+# Mal'cev basis has denominators 2, 12 and 3 (conjugation level 6).
+HEIS_Q = str(ROOT / "scenarios" / "heisenberg-rational.json")
 EXTRA = [
     ["local-density", "--scenario", SL2, "--p", "61"],
     ["beta-table", "--scenario", SL2, "--pmax", "47"],
@@ -48,6 +51,7 @@ EXTRA = [
     ["strong-approx", "--scenario", SL2, "--q", "15"],
     ["strong-approx", "--scenario", HEIS, "--q", "5"],
     ["saturate", "--scenario", SL2, "--Lmax", "5", "--D", "2"],
+    ["uni-sieve", "--scenario", HEIS_Q, "--want", "3", "--prefixes", "10"],
 ]
 
 

@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affsieve import core_arith
 from affsieve.core_arith import (
     FactorBudget,
+    Factorization,
     check_prime_set,
     factorize,
     is_prime,
@@ -47,6 +50,40 @@ def test_is_prime_known_values():
     assert not is_prime(2**67 - 1)  # classic composite Mersenne
 
 
+# psi_t: the least strong pseudoprime to each of the first t prime bases
+# (Jaeschke 1993; Sorenson and Webster 2017).
+PSI = (
+    2047,
+    1373653,
+    25326001,
+    3215031751,
+    2152302898747,
+    3474749660383,
+    341550071728321,
+    341550071728321,
+    3825123056546413051,
+    3825123056546413051,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+
+
+def test_strong_pseudoprimes_psi_are_composite():
+    for psi in PSI:
+        assert not is_prime(psi), psi
+    f = factorize(PSI[11])
+    assert f.complete
+    assert f.factors == ((399165290221, 1), (798330580441, 1))
+
+
+def test_is_prime_matches_sympy_around_psi():
+    for psi in sorted(set(PSI)):
+        window = range(psi - 60, psi + 61)
+        for n in [*window, sympy.prevprime(psi), sympy.nextprime(psi)]:
+            assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_check_prime_set():
     assert check_prime_set([5, 3, 3, 2]) == (2, 3, 5)
     with pytest.raises(ValueError):
@@ -76,6 +113,66 @@ def test_factorize_budget_failure_is_a_value():
     assert not f.complete
     assert f.value() == hard
     assert f.omega() is None
+
+
+def factorize_per_prime(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
+    """Reference for factorize: trial division one prime at a time, then the
+    same Brent-rho splitting of what is left."""
+    sign = 1 if n > 0 else -1
+    n = abs(n)
+    factors: dict[int, int] = {}
+    for p in primes_upto(budget.trial_bound):
+        if p * p > n:
+            break
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+    cofactor = 1
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        d = core_arith._brent_rho(m, budget.rho_iterations)
+        if d is None:
+            cofactor *= m
+            continue
+        stack += [d, m // d]
+    return Factorization(sign=sign, factors=tuple(sorted(factors.items())), cofactor=cofactor)
+
+
+TRIAL_BOUNDS = (2, 3, 100, 10_000, 10_007)
+# the first and last prime of every trial chunk, and the primes beside each bound
+EDGE_PRIMES = sorted(
+    {p for b in TRIAL_BOUNDS for first, _, chunk in core_arith._trial_chunks(b) for p in (first, chunk[-1])}
+    | {q for b in TRIAL_BOUNDS for q in (sympy.prevprime(b + 1), sympy.nextprime(b))}
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(EDGE_PRIMES), st.integers(1, 3)), max_size=4),
+    st.lists(st.integers(2**20, 2**34), max_size=2),
+    st.sampled_from(TRIAL_BOUNDS),
+    st.sampled_from((1, 50, 2_000, 20_000_000)),
+    st.sampled_from((1, -1)),
+)
+def test_chunked_trial_division_matches_per_prime(powers, large, trial_bound, rho, sign):
+    n = sign
+    for p, e in powers:
+        n *= p**e
+    for x in large:  # a large prime, or with two of them a large semiprime
+        n *= sympy.nextprime(x)
+    budget = FactorBudget(trial_bound=trial_bound, rho_iterations=rho)
+    assert factorize(n, budget) == factorize_per_prime(n, budget)
+
+
+def test_trial_chunks_cover_the_trial_primes():
+    for bound in TRIAL_BOUNDS:
+        chunks = core_arith._trial_chunks(bound)
+        assert [p for _, _, chunk in chunks for p in chunk] == primes_upto(bound)
+        assert all(first == chunk[0] and product == math.prod(chunk) for first, product, chunk in chunks)
 
 
 @settings(max_examples=60, deadline=None)

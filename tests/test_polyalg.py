@@ -13,6 +13,7 @@ from affsieve.matgroup import MatrixQ, ball, entry_positions, entry_variable_nam
 from affsieve.polyalg import (
     MultiPoly,
     _integer_hnf,
+    _nilpotent_series,
     bad_prime_bound,
     gcd_certificate,
     malcev_lattice,
@@ -238,6 +239,47 @@ def test_nilpotent_exp_log_roundtrip():
     assert nilpotent_log(u) == N
     with pytest.raises(ValueError):
         nilpotent_exp(((Fraction(1),),))
+
+
+@st.composite
+def strictly_upper(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.fractions(min_value=-20, max_value=20, max_denominator=draw(st.sampled_from((1, 2, 6, 30))))
+    return tuple(tuple(draw(entry) if j > i else Fraction(0) for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(strictly_upper())
+def test_nilpotent_exp_log_match_fraction_series(N):
+    n = len(N)
+    ident = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+    exp_ref = _nilpotent_series(N, [Fraction(1, math.factorial(k)) for k in range(n)])
+    u = nilpotent_exp(N)
+    assert u == exp_ref
+    U = tuple(tuple(x - e for x, e in zip(row, erow)) for row, erow in zip(exp_ref, ident))
+    log_ref = _nilpotent_series(U, [0] + [Fraction((-1) ** (k + 1), k) for k in range(1, n)])
+    assert log_ref == N
+    assert nilpotent_log(u) == N
+    assert nilpotent_exp(nilpotent_log(u)) == u
+    for mat in (u, nilpotent_log(u)):
+        for x in itertools.chain.from_iterable(mat):
+            assert type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def test_malcev_lattice_rational_heisenberg():
+    sc = load_scenario(os.path.join(SCENARIOS, "heisenberg-rational.json"))
+    lat = malcev_lattice(sc.generator_matrices)
+    assert lat.basis == (
+        ((0, Fraction(1, 2), 0), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, Fraction(1, 12)), (0, 0, 0), (0, 0, 0)),
+        ((0, 0, 0), (0, 0, Fraction(1, 3)), (0, 0, 0)),
+    )
+    assert (lat.scale, lat.conjugation_N, lat.span_stable) == (1, 6, True)
+    u = lat.lattice_point((1, 1, 1))
+    assert u == ((1, Fraction(1, 2), Fraction(1, 6)), (0, 1, Fraction(1, 3)), (0, 0, 1))
+    assert nilpotent_log(u) == tuple(
+        tuple(sum(B[i][j] for B in lat.basis) for j in range(3)) for i in range(3)
+    )
 
 
 def test_malcev_lattice_heisenberg():
