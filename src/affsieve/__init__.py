@@ -43,21 +43,21 @@ from .orbit_sieve import (
 )
 from .polyalg import (
     CertificateError,
-    GcdCertificate,
     MultiPoly,
-    bad_prime_bound,
-    gcd_certificate,
     malcev_lattice,
     nilpotent_exp,
     nilpotent_log,
-    progression_avoiding,
     zariski_density_test,
 )
 from .unipotent_sieve import (
     CoprimalityError,
+    GcdCertificate,
     SieveBudget,
     UniSieveProblem,
+    bad_prime_bound,
+    gcd_certificate,
     multivariable_sieve,
+    progression_avoiding,
     single_variable_almost_primes,
     unipotent_group_sieve,
 )

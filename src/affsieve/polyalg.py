@@ -1,16 +1,20 @@
-"""Exact sparse multivariate polynomials and the polynomial machinery behind
-the unipotent sieve: gcd certificates, bad-prime bounds, progression
-avoidance, nilpotent exp/log, lattice coordinates for unipotent groups on a
-Mal'cev basis in canonical Hermite normal form, and a bounded-degree density
-test for finite point sets on the one elimination ``rational_row_reduce``.
+"""Exact sparse multivariate polynomials, with an exact multivariate gcd
+and division, and the machinery behind the unipotent sieve's coordinates:
+nilpotent exp/log, lattice coordinates for unipotent groups on a Mal'cev
+basis in canonical Hermite normal form, and a bounded-degree density test for
+finite point sets on the one elimination ``rational_row_reduce``.
 
 Coefficients are exact scalars (``core_arith.exact``: int, or Fraction where
 a coefficient is not integral); no floats.  Polynomial text is read by a
-recursive-descent parser that evaluates nothing.  sympy, imported only by the
-functions that need it, runs the extended Euclid behind gcd certificates
-(and the unipotent sieve's multivariate gcd, content and factoring); every
-certificate identity it yields is re-checked here with ``MultiPoly``
-arithmetic.
+recursive-descent parser that evaluates nothing.  The gcd is a primitive
+remainder sequence over Z, normalized as ``sympy.gcd`` normalizes it;
+``to_sympy``/``from_sympy`` serve only the unipotent sieve's factoring of
+members it cannot prove irreducible.
+
+This module stays under 8,192 parser tokens: past that, CPython 3.11's parser
+doubles its token array and preallocates 8,192 more tokens (about 0.5 MB)
+while compiling it, which every process that imports affsieve without a
+bytecode cache pays in peak RSS.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Mapping, Optional, Sequence
 
-from .core_arith import exact, factorize, primes_upto
+from .core_arith import exact, factorize
 from .matgroup import _freeze, _identity, _kernels, _matmul, bfs, rational_row_reduce
 
 
@@ -200,6 +204,44 @@ class MultiPoly:
         terms = {e: c * v for e, v in self.terms.items()}
         return MultiPoly._of(self.variables, _exact_terms(terms))
 
+    def __divmod__(self, d) -> tuple["MultiPoly", "MultiPoly"]:
+        """(q, r) with self = q*d + r, dividing by d's leading term in lex
+        order of the variable tuple; r is 0 exactly when d divides self."""
+        d = self._coerce(d)
+        if d.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        lead = max(d.terms)
+        lc, tail = d.terms[lead], [(e, c) for e, c in d.terms.items() if e != lead]
+        rem, q, r = dict(self.terms), {}, {}
+        while rem:
+            e = max(rem)
+            shift = tuple(map(operator.sub, e, lead))
+            if min(shift) < 0:
+                r[e] = rem.pop(e)
+                continue
+            q[shift] = t = exact(Fraction(rem.pop(e)) / lc)
+            for e2, c2 in tail:
+                k = tuple(map(operator.add, shift, e2))
+                rem[k] = rem.get(k, 0) - t * c2
+                if not rem[k]:
+                    del rem[k]
+        return MultiPoly._of(self.variables, q), MultiPoly._of(self.variables, _exact_terms(r))
+
+    def gcd(self, other) -> "MultiPoly":
+        """Greatest common divisor, normalized as ``sympy.gcd`` normalizes it
+        when the variable tuple is in sympy's generator order (y1, y2, ...,
+        y10 by index): two constants give their rational gcd; integer
+        coefficients give the gcd over Z, its leading coefficient positive;
+        any other coefficient gives the monic gcd over Q."""
+        other = self._coerce(other)
+        if self.is_constant() and other.is_constant():
+            a, b = Fraction(self.constant_value()), Fraction(other.constant_value())
+            c = Fraction(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
+            return MultiPoly.constant(self.variables, c)
+        da, db = self.denominator_lcm(), other.denominator_lcm()
+        g = _zgcd(self.scale(da), other.scale(db))
+        return g if da == db == 1 else g.scale(Fraction(1, g.terms[max(g.terms)]))
+
     # -- evaluation & substitution --------------------------------------
 
     def term_plan(self, positions: Sequence[int] | None = None) -> tuple:
@@ -344,6 +386,44 @@ def _product(a: dict, b: dict) -> dict:
     return terms
 
 
+def _zgcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
+    """gcd in Z[variables] of integer polynomials, leading coefficient
+    positive: the gcd of the contents in a variable v, times the primitive
+    part of the last remainder of the primitive PRS of their primitive parts
+    (Brown 1971).  v is one that only one of them uses, if any, which leaves
+    the contents alone to compare; else one of least degree."""
+    uf, ug = f.used_variables(), g.used_variables()
+    if not uf | ug:
+        return MultiPoly.constant(f.variables, math.gcd(f.constant_value(), g.constant_value()))
+    v = min(uf | ug, key=lambda x: (x in uf and x in ug, max(f.degree_in(x), g.degree_in(x)), f.variables.index(x)))
+    (cf, f), (cg, g) = _content(f, v), _content(g, v)
+    while not g.is_zero():
+        f, g = g, _content(_prem(f, g, v), v)[1]
+    h = f * _zgcd(cf, cg)
+    return h if h.terms[max(h.terms)] > 0 else -h
+
+
+def _content(f: MultiPoly, v: str) -> tuple[MultiPoly, MultiPoly]:
+    """(content, primitive part) of an integer polynomial in Z[others][v]."""
+    c = MultiPoly.constant(f.variables, 0)
+    one = MultiPoly.constant(f.variables, 1)
+    for k in range(f.degree_in(v) + 1):
+        c = _zgcd(c, f.coeff_in(v, k))
+        if c == one:
+            return c, f
+    return c, divmod(f, c)[0] if c.terms else c
+
+
+def _prem(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
+    """A pseudo-remainder of f by g in v: lc(g)^k * f - q*g, of degree in v
+    below g's."""
+    n = g.degree_in(v)
+    lg, x = g.coeff_in(v, n), MultiPoly.var(f.variables, v)
+    while not f.is_zero() and (k := f.degree_in(v)) >= n:
+        f = f * lg - g * f.coeff_in(v, k) * x ** (k - n)
+    return f
+
+
 # a token, or (last group) any other character, which is an error
 _TOKEN = re.compile(r"\s*(?:([0-9]+|[A-Za-z_][A-Za-z0-9_]*|\*\*|[-+*/()])|(\S))")
 
@@ -433,7 +513,7 @@ class _PolyParser:
 
 
 # ---------------------------------------------------------------------------
-# gcd certificates
+# certificate failures
 
 
 class CertificateError(RuntimeError):
@@ -441,185 +521,14 @@ class CertificateError(RuntimeError):
 
 
 class CoprimalityError(ValueError):
-    """A declared family has a nonconstant common factor."""
+    """A declared family has a nonconstant common factor.
+
+    ``common_factor`` is a ``MultiPoly``: the family's gcd, or from
+    ``gcd_certificate`` the numerator of its monic gcd over Q(others)."""
 
     def __init__(self, message: str, common_factor=None):
         super().__init__(message)
         self.common_factor = common_factor
-
-
-@dataclass(frozen=True)
-class GcdCertificate:
-    """Witness sum_j S_j * P_j = Q identically, with Q free of the pivot
-    variable, so gcd_j P_j(x) divides Q(x) at every integer point x.  For a
-    univariate family Q is the positive integer m."""
-
-    polys: tuple[MultiPoly, ...]
-    cofactors: tuple[MultiPoly, ...]
-    Q: MultiPoly
-
-    @property
-    def m(self) -> int:
-        return self.Q.constant_value()
-
-    def verify(self) -> bool:
-        variables = self.polys[0].variables
-        total = MultiPoly.constant(variables, 0)
-        for S, P in zip(self.cofactors, self.polys):
-            total = total + S * P
-        return total == self.Q.extend(variables)
-
-
-def gcd_certificate(
-    polys: Sequence[MultiPoly], pivot: Optional[str] = None, others: tuple[str, ...] = ()
-) -> GcdCertificate:
-    """Extended-Euclid certificate for a family with gcd 1 in Q(others)[pivot],
-    all denominators cleared so that Q lies in Z[others].
-
-    Without a pivot the family must be univariate and Q is an integer m > 0.
-    sympy runs the Euclid; the identity is re-checked by
-    ``GcdCertificate.verify`` and a failure raises CertificateError.  A common
-    factor raises CoprimalityError.
-    """
-    if not polys:
-        raise ValueError("empty family")
-    variables = polys[0].variables
-    if pivot is None:
-        names = frozenset().union(*(P.used_variables() for P in polys))
-        if len(names) > 1:
-            raise ValueError(f"family is not univariate: {sorted(names)}")
-        pivot = next(iter(names)) if names else variables[0]
-    import sympy
-
-    pivot_sym = sympy.Symbol(pivot)
-    other_syms = [sympy.Symbol(v) for v in others]
-    domain = sympy.QQ.frac_field(*other_syms) if other_syms else sympy.QQ
-    spolys = [sympy.Poly(P.to_sympy(), pivot_sym, domain=domain) for P in polys]
-    g = spolys[0]
-    cofactors = [sympy.Poly(1, pivot_sym, domain=domain)]
-    for q in spolys[1:]:
-        s, t, h = g.gcdex(q)
-        cofactors = [s * c for c in cofactors]
-        cofactors.append(t)
-        g = h
-    if g.degree() > 0:
-        raise CoprimalityError(
-            f"family has common factor {g.as_expr()} over the function field",
-            common_factor=g.as_expr(),
-        )
-    c_expr = domain.to_sympy(g.nth(0)) if g.degree() == 0 else sympy.Integer(0)
-    if c_expr == 0:
-        raise CoprimalityError("family gcd vanished; degenerate input")
-    # clear every denominator appearing in the cofactors and in c
-    dens = [sympy.fraction(sympy.together(c_expr))[1]]
-    for cof in cofactors:
-        for coeff in cof.all_coeffs():
-            dens.append(sympy.fraction(sympy.together(domain.to_sympy(coeff)))[1])
-    D = sympy.Integer(1)
-    for d in dens:
-        D = sympy.lcm(D, d)
-    Q = MultiPoly.from_sympy(sympy.expand(sympy.together(D * c_expr)), others or (pivot,))
-    den = Q.denominator_lcm()
-    if Q.terms[max(Q.terms)] < 0:
-        den = -den  # leading (lexicographically largest) coefficient positive: m > 0
-    Q = Q.scale(den)
-    try:
-        S = tuple(
-            MultiPoly.from_sympy(sympy.cancel(D * den * cof.as_expr()), variables)
-            for cof in cofactors
-        )
-    except sympy.PolynomialError as exc:
-        raise CertificateError(f"certificate cofactor is not a polynomial: {exc}") from exc
-    cert = GcdCertificate(polys=tuple(polys), cofactors=S, Q=Q)
-    if not cert.verify():
-        raise CertificateError(
-            f"gcd certificate identity fails for {list(polys)!r}: sum S_j P_j != {Q!r}"
-        )
-    return cert
-
-
-@dataclass(frozen=True)
-class BadPrimeBound:
-    """Primes that can divide every integer value of a univariate integer
-    polynomial, with provenance for each route that produced them."""
-
-    primes: tuple[int, ...]
-    value_gcd: int
-    degree_window: tuple[int, ...]
-    content_primes: tuple[int, ...]
-
-
-def bad_prime_bound(P: MultiPoly) -> BadPrimeBound:
-    """Exactly the primes dividing gcd over all integers of P(m).
-
-    The gcd over all of Z equals the gcd of any deg+1 consecutive values
-    (finite differences put P in the binomial basis with integer weights),
-    so it is computed from P(0..deg P).
-    """
-    if P.is_zero():
-        raise ValueError("zero polynomial")
-    used = P.used_variables()
-    if len(used) > 1:
-        raise ValueError(f"not univariate: uses {sorted(used)}")
-    if P.denominator_lcm() != 1:
-        raise ValueError("integer polynomial required")
-    deg = P.degree()
-    values = [P.eval({v: m for v in P.variables}) for m in range(deg + 1)]
-    g = math.gcd(*values)
-    if g == 0:
-        raise ValueError("polynomial vanishes on 0..deg; not a nonzero integer poly?")
-    fac = factorize(g) if g > 1 else None
-    primes = fac.primes() if fac else ()
-    content = P.integer_content()
-    cfac = factorize(content) if content > 1 else None
-    return BadPrimeBound(
-        primes=primes,
-        value_gcd=g,
-        degree_window=tuple(p for p in primes_upto(deg) if deg >= 2),
-        content_primes=cfac.primes() if cfac else (),
-    )
-
-
-def progression_avoiding(
-    M: int, polys: Sequence[MultiPoly]
-) -> tuple[int, int]:
-    """Arithmetic progression a*j + b on which every P_i stays coprime to the
-    primes of M outside the P_i's own bad-prime sets (CRT over p | M)."""
-    M = abs(int(M))
-    if M == 0:
-        raise ValueError("M must be nonzero")
-    if M == 1 or not polys:
-        return (1, 0)
-    bad: set[int] = set()
-    for P in polys:
-        bad |= set(bad_prime_bound(P).primes)
-    fac = factorize(M)
-    if not fac.complete:
-        raise ValueError(f"cannot factor modulus {M} within budget")
-    residues: list[tuple[int, int]] = []
-    for p in fac.primes():
-        if p in bad:
-            continue
-        found = None
-        for b in range(p):
-            if all(P.eval_mod({n: b for n in P.variables}, p) != 0 for P in polys):
-                found = b
-                break
-        if found is None:
-            raise ValueError(
-                f"no residue mod {p} avoids all polynomials; offending prime {p}"
-            )
-        residues.append((p, found))
-    if not residues:
-        return (1, 0)
-    a = 1
-    for p, _ in residues:
-        a *= p
-    b = 0
-    for p, r in residues:
-        q = a // p
-        b = (b + r * q * pow(q, -1, p)) % a
-    return (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ routed through lattice coordinates and re-verified on the actual matrices.
 
 The classical-sieve existence step is replaced by bounded search: an empty
 result distinguishes "searched and none found" from "budget exhausted".
+
+The gcd certificates (one extended Euclid over Q(others)[pivot] in
+``MultiPoly`` arithmetic), bad-prime bounds and progression avoidance live
+here, beside their one caller; sympy is imported only to factor a family
+member that ``_linear_coprime`` cannot prove irreducible.
 """
 
 from __future__ import annotations
@@ -34,11 +39,8 @@ from .polyalg import (
     CertificateError,
     CoprimalityError,
     MultiPoly,
-    bad_prime_bound,
     exp_series,
-    gcd_certificate,
     malcev_lattice,
-    progression_avoiding,
     span_element,
 )
 
@@ -60,16 +62,12 @@ class UniSieveProblem:
     families: tuple[tuple[MultiPoly, ...], ...]
 
     def __post_init__(self):
-        import sympy
-
         for fam in self.families:
-            g = sympy.Integer(0)
+            g = MultiPoly.constant(self.variables, 0)
             for m in fam:
-                g = sympy.gcd(g, m.to_sympy())
-            if not g.is_number:
-                raise CoprimalityError(
-                    f"family has common factor {g}", common_factor=g
-                )
+                g = g.gcd(m)
+            if not g.is_constant():
+                raise CoprimalityError(f"family has common factor {g!r}", common_factor=g)
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,8 @@ def single_variable_almost_primes(
     want: int,
     budget: FactorBudget = FactorBudget(),
 ) -> SearchOutcome:
-    """Integers n = aj + b, |n| <= search_bound, with P(n) nonzero and at most
-    r prime factors outside S, in order of |n|."""
+    """Integers n = aj + b, |n| <= search_bound, where P(n) is a nonzero
+    integer with at most r prime factors outside S, in order of |n|."""
     a, b = progression
     if a <= 0:
         raise ValueError("progression step must be positive")
@@ -142,8 +140,8 @@ def single_variable_almost_primes(
             continue
         seen.add(n)
         val = P.eval({name: n for name in P.variables})
-        if val == 0:
-            continue
+        if val == 0 or val.denominator != 1:
+            continue  # a value that is not a nonzero integer has no almost-prime verdict
         om = _omega_outside(val.numerator, Sset, with_multiplicity=True, budget=budget)
         if om is None:
             continue  # factoring budget: skip, never guess
@@ -155,6 +153,224 @@ def single_variable_almost_primes(
     return SearchOutcome(
         values=tuple(values), omegas=tuple(omegas), exhausted=exhausted, r_used=max(omegas, default=0)
     )
+
+
+# ---------------------------------------------------------------------------
+# gcd certificates, bad primes and progression avoidance
+
+
+@dataclass(frozen=True)
+class GcdCertificate:
+    """Witness sum_j S_j * P_j = Q identically, with Q free of the pivot
+    variable, so gcd_j P_j(x) divides Q(x) at every integer point x.  For a
+    univariate family Q is the positive integer m."""
+
+    polys: tuple[MultiPoly, ...]
+    cofactors: tuple[MultiPoly, ...]
+    Q: MultiPoly
+
+    @property
+    def m(self) -> int:
+        return self.Q.constant_value()
+
+    def verify(self) -> bool:
+        variables = self.polys[0].variables
+        total = MultiPoly.constant(variables, 0)
+        for S, P in zip(self.cofactors, self.polys):
+            total = total + S * P
+        return total == self.Q.extend(variables)
+
+
+class _RatPoly:
+    """N/d in Q(others)[pivot], in lowest terms: N a polynomial over all the
+    variables, d a nonzero one free of the pivot."""
+
+    __slots__ = ("N", "d")
+
+    def __init__(self, N: MultiPoly, d: MultiPoly):
+        g = N.gcd(d)
+        self.N, self.d = divmod(N, g)[0], divmod(d, g)[0]
+
+    @classmethod
+    def of(cls, P: MultiPoly) -> "_RatPoly":
+        return cls(P, MultiPoly.constant(P.variables, 1))
+
+    def __add__(self, other: "_RatPoly") -> "_RatPoly":
+        return _RatPoly(self.N * other.d + other.N * self.d, self.d * other.d)
+
+    def __sub__(self, other: "_RatPoly") -> "_RatPoly":
+        return _RatPoly(self.N * other.d - other.N * self.d, self.d * other.d)
+
+    def __mul__(self, other: "_RatPoly") -> "_RatPoly":
+        return _RatPoly(self.N * other.N, self.d * other.d)
+
+    def inverse_lead(self, pivot: str) -> "_RatPoly":
+        """1 / the leading coefficient in the pivot."""
+        return _RatPoly(self.d, self.N.coeff_in(pivot, self.N.degree_in(pivot)))
+
+    def z_denominator(self) -> MultiPoly:
+        """The least D in Z[others], up to sign, with D * N/d in Z[variables]."""
+        L = math.lcm(self.N.denominator_lcm(), self.d.denominator_lcm())
+        d = self.d.scale(L)
+        return divmod(d, self.N.scale(L).gcd(d))[0]
+
+
+def _divmod_in(f: _RatPoly, g: _RatPoly, pivot: str) -> tuple[_RatPoly, _RatPoly]:
+    """(q, r) with f = q*g + r in Q(others)[pivot], r of lower degree than g."""
+    n = g.N.degree_in(pivot)
+    inv, x = g.inverse_lead(pivot), MultiPoly.var(f.N.variables, pivot)
+    q = _RatPoly.of(f.N.scale(0))
+    while not f.N.is_zero() and (k := f.N.degree_in(pivot)) >= n:
+        t = _RatPoly(f.N.coeff_in(pivot, k) * x ** (k - n), f.d) * inv
+        q, f = q + t, f - t * g
+    return q, f
+
+
+def _gcdex(f: _RatPoly, g: _RatPoly, pivot: str) -> tuple[_RatPoly, _RatPoly, _RatPoly]:
+    """(s, t, h) with s*f + t*g = h, the monic gcd in Q(others)[pivot]: the
+    extended Euclid that ``sympy.Poly.gcdex`` runs, so the same s and t."""
+    zero, one = (_RatPoly.of(MultiPoly.constant(f.N.variables, c)) for c in (0, 1))
+    s0, s1, t0, t1 = one, zero, zero, one
+    while not g.N.is_zero():
+        q, r = _divmod_in(f, g, pivot)
+        f, g = g, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    if f.N.is_zero():
+        raise CoprimalityError("family gcd vanished; degenerate input")
+    inv = f.inverse_lead(pivot)
+    return s0 * inv, t0 * inv, f * inv
+
+
+def gcd_certificate(
+    polys: Sequence[MultiPoly], pivot: Optional[str] = None, others: tuple[str, ...] = ()
+) -> GcdCertificate:
+    """Extended-Euclid certificate for a family with gcd 1 in Q(others)[pivot],
+    all denominators cleared so that Q lies in Z[others].
+
+    Without a pivot the family must be univariate and Q is an integer m > 0.
+    ``_gcdex`` folds over the members in ``MultiPoly`` arithmetic; the
+    identity is re-checked by ``GcdCertificate.verify`` and a failure raises
+    CertificateError.  A common factor raises CoprimalityError.
+    """
+    if not polys:
+        raise ValueError("empty family")
+    variables = polys[0].variables
+    if pivot is None:
+        names = frozenset().union(*(P.used_variables() for P in polys))
+        if len(names) > 1:
+            raise ValueError(f"family is not univariate: {sorted(names)}")
+        pivot = next(iter(names)) if names else variables[0]
+    g, cofactors = _RatPoly.of(polys[0]), [_RatPoly.of(MultiPoly.constant(variables, 1))]
+    for P in polys[1:]:
+        s, t, g = _gcdex(g, _RatPoly.of(P), pivot)
+        cofactors = [s * c for c in cofactors] + [t]
+    if g.N.degree_in(pivot) > 0:
+        raise CoprimalityError(
+            f"family has common factor {g.N!r} over the function field", common_factor=g.N
+        )
+    if g.N.is_zero():
+        raise CoprimalityError("family gcd vanished; degenerate input")
+    # Q = D * c for the gcd c (1 unless the family has one member), D the lcm
+    # in Z[others] of the reduced denominators of c and of the cofactors
+    D = MultiPoly.constant(variables, 1)
+    for f in (g, *cofactors):
+        fd = f.z_denominator()
+        D = divmod(D * fd, D.gcd(fd))[0]
+    Q = divmod(D * g.N, g.d)[0]
+    den = Q.denominator_lcm()
+    if Q.terms[max(Q.terms)] < 0:
+        den = -den  # leading (lexicographically largest) coefficient positive: m > 0
+    S = tuple(divmod((D * s.N).scale(den), s.d)[0] for s in cofactors)
+    cert = GcdCertificate(polys=tuple(polys), cofactors=S, Q=Q.scale(den).substitute({}, others or (pivot,)))
+    if not cert.verify():
+        raise CertificateError(
+            f"gcd certificate identity fails for {list(polys)!r}: sum S_j P_j != {cert.Q!r}"
+        )
+    return cert
+
+
+@dataclass(frozen=True)
+class BadPrimeBound:
+    """Primes that can divide every integer value of a univariate integer
+    polynomial, with provenance for each route that produced them."""
+
+    primes: tuple[int, ...]
+    value_gcd: int
+    degree_window: tuple[int, ...]
+    content_primes: tuple[int, ...]
+
+
+def bad_prime_bound(P: MultiPoly) -> BadPrimeBound:
+    """Exactly the primes dividing gcd over all integers of P(m).
+
+    The gcd over all of Z equals the gcd of any deg+1 consecutive values
+    (finite differences put P in the binomial basis with integer weights),
+    so it is computed from P(0..deg P).
+    """
+    if P.is_zero():
+        raise ValueError("zero polynomial")
+    used = P.used_variables()
+    if len(used) > 1:
+        raise ValueError(f"not univariate: uses {sorted(used)}")
+    if P.denominator_lcm() != 1:
+        raise ValueError("integer polynomial required")
+    deg = P.degree()
+    values = [P.eval({v: m for v in P.variables}) for m in range(deg + 1)]
+    g = math.gcd(*values)
+    if g == 0:
+        raise ValueError("polynomial vanishes on 0..deg; not a nonzero integer poly?")
+    fac = factorize(g) if g > 1 else None
+    primes = fac.primes() if fac else ()
+    content = P.integer_content()
+    cfac = factorize(content) if content > 1 else None
+    return BadPrimeBound(
+        primes=primes,
+        value_gcd=g,
+        degree_window=tuple(p for p in primes_upto(deg) if deg >= 2),
+        content_primes=cfac.primes() if cfac else (),
+    )
+
+
+def progression_avoiding(
+    M: int, polys: Sequence[MultiPoly]
+) -> tuple[int, int]:
+    """Arithmetic progression a*j + b on which every P_i stays coprime to the
+    primes of M outside the P_i's own bad-prime sets (CRT over p | M)."""
+    M = abs(int(M))
+    if M == 0:
+        raise ValueError("M must be nonzero")
+    if M == 1 or not polys:
+        return (1, 0)
+    bad: set[int] = set()
+    for P in polys:
+        bad |= set(bad_prime_bound(P).primes)
+    fac = factorize(M)
+    if not fac.complete:
+        raise ValueError(f"cannot factor modulus {M} within budget")
+    residues: list[tuple[int, int]] = []
+    for p in fac.primes():
+        if p in bad:
+            continue
+        found = None
+        for b in range(p):
+            if all(P.eval_mod({n: b for n in P.variables}, p) != 0 for P in polys):
+                found = b
+                break
+        if found is None:
+            raise ValueError(
+                f"no residue mod {p} avoids all polynomials; offending prime {p}"
+            )
+        residues.append((p, found))
+    if not residues:
+        return (1, 0)
+    a = 1
+    for p, _ in residues:
+        a *= p
+    b = 0
+    for p, r in residues:
+        q = a // p
+        b = (b + r * q * pow(q, -1, p)) % a
+    return (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +394,17 @@ def _integerize(P: MultiPoly) -> tuple[MultiPoly, Fraction]:
     return prim, Fraction(content, den)
 
 
+def _linear_coprime(prim: MultiPoly) -> bool:
+    """Whether the primitive integer polynomial is a*v + b for some variable
+    v with gcd(a, b) = 1, which proves it irreducible: of two factors one is
+    free of v, so it divides a and b and is a unit."""
+    one = MultiPoly.constant(prim.variables, 1)
+    return any(
+        prim.degree_in(v) == 1 and prim.coeff_in(v, 1).gcd(prim.coeff_in(v, 0)) == one
+        for v in prim.used_variables()
+    )
+
+
 def _refine_family(
     family: Sequence[MultiPoly], variables: tuple[str, ...], cap: int
 ) -> tuple[list[tuple[MultiPoly, ...]], set[int]]:
@@ -189,8 +416,6 @@ def _refine_family(
     the original gcd.  A family containing a nonzero integer constant is
     dropped (its gcd divides that constant).
     """
-    import sympy
-
     const_primes: set[int] = set()
     factor_lists: list[list[MultiPoly]] = []
     for member in family:
@@ -201,6 +426,11 @@ def _refine_family(
         if prim.is_constant():
             # gcd of the family divides this constant: whole family controlled
             return [], const_primes
+        if _linear_coprime(prim):
+            factor_lists.append([prim])  # irreducible: sympy.factor_list gives prim alone
+            continue
+        import sympy
+
         _, factors = sympy.factor_list(prim.to_sympy())
         parts = []
         for fexpr, _exp in factors:
@@ -232,27 +462,18 @@ def _content_split(
     Both H and the H_i come back with integer-primitive normalization pushed
     into H where possible.
     """
-    import sympy
-
     deg = P.degree_in(pivot)
     coeffs = [P.coeff_in(pivot, i) for i in range(deg + 1)]
-    g = sympy.Integer(0)
+    H = MultiPoly.constant(variables, 0)
     for c in coeffs:
         if not c.is_zero():
-            g = sympy.gcd(g, c.to_sympy())
-    H = MultiPoly.from_sympy(g, variables)
-    syms = [sympy.Symbol(v) for v in variables]
+            H = H.gcd(c)
     His = []
     for c in coeffs:
-        if c.is_zero():
-            His.append(MultiPoly.constant(variables, 0))
-        elif g.is_number:
-            His.append(c.scale(Fraction(1) / Fraction(str(g))))
-        else:
-            q, rem = sympy.div(c.to_sympy(), g, *syms)
-            if sympy.simplify(rem) != 0:
-                raise CertificateError("content division left a remainder")
-            His.append(MultiPoly.from_sympy(q, variables))
+        q, rem = divmod(c, H)
+        if not rem.is_zero():
+            raise CertificateError("content division left a remainder")
+        His.append(q)
     return H, His
 
 

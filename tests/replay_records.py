@@ -30,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 from affsieve import cli  # noqa: E402
-from test_scenario_cli import HEIS, REPLAY, SL2  # noqa: E402
+from test_scenario_cli import HEIS, HEIS_Q, REPLAY, SL2  # noqa: E402
 import workloads  # noqa: E402
 
 # Invocations beside REPLAY, which holds exactly one per subcommand: beta(p)
@@ -40,10 +40,13 @@ import workloads  # noqa: E402
 # enumerated) and mod 15 (p = 3 < 5, the image mod 15 enumerated); and
 # strong approximation on the unipotent Heisenberg group, refused (exit 2);
 # saturation at D = 2, where det - 1 gives ambient rows to the density test
-# (the benchmark's saturate runs at D = 1, where it gives none); and the
+# (the benchmark's saturate runs at D = 1, where it gives none); the
 # unipotent sieve on a Heisenberg group with rational generators, whose
-# Mal'cev basis has denominators 2, 12 and 3 (conjugation level 6).
-HEIS_Q = str(ROOT / "scenarios" / "heisenberg-rational.json")
+# Mal'cev basis has denominators 2, 12 and 3 (conjugation level 6); and the
+# unipotent sieve on families that take its routes the benchmark never does:
+# a member factored by sympy (4*y1**2 - 4*y3**2) and a certificate with
+# Q = 2*y1**2 - 1.
+HEIS_F = str(ROOT / "scenarios" / "heisenberg-families.json")
 EXTRA = [
     ["local-density", "--scenario", SL2, "--p", "61"],
     ["beta-table", "--scenario", SL2, "--pmax", "47"],
@@ -52,6 +55,7 @@ EXTRA = [
     ["strong-approx", "--scenario", HEIS, "--q", "5"],
     ["saturate", "--scenario", SL2, "--Lmax", "5", "--D", "2"],
     ["uni-sieve", "--scenario", HEIS_Q, "--want", "3", "--prefixes", "10"],
+    ["uni-sieve", "--scenario", HEIS_F, "--want", "3", "--prefixes", "10"],
 ]
 
 

@@ -33,7 +33,8 @@ from affsieve.orbit_sieve import (
     r_formula,
     sieve_dimension_fit,
 )
-from affsieve.polyalg import MultiPoly, bad_prime_bound
+from affsieve.polyalg import MultiPoly
+from affsieve.unipotent_sieve import bad_prime_bound
 from affsieve.unipotent_sieve import SieveBudget, unipotent_group_sieve
 
 A = MatrixQ([[1, 2], [0, 1]])

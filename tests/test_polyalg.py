@@ -14,16 +14,14 @@ from affsieve.polyalg import (
     MultiPoly,
     _integer_hnf,
     _nilpotent_series,
-    bad_prime_bound,
-    gcd_certificate,
     malcev_lattice,
     monomials_upto,
     nilpotent_exp,
     nilpotent_log,
-    progression_avoiding,
     zariski_density_test,
 )
 from affsieve.scenario import load_scenario
+from affsieve.unipotent_sieve import bad_prime_bound, gcd_certificate, progression_avoiding
 
 V = ("n",)
 X = MultiPoly.var(V, "n")
@@ -143,6 +141,27 @@ def test_eval_mod_matches_exact_eval(terms, point):
             assert p.eval_mod(dict(zip(p.variables, point)), m) == want
 
 
+TERMS_AB = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), st.fractions(-4, 4, max_denominator=3), max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(TERMS_AB, TERMS_AB)
+def test_divmod_is_exact_division_with_remainder(f_terms, d_terms):
+    f, d = MultiPoly(("a", "b"), f_terms), MultiPoly(("a", "b"), d_terms)
+    if d.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            divmod(f, d)
+        return
+    q, r = divmod(f, d)
+    assert q * d + r == f
+    # no remainder term is a multiple of d's leading (lex-largest) term
+    lead = max(d.terms)
+    assert all(any(x < y for x, y in zip(e, lead)) for e in r.terms)
+    assert divmod(f * d, d) == (f, MultiPoly(("a", "b")))
+
+
 def test_gcd_certificate_frozen_examples():
     # gcd of values of {n, n+2} is 1 or 2; the certificate pins m = 2
     cert = gcd_certificate([X, X + 2])
@@ -161,7 +180,8 @@ def test_gcd_certificate_rejects_common_factor():
 
 
 FORGED_VERIFY = """
-from affsieve.polyalg import CertificateError, GcdCertificate, MultiPoly, gcd_certificate
+from affsieve.polyalg import CertificateError, MultiPoly
+from affsieve.unipotent_sieve import GcdCertificate, gcd_certificate
 GcdCertificate.verify = lambda self: False
 X = MultiPoly.var(("n",), "n")
 try:

@@ -1,7 +1,9 @@
+import glob
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from affsieve.scenario import (
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SL2 = os.path.join(ROOT, "scenarios", "sl2-free.json")
 HEIS = os.path.join(ROOT, "scenarios", "heisenberg.json")
+HEIS_Q = os.path.join(ROOT, "scenarios", "heisenberg-rational.json")
 TORUS = os.path.join(ROOT, "scenarios", "torus.json")
 ENTRY = os.path.join(ROOT, "scenarios", "sl2-entry.json")
 
@@ -171,22 +174,44 @@ def test_cli_import_leaves_sympy_numpy_scipy_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
-def test_sieve_dim_run_leaves_numpy_unloaded(tmp_path):
-    # the dimension fit is a closed-form regression in math.fsum
+def test_modules_stay_under_the_parser_token_step():
+    # CPython 3.11's parser grows its token array by doubling and preallocates
+    # every new slot: a module past 8,192 tokens costs about 0.5 MB more peak
+    # RSS in every process that imports affsieve without a bytecode cache
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "affsieve", "*.py"))):
+        with open(path) as fh:
+            tokens = [t for t in tokenize.generate_tokens(fh.readline) if t.type not in (tokenize.COMMENT, tokenize.NL)]
+        assert len(tokens) < 8192, (path, len(tokens))
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        # the dimension fit is a closed-form regression in math.fsum
+        pytest.param(["sieve-dim", "--scenario", SL2, "--pmax", "100"], "numpy", id="sieve-dim-numpy"),
+        # gcds, content splits and certificates run on MultiPoly; every member
+        # of these families is proved irreducible without factoring
+        pytest.param(["uni-sieve", "--scenario", HEIS, "--want", "3", "--prefixes", "10"], "sympy", id="uni-sieve-sympy"),
+        pytest.param(
+            ["uni-sieve", "--scenario", HEIS_Q, "--want", "3", "--prefixes", "10"], "sympy", id="uni-sieve-rational-sympy"
+        ),
+    ],
+)
+def test_run_leaves_module_unloaded(tmp_path, argv, module):
     src = os.path.join(ROOT, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    rec = tmp_path / "sieve-dim.json"
+    rec = tmp_path / "record.json"
     code = (
         "import sys, contextlib, io, affsieve.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    rc = affsieve.cli.main(['sieve-dim', '--scenario', {SL2!r}, '--pmax', '100', '--record', {str(rec)!r}])\n"
-        "print(rc, 'numpy' in sys.modules)"
+        f"    rc = affsieve.cli.main({argv + ['--record', str(rec)]!r})\n"
+        f"print(rc, {module!r} in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
-    assert json.loads(rec.read_text())["command"] == "sieve-dim"
+    assert json.loads(rec.read_text())["command"] == argv[0]
 
 
 def test_determinant_checked():

@@ -6,17 +6,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from affsieve import unipotent_sieve
 from affsieve.cli import main
 from affsieve.core_arith import FactorBudget
 from affsieve.matgroup import MatrixQ
-from affsieve.polyalg import CertificateError, MultiPoly, bad_prime_bound, gcd_certificate
+from affsieve.polyalg import CertificateError, MultiPoly
 from affsieve.unipotent_sieve import (
     CoprimalityError,
     SieveBudget,
     UniSieveProblem,
     _sieve_level,
+    bad_prime_bound,
+    gcd_certificate,
     multivariable_sieve,
     single_variable_almost_primes,
     unipotent_group_sieve,
@@ -168,19 +172,30 @@ def test_family_certificate_identity_is_checked(monkeypatch):
     members = (a * b + 2, b + a)
     # b = -a gives a*b + 2 = 2 - a^2: the value gcd divides a^2 - 2
     assert gcd_certificate(members, "b", ("a",)).Q == MultiPoly.parse("a**2 - 2", ("a",))
-    true_gcdex = sympy.Poly.gcdex
+    true_gcdex = unipotent_sieve._gcdex
 
-    def corrupted(self, other):
-        s, t, h = true_gcdex(self, other)
-        return s + 1, t, h
+    def corrupted(f, g, pivot):
+        s, t, h = true_gcdex(f, g, pivot)
+        return s + h, t, h  # h = 1 for a coprime pair: the cofactor s + 1
 
-    monkeypatch.setattr(sympy.Poly, "gcdex", corrupted)
+    monkeypatch.setattr(unipotent_sieve, "_gcdex", corrupted)
     with pytest.raises(CertificateError):
         gcd_certificate(members, "b", ("a",)).Q
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEIS = os.path.join(ROOT, "scenarios", "heisenberg.json")
+HEIS_Q = os.path.join(ROOT, "scenarios", "heisenberg-rational.json")
+
+
+def test_rational_generators_drop_no_point(tmp_path):
+    # x13 + 1 has denominators up to 12 in lattice coordinates; the search
+    # skips non-integral values, so the matrix re-check has nothing to drop
+    rec = tmp_path / "rational.json"
+    assert main(["uni-sieve", "--scenario", HEIS_Q, "--want", "3", "--prefixes", "10", "--record", str(rec)]) == 0
+    out = json.loads(rec.read_text())["outputs"]
+    assert out["dropped"] == 0
+    assert out["points"] > 0
 
 
 def test_span_stable_is_reported(monkeypatch, tmp_path):
@@ -199,3 +214,126 @@ def test_span_stable_is_reported(monkeypatch, tmp_path):
     assert unipotent_group_sieve(heisenberg_generators(), x13, [], budget).span_stable is False
     assert main(args + [str(tmp_path / "unstable.json")]) == 0
     assert json.loads((tmp_path / "unstable.json").read_text())["outputs"]["span_stable"] is False
+
+
+# ---------------------------------------------------------------------------
+# the MultiPoly gcd, content split and certificate against the sympy routes
+# they replaced, kept here as references
+
+
+def content_split_sympy(P, pivot, variables):
+    deg = P.degree_in(pivot)
+    coeffs = [P.coeff_in(pivot, i) for i in range(deg + 1)]
+    g = sympy.Integer(0)
+    for c in coeffs:
+        if not c.is_zero():
+            g = sympy.gcd(g, c.to_sympy())
+    H = MultiPoly.from_sympy(g, variables)
+    syms = [sympy.Symbol(v) for v in variables]
+    His = []
+    for c in coeffs:
+        if c.is_zero():
+            His.append(MultiPoly.constant(variables, 0))
+        elif g.is_number:
+            His.append(c.scale(Fraction(1) / Fraction(str(g))))
+        else:
+            q, rem = sympy.div(c.to_sympy(), g, *syms)
+            assert sympy.simplify(rem) == 0
+            His.append(MultiPoly.from_sympy(q, variables))
+    return H, His
+
+
+def gcd_certificate_sympy(polys, pivot, others):
+    variables = polys[0].variables
+    pivot_sym = sympy.Symbol(pivot)
+    other_syms = [sympy.Symbol(v) for v in others]
+    domain = sympy.QQ.frac_field(*other_syms) if other_syms else sympy.QQ
+    spolys = [sympy.Poly(P.to_sympy(), pivot_sym, domain=domain) for P in polys]
+    g = spolys[0]
+    cofactors = [sympy.Poly(1, pivot_sym, domain=domain)]
+    for q in spolys[1:]:
+        s, t, h = g.gcdex(q)
+        cofactors = [s * c for c in cofactors]
+        cofactors.append(t)
+        g = h
+    if g.degree() > 0:
+        raise CoprimalityError("common factor")
+    c_expr = domain.to_sympy(g.nth(0))
+    dens = [sympy.fraction(sympy.together(c_expr))[1]]
+    for cof in cofactors:
+        for coeff in cof.all_coeffs():
+            dens.append(sympy.fraction(sympy.together(domain.to_sympy(coeff)))[1])
+    D = sympy.Integer(1)
+    for d in dens:
+        D = sympy.lcm(D, d)
+    Q = MultiPoly.from_sympy(sympy.expand(sympy.together(D * c_expr)), others or (pivot,))
+    den = Q.denominator_lcm()
+    if Q.terms[max(Q.terms)] < 0:
+        den = -den
+    Q = Q.scale(den)
+    S = tuple(MultiPoly.from_sympy(sympy.cancel(D * den * cof.as_expr()), variables) for cof in cofactors)
+    return Q, S
+
+
+# natural generator order, as sympy sorts generators: y2 before y10
+VARIABLE_TUPLES = [("y2",), ("y2", "y10"), ("y1", "y2", "y10")]
+COEFFS = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def polys(draw, variables, max_terms=3, max_exp=2):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(variables))
+    return MultiPoly(variables, draw(st.dictionaries(exps, COEFFS, max_size=max_terms)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_multipoly_gcd_matches_sympy(data):
+    V = data.draw(st.sampled_from(VARIABLE_TUPLES))
+    a, b, c = (data.draw(polys(V)) for _ in range(3))
+    for f, g in ((a, b), (a * c, b * c), (a, c * c), (a.scale(0), b * c)):
+        want = MultiPoly.from_sympy(sympy.gcd(f.to_sympy(), g.to_sympy()), V)
+        assert f.gcd(g) == want, (f, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_content_split_matches_sympy(data):
+    V = data.draw(st.sampled_from(VARIABLE_TUPLES))
+    nonzero = polys(V).filter(lambda m: not m.is_zero())
+    P = data.draw(nonzero) * data.draw(nonzero)
+    pivot = data.draw(st.sampled_from(V))
+    assert unipotent_sieve._content_split(P, pivot, V) == content_split_sympy(P, pivot, V)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_gcd_certificate_matches_sympy(data):
+    V = data.draw(st.sampled_from(VARIABLE_TUPLES[1:]))
+    pivot = data.draw(st.sampled_from(V))
+    others = tuple(v for v in V if v != pivot)
+    family = data.draw(st.lists(polys(V).filter(lambda m: not m.is_zero()), min_size=2, max_size=3))
+    try:
+        want = gcd_certificate_sympy(family, pivot, others)
+    except CoprimalityError:
+        with pytest.raises(CoprimalityError):
+            gcd_certificate(family, pivot, others)
+        return
+    cert = gcd_certificate(family, pivot, others)
+    assert (cert.Q, cert.cofactors) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_linear_coprime_members_are_sympy_irreducible(data):
+    V = data.draw(st.sampled_from(VARIABLE_TUPLES))
+    # a * x + b with a, b free of x, so that the check has cases to prove
+    v = data.draw(st.sampled_from(V))
+    a, b = (data.draw(polys(V)).substitute({v: 0}) for _ in range(2))
+    member = a * MultiPoly.var(V, v) + b
+    assume(not member.is_zero())
+    prim, _ = unipotent_sieve._integerize(member)
+    if unipotent_sieve._linear_coprime(prim):
+        _, factors = sympy.factor_list(prim.to_sympy())
+        assert len(factors) == 1 and factors[0][1] == 1
+        assert unipotent_sieve._integerize(MultiPoly.from_sympy(factors[0][0], V))[0] == prim
