@@ -1,17 +1,19 @@
 """Write the ``--record`` of every replayed CLI invocation into one directory.
 
-    python tests/replay_records.py OUTDIR [--seed N]
+    python tests/replay_records.py OUTDIR [--seed N ...]
 
 Covers each ``REPLAY`` invocation of ``tests/test_scenario_cli.py`` (under
 ``OUTDIR/replay``), each ``EXTRA`` invocation below (under ``OUTDIR/extra``)
-and every CLI job of the benchmark workloads at the seed (under
-``OUTDIR/<workload>``; the ``trend`` jobs call a library function and have
-no record).  Records carry no paths or timestamps, so two checkouts
-agree exactly when ``diff -r`` of their output directories is empty:
+and, for each seed (101 and 102 by default), every CLI job of the benchmark
+workloads with its generated scenario files (under
+``OUTDIR/<seed>/<workload>``; the ``trend`` jobs call a library function and
+have no record).  Records carry no paths or timestamps, so two trees agree
+exactly when ``diff -r`` of their output directories is empty.  The records
+of the current code are committed under ``tests/records``, which
+``tests/test_records.py`` compares against; a change that moves a record
+regenerates them with
 
-    python tests/replay_records.py /tmp/new --seed 101
-    (cd ../parent && python tests/replay_records.py /tmp/old --seed 101)
-    diff -r /tmp/old /tmp/new
+    rm -rf tests/records && python tests/replay_records.py tests/records
 
 A job that exits non-zero leaves ``<key>.exit`` with its exit code instead of
 a record.  Not collected by pytest (the file name does not start with
@@ -32,6 +34,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 from affsieve import cli  # noqa: E402
 from test_scenario_cli import HEIS, HEIS_Q, REPLAY, SL2  # noqa: E402
 import workloads  # noqa: E402
+
+SEEDS = (101, 102)
 
 # Invocations beside REPLAY, which holds exactly one per subcommand: beta(p)
 # at primes whose images are large (|SL_2(F_61)| = 226,920), so record diffs
@@ -67,32 +71,32 @@ def run(argv: list[str], out: Path) -> None:
         out.with_suffix(".exit").write_text(f"{rc}\n")
 
 
+def write_records(outdir: Path, seeds=SEEDS) -> None:
+    for group, invocations in (("replay", REPLAY), ("extra", EXTRA)):
+        (outdir / group).mkdir(parents=True, exist_ok=True)
+        for i, inv in enumerate(invocations):
+            run(inv, outdir / group / f"{i:02d}-{inv[0]}")
+
+    for seed in seeds:
+        for name in workloads.WHY:
+            inputs = workloads.build(name, seed)
+            work = outdir / str(seed) / name
+            work.mkdir(parents=True, exist_ok=True)
+            for stem, scenario in inputs.scenarios.items():
+                (work / f"{stem}.json").write_bytes(workloads.scenario_bytes(scenario))
+            for job in inputs.jobs:
+                if job.command == "trend":
+                    continue
+                scenario = ["--scenario", str(work / f"{job.scenario}.json")] if job.scenario else []
+                run([job.command, *scenario, *job.args], work / job.key)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir", type=Path)
-    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--seed", type=int, action="append", help="default: 101 and 102")
     args = parser.parse_args(argv)
-
-    replay = args.outdir / "replay"
-    replay.mkdir(parents=True, exist_ok=True)
-    for i, inv in enumerate(REPLAY):
-        run(inv, replay / f"{i:02d}-{inv[0]}")
-    extra = args.outdir / "extra"
-    extra.mkdir(exist_ok=True)
-    for i, inv in enumerate(EXTRA):
-        run(inv, extra / f"{i:02d}-{inv[0]}")
-
-    for name in workloads.WHY:
-        inputs = workloads.build(name, args.seed)
-        work = args.outdir / name
-        work.mkdir(parents=True, exist_ok=True)
-        for stem, scenario in inputs.scenarios.items():
-            (work / f"{stem}.json").write_bytes(workloads.scenario_bytes(scenario))
-        for job in inputs.jobs:
-            if job.command == "trend":
-                continue
-            scenario = ["--scenario", str(work / f"{job.scenario}.json")] if job.scenario else []
-            run([job.command, *scenario, *job.args], work / job.key)
+    write_records(args.outdir, args.seed or SEEDS)
     print(f"records written under {args.outdir}")
     return 0
 
