@@ -60,16 +60,16 @@ class GrowthEnvelope:
     verified: bool
 
 
-def norm_growth_check(spec: TorusSpec, min_M: int = 3) -> GrowthEnvelope:
+def norm_growth_check(spec: TorusSpec) -> GrowthEnvelope:
     """Fit a two-sided exponential envelope for F(gamma^m) over the sup-norm
-    box |m| <= M and verify it pointwise.
+    box |m| <= M, M >= 3, and verify it pointwise.
 
     Rates come from boundary values along primitive directions; directions
     where F fails to grow past F(I) (eigenvalues on the unit circle, torsion)
     are reported as degenerate and excluded from the lower rate.
     """
-    if spec.M < min_M:
-        raise ValueError(f"box radius must be >= {min_M}")
+    if spec.M < 3:
+        raise ValueError("box radius must be >= 3")
     t = spec.rank
     n = spec.generators[0].n
     F_I = float(n)
@@ -154,8 +154,6 @@ class TrendRow:
 @dataclass(frozen=True)
 class TrendTable:
     rows: tuple[TrendRow, ...]
-    S: tuple[int, ...]
-    odd_only: bool
     incomplete: int
 
 
@@ -163,12 +161,11 @@ def prime_factor_trend(
     value_fn: Callable[[int], int],
     M: int,
     S: Iterable[int] = (),
-    odd_only: bool = True,
     budget: FactorBudget = FactorBudget(),
     start: int = 1,
 ) -> TrendTable:
     """Per m <= M: distinct and with-multiplicity prime-factor counts of
-    value_fn(m) outside S (optionally odd primes only), with the running
+    value_fn(m) outside S and odd, with the running
     minimum of the distinct count over each dyadic window [2^k, 2^(k+1)).
 
     No extrapolation: rows where factoring exhausts its budget are marked.
@@ -189,11 +186,7 @@ def prime_factor_trend(
             rows.append(TrendRow(m, v, None, None, window_min))
             incomplete += 1
             continue
-        kept = [
-            (p, e)
-            for p, e in fac.factors
-            if p not in Sset and (not odd_only or p != 2)
-        ]
+        kept = [(p, e) for p, e in fac.factors if p not in Sset and p != 2]
         w_d = len(kept)
         w_m = sum(e for _, e in kept)
         k = m.bit_length() - 1
@@ -203,18 +196,12 @@ def prime_factor_trend(
         else:
             window_min = w_d if window_min is None else min(window_min, w_d)
         rows.append(TrendRow(m, v, w_d, w_m, window_min))
-    return TrendTable(
-        rows=tuple(rows), S=tuple(sorted(Sset)), odd_only=odd_only, incomplete=incomplete
-    )
+    return TrendTable(rows=tuple(rows), incomplete=incomplete)
 
 
 @dataclass(frozen=True)
 class BorelCantelliReport:
-    t: int
-    nu: int
-    r: int
-    checkpoints: tuple[int, ...]
-    partial_sums: tuple[float, ...]
+    partial_sums: tuple[float, ...]  # at each checkpoint, then at M
     increments: tuple[float, ...]  # sums between consecutive checkpoints
     integral_bound: float  # upper bound for the full sum (integral test), rounded up
 
@@ -308,12 +295,4 @@ def borel_cantelli_sum(
     )
     base = 1 if power == 0 else 0
     bound = _round_up(base + head + _tail_upper(t, nu, power, head_end))
-    return BorelCantelliReport(
-        t=t,
-        nu=nu,
-        r=r,
-        checkpoints=tuple(cps),
-        partial_sums=tuple(sums),
-        increments=increments,
-        integral_bound=bound,
-    )
+    return BorelCantelliReport(partial_sums=tuple(sums), increments=increments, integral_bound=bound)

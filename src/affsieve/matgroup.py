@@ -209,13 +209,9 @@ class MatrixQ:
     def is_identity(self) -> bool:
         return self == MatrixQ.identity(self.n)
 
-    def entry_dict(self, prefix: str = "x") -> dict:
+    def entry_dict(self) -> dict:
         """Entries keyed x11, x12, ... for polynomial evaluation."""
-        out = {}
-        for i, row in enumerate(self.entries, start=1):
-            for j, x in enumerate(row, start=1):
-                out[f"{prefix}{i}{j}"] = x
-        return out
+        return dict(zip(entry_variable_names(self.n), sum(self.entries, ())))
 
     def __repr__(self):
         rows = ["[" + ", ".join(str(x) for x in r) + "]" for r in self.entries]
@@ -265,8 +261,8 @@ def _cancel(v: list[int], b: list[int], col: int) -> list[int]:
     return [s * x - t * y for x, y in zip(v, b)]
 
 
-def entry_variable_names(n: int, prefix: str = "x") -> tuple[str, ...]:
-    return tuple(f"{prefix}{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
+def entry_variable_names(n: int) -> tuple[str, ...]:
+    return tuple(f"x{i}{j}" for i in range(1, n + 1) for j in range(1, n + 1))
 
 
 def entry_positions(variables: Sequence[str], n: int) -> list[int]:
@@ -287,10 +283,11 @@ def _sort_key(m: MatrixQ):
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    generators: tuple[MatrixQ, ...]
-    symmetric: bool = True
+    """The distinct non-identity generators and their inverses, sorted."""
 
-    def __init__(self, generators: Iterable, symmetric: bool = True):
+    generators: tuple[MatrixQ, ...]
+
+    def __init__(self, generators: Iterable):
         gens = [g if isinstance(g, MatrixQ) else MatrixQ(g) for g in generators]
         if not gens:
             raise ValueError("need at least one generator")
@@ -307,15 +304,13 @@ class GeneratorSet:
             if g.entries not in seen:
                 seen.add(g.entries)
                 out.append(g)
-        if symmetric:
-            for g in list(out):
-                inv = g.inverse()
-                if inv.entries not in seen:
-                    seen.add(inv.entries)
-                    out.append(inv)
+        for g in list(out):
+            inv = g.inverse()
+            if inv.entries not in seen:
+                seen.add(inv.entries)
+                out.append(inv)
         out.sort(key=_sort_key)
         object.__setattr__(self, "generators", tuple(out))
-        object.__setattr__(self, "symmetric", symmetric)
 
     @property
     def n(self) -> int:
@@ -354,7 +349,6 @@ def ball(gens: GeneratorSet, L: int, cap: int = 5_000_000) -> Ball:
 
 @dataclass(frozen=True)
 class OrbitSlice:
-    base: tuple
     points: dict[tuple, int]  # point -> minimal word length
 
     def __len__(self):
@@ -370,4 +364,4 @@ def orbit(gens: GeneratorSet, v: Sequence, L: int, cap: int = 5_000_000) -> Orbi
     if len(base) != gens.n:
         raise ValueError("vector dimension mismatch")
     words = [g.entries for g in gens.generators]
-    return OrbitSlice(base=base, points=bfs(base, words, _kernels(gens.n).apply, L, cap, what="orbit"))
+    return OrbitSlice(points=bfs(base, words, _kernels(gens.n).apply, L, cap, what="orbit"))

@@ -614,10 +614,6 @@ class RamifiedReport:
     unresolved: tuple[int, ...]  # candidates above p_max or unverifiable
     sample_gcd: int
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return self.confirmed
-
 
 def detect_ramified(
     gens: GeneratorSet,

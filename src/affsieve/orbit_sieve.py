@@ -114,13 +114,12 @@ def level_distribution_report(
     decomp: ModuliDecomposition,
     tau_grid: Sequence[Fraction],
     dim: int,
-    eps: Fraction = Fraction(1, 10),
 ) -> LevelReport:
     """Empirical level-of-distribution summary: the least tau on the grid with
-    sum_d |r_d| <= X^tau * D^(dim+eps).  No claim beyond the computed window.
+    sum_d |r_d| <= X^tau * D^(dim+1/10).  No claim beyond the computed window.
 
     Decided exactly: both sides are raised to the lcm k of the denominators
-    of tau and dim+eps, so every exponent is an integer.
+    of tau and dim+1/10, so every exponent is an integer.
     """
     rems = decomp.remainders()
     abs_sum = sum((abs(r) for r in rems.values()), Fraction(0))
@@ -128,7 +127,7 @@ def level_distribution_report(
     grid = tuple(sorted(Fraction(t) for t in tau_grid))
     least = None
     X = decomp.X
-    e = dim + Fraction(eps)
+    e = dim + Fraction(1, 10)
     for tau in grid:
         k = math.lcm(tau.denominator, e.denominator)
         bound = Fraction(X) ** int(tau * k) * Fraction(decomp.D) ** int(e * k) if X else 0

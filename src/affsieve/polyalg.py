@@ -717,7 +717,7 @@ def _in_integral_form(mat, N: int) -> bool:
     return True
 
 
-def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> NilpotentLog:
+def malcev_lattice(gens: Sequence) -> NilpotentLog:
     """Lattice coordinates for the group generated by unipotent upper
     triangular matrices.
 
@@ -726,7 +726,7 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
     and comparing the two bases, which are equal exactly when the lattices
     are.  The scale starts at 1 and is enlarged one prime factor at a time
     until exp(scale * span) lands in the integral form, verified on all basis
-    combinations with |coefficients| <= box.
+    combinations with |coefficients| <= 2, or exceeds 10^6 (ValueError).
     """
     mats = [_freeze(g) for g in gens]
     if not mats:
@@ -772,7 +772,7 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
     scale = 1
     while True:
         ok = True
-        for coords in itertools.product(range(-box, box + 1), repeat=len(basis)):
+        for coords in itertools.product(range(-2, 3), repeat=len(basis)):
             M = span_element([c * scale for c in coords], basis, n)
             E = nilpotent_exp(M)
             if not _in_integral_form(E, N):
@@ -789,7 +789,7 @@ def malcev_lattice(gens: Sequence, box: int = 2, max_scale: int = 10**6) -> Nilp
                 break
         if ok:
             break
-        if scale > max_scale:
+        if scale > 10**6:
             raise ValueError("could not find an integral scale within bound")
     return NilpotentLog(
         n=n, basis=basis, scale=scale, conjugation_N=N, span_stable=stable

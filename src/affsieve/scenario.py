@@ -1,6 +1,10 @@
 """Declarative experiment descriptions: strict JSON scenario files with exact
 rational literals ("3/4"), schema validation that rejects unknown keys, and a
 deterministic content hash recorded in every report.
+
+The schema holds only what some command reads.  The paper's r-formula inputs
+(tau, T, log M0, the degree of f~, #S) are flags of ``r-formula``, and the
+Levi-semisimple hypothesis is not declared here.
 """
 
 from __future__ import annotations
@@ -50,20 +54,16 @@ _TOP_KEYS = {
     "generators",
     "orbit_vector",
     "f",
-    "f_tilde",
     "S0",
-    "S_prime",
     "ambient_ideal",
     "dim_V",
     "dim_G",
-    "levi_semisimple",
     "params",
     "unipotent",
     "torus",
 }
 _AMBIENT_KEYS = {"n", "kind"}
-_PARAM_KEYS = {"tau", "T", "D", "L_schedule", "ball_cap", "image_cap", "r_max", "logM0"}
-_FTILDE_KEYS = {"poly", "degree"}
+_PARAM_KEYS = {"D", "L_schedule", "ball_cap", "image_cap", "r_max"}
 _UNI_KEYS = {"p", "families"}
 _TORUS_KEYS = {"M", "nu", "r"}
 _KINDS = {"SL", "affine", "unipotent"}
@@ -149,18 +149,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         for m in mats:
             if m.det() != 1:
                 raise ValueError("SL scenario requires determinant 1 generators")
-    gens = GeneratorSet(mats, symmetric=True)
+    gens = GeneratorSet(mats)
 
     variables = entry_variable_names(n)
     f = MultiPoly.parse(raw["f"], variables) if "f" in raw else None
-    # f_tilde, S_prime, levi_semisimple, tau, T and logM0 are validated but
-    # not kept: no computation reads them
-    if "f_tilde" in raw:
-        block = raw["f_tilde"]
-        _check_keys(block, _FTILDE_KEYS, "f_tilde")
-        MultiPoly.parse(block["poly"], variables)
-        if "degree" in block:
-            _int(block["degree"], "f_tilde.degree")
 
     vec = None
     if "orbit_vector" in raw:
@@ -170,15 +162,10 @@ def scenario_from_dict(raw: dict) -> Scenario:
         vec = tuple(parse_rational(x) for x in vals)
 
     S0 = tuple(_int(p, "S0 entry") for p in raw.get("S0", []))
-    for p in raw.get("S_prime", []):
-        _int(p, "S_prime entry")
     ideal = tuple(MultiPoly.parse(s, variables) for s in raw.get("ambient_ideal", []))
 
     params = raw.get("params", {})
     _check_keys(params, _PARAM_KEYS, "params")
-    for key in ("tau", "T", "logM0"):
-        if key in params:
-            parse_rational(params[key])
     D = _int(params.get("D", 1), "params.D")
     L_schedule = tuple(
         _int(x, "params.L_schedule entry") for x in params.get("L_schedule", (4, 6, 8))
@@ -209,10 +196,6 @@ def scenario_from_dict(raw: dict) -> Scenario:
 
     dim_V = _int(raw["dim_V"], "dim_V") if "dim_V" in raw else None
     dim_G = _int(raw["dim_G"], "dim_G") if "dim_G" in raw else None
-
-    levi = raw.get("levi_semisimple")
-    if levi is not None and not isinstance(levi, bool):
-        raise ValueError("levi_semisimple must be a boolean")
 
     return Scenario(
         name=name,

@@ -50,8 +50,6 @@ class SieveBudget:
     value_want: int = 5  # values emitted per prefix
     prefix_want: int = 60  # prefixes carried into the next level
     search_bound: int = 100_000  # |progression argument| cap
-    r_extra_cap: int = 3  # how far past the degree target r may escalate
-    choice_cap: int = 64  # cap on refined choice families per family
     factor: FactorBudget = FactorBudget()
 
 
@@ -105,7 +103,6 @@ class SearchOutcome:
     values: tuple[int, ...]
     omegas: tuple[int, ...]
     exhausted: bool
-    r_used: int
 
 
 def single_variable_almost_primes(
@@ -150,9 +147,7 @@ def single_variable_almost_primes(
             omegas.append(om)
             if len(values) >= want:
                 break
-    return SearchOutcome(
-        values=tuple(values), omegas=tuple(omegas), exhausted=exhausted, r_used=max(omegas, default=0)
-    )
+    return SearchOutcome(values=tuple(values), omegas=tuple(omegas), exhausted=exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +287,10 @@ def gcd_certificate(
 @dataclass(frozen=True)
 class BadPrimeBound:
     """Primes that can divide every integer value of a univariate integer
-    polynomial, with provenance for each route that produced them."""
+    polynomial."""
 
     primes: tuple[int, ...]
     value_gcd: int
-    degree_window: tuple[int, ...]
-    content_primes: tuple[int, ...]
 
 
 def bad_prime_bound(P: MultiPoly) -> BadPrimeBound:
@@ -319,16 +312,7 @@ def bad_prime_bound(P: MultiPoly) -> BadPrimeBound:
     g = math.gcd(*values)
     if g == 0:
         raise ValueError("polynomial vanishes on 0..deg; not a nonzero integer poly?")
-    fac = factorize(g) if g > 1 else None
-    primes = fac.primes() if fac else ()
-    content = P.integer_content()
-    cfac = factorize(content) if content > 1 else None
-    return BadPrimeBound(
-        primes=primes,
-        value_gcd=g,
-        degree_window=tuple(p for p in primes_upto(deg) if deg >= 2),
-        content_primes=cfac.primes() if cfac else (),
-    )
+    return BadPrimeBound(primes=factorize(g).primes() if g > 1 else (), value_gcd=g)
 
 
 def progression_avoiding(
@@ -406,7 +390,7 @@ def _linear_coprime(prim: MultiPoly) -> bool:
 
 
 def _refine_family(
-    family: Sequence[MultiPoly], variables: tuple[str, ...], cap: int
+    family: Sequence[MultiPoly], variables: tuple[str, ...]
 ) -> tuple[list[tuple[MultiPoly, ...]], set[int]]:
     """Replace a coprime family by choice families of irreducible integer
     factors; unit/constant content primes go into the returned prime set.
@@ -441,8 +425,8 @@ def _refine_family(
             parts.append(fpoly)
         factor_lists.append(parts)
     n_choices = math.prod(len(fl) for fl in factor_lists)
-    if n_choices > cap:
-        raise ValueError(f"choice-family refinement explosion ({n_choices} > {cap})")
+    if n_choices > 64:
+        raise ValueError(f"choice-family refinement explosion ({n_choices} > 64)")
     out = []
     seen = set()
     for choice in itertools.product(*factor_lists):
@@ -542,7 +526,7 @@ def _sieve_level(
     refined: list[tuple[MultiPoly, ...]] = []
     S_const: set[int] = set()
     for fam in families:
-        choice_fams, cps = _refine_family(fam, variables, budget.choice_cap)
+        choice_fams, cps = _refine_family(fam, variables)
         S_const |= cps
         refined.extend(choice_fams)
 
@@ -655,7 +639,7 @@ def _sieve_level(
         full = calP.scale(H_val)
         r_target = max(1, calP_deg)
         outcome = None
-        for r_try in range(r_target, r_target + budget.r_extra_cap + 1):
+        for r_try in range(r_target, r_target + 4):  # r escalates at most 3 past its target
             outcome = single_variable_almost_primes(
                 full,
                 S_level,

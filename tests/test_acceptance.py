@@ -184,7 +184,7 @@ def test_09_r_formula():
 
 def test_10_trend_and_borel_cantelli():
     ok = two_power_product(5) == 930
-    table = prime_factor_trend(two_power_product, 120, odd_only=True, start=2)
+    table = prime_factor_trend(two_power_product, 120, start=2)
     ok = ok and table.incomplete == 0
     row5 = next(r for r in table.rows if r.m == 5)
     ok = ok and row5.omega_distinct == 3

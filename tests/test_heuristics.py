@@ -59,7 +59,7 @@ def test_two_power_product():
 
 
 def test_trend_m5_frozen():
-    table = prime_factor_trend(two_power_product, 6, odd_only=True)
+    table = prime_factor_trend(two_power_product, 6)
     row = next(r for r in table.rows if r.m == 5)
     # (2^5-2)(2^5-1) = 2 * 3 * 5 * 31: three odd primes
     assert row.omega_distinct == 3
@@ -67,7 +67,7 @@ def test_trend_m5_frozen():
 
 
 def test_trend_matches_sympy_oracle():
-    table = prime_factor_trend(two_power_product, 40, odd_only=True, start=2)
+    table = prime_factor_trend(two_power_product, 40, start=2)
     assert table.incomplete == 0
     for row in table.rows:
         expected = sympy.factorint(row.value)
@@ -77,7 +77,7 @@ def test_trend_matches_sympy_oracle():
 
 
 def test_trend_running_min_is_windowed_min():
-    table = prime_factor_trend(two_power_product, 31, odd_only=True, start=2)
+    table = prime_factor_trend(two_power_product, 31, start=2)
     by_m = {r.m: r for r in table.rows}
     # at the end of the window [16, 31] the running min equals the true min
     window = [by_m[m].omega_distinct for m in range(16, 32)]

@@ -91,6 +91,21 @@ def test_unknown_keys_rejected():
     raw["decomposition"] = {}
     with pytest.raises(ValueError, match="unknown keys"):
         scenario_from_dict(raw)
+    # the paper's r-formula inputs and the Levi hypothesis are r-formula flags
+    # and (later) a certified report, not scenario keys
+    dropped = [
+        ({"f_tilde": {"poly": "x11 + x22 - 2"}}, "f_tilde"),
+        ({"f_tilde": {"poly": "x11 + x22 - 2", "degree": 1}}, "f_tilde"),
+        ({"S_prime": [2]}, "S_prime"),
+        ({"levi_semisimple": True}, "levi_semisimple"),
+        ({"params": {"tau": "1/2"}}, "tau"),
+        ({"params": {"T": "1"}}, "T"),
+        ({"params": {"logM0": "1"}}, "logM0"),
+    ]
+    for extra, key in dropped:
+        raw = {**minimal_scenario(), **extra}
+        with pytest.raises(ValueError, match=f"unknown keys in .*'{key}'"):
+            scenario_from_dict(raw)
 
 
 def exit_code(tmp_path, raw, *args):
