@@ -346,9 +346,8 @@ def cmd_torus_heuristic(sc: Scenario, args):
     nu = sc.torus_nu
     spec = TorusSpec(sc.generator_matrices, M)
     env = norm_growth_check(spec)
-    rep = borel_cantelli_sum(
-        spec.rank, nu, sc.torus_r, args.bc_M, checkpoints=[args.bc_M // 10]
-    )
+    tenth = [args.bc_M // 10] if args.bc_M >= 10 else []
+    rep = borel_cantelli_sum(spec.rank, nu, sc.torus_r, args.bc_M, checkpoints=tenth)
     return {
         "A1": env.A1,
         "A2": env.A2,

@@ -164,9 +164,9 @@ def prime_factor_trend(
     budget: FactorBudget = FactorBudget(),
     start: int = 1,
 ) -> TrendTable:
-    """Per m <= M: distinct and with-multiplicity prime-factor counts of
-    value_fn(m) outside S and odd, with the running
-    minimum of the distinct count over each dyadic window [2^k, 2^(k+1)).
+    """Per m <= M: distinct and with-multiplicity counts of the odd prime
+    factors of value_fn(m) outside S, with the running minimum of the
+    distinct count over each dyadic window [2^k, 2^(k+1)).
 
     No extrapolation: rows where factoring exhausts its budget are marked.
     """
@@ -201,7 +201,7 @@ def prime_factor_trend(
 
 @dataclass(frozen=True)
 class BorelCantelliReport:
-    partial_sums: tuple[float, ...]  # at each checkpoint, then at M
+    partial_sums: tuple[float, ...]  # at each checkpoint and at M, ascending
     increments: tuple[float, ...]  # sums between consecutive checkpoints
     integral_bound: float  # upper bound for the full sum (integral test), rounded up
 
@@ -265,6 +265,8 @@ def borel_cantelli_sum(
         raise ValueError("need nu > t >= 1")
     if r < 1:
         raise ValueError("r must be >= 1")
+    if M < 1:
+        raise ValueError("M must be >= 1")
     cps = sorted(set(int(c) for c in checkpoints) | {M})
     if any(c < 1 for c in cps):
         raise ValueError("checkpoints must be >= 1")

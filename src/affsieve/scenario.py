@@ -26,7 +26,10 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        try:
+            return Fraction(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"rational literal expected (int or 'a/b' string), got {value!r}")
 
 
@@ -42,10 +45,33 @@ def _int(value, where: str) -> int:
     return value
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str):
-    unknown = set(obj) - allowed
+def _rational(value, where: str) -> Fraction:
+    try:
+        return parse_rational(value)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _object(value, allowed: set[str], where: str) -> dict:
+    """A JSON object with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object, got {value!r}")
+    unknown = set(value) - allowed
     if unknown:
         raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _poly(text, variables: tuple[str, ...], where: str) -> MultiPoly:
+    if not isinstance(text, str):
+        raise ValueError(f"{where} must be a polynomial string, got {text!r}")
+    return MultiPoly.parse(text, variables)
 
 
 _TOP_KEYS = {
@@ -103,10 +129,11 @@ class Scenario:
         return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _parse_matrix(rows, n: int) -> MatrixQ:
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError(f"matrix must be {n}x{n}")
-    return MatrixQ([[parse_rational(x) for x in row] for row in rows])
+def _parse_matrix(rows, n: int, where: str) -> MatrixQ:
+    square = isinstance(rows, list) and len(rows) == n
+    if not (square and all(isinstance(r, list) and len(r) == n for r in rows)):
+        raise ValueError(f"{where} must be a {n}x{n} matrix (a list of rows), got {rows!r}")
+    return MatrixQ([[_rational(x, where) for x in row] for row in rows])
 
 
 def load_scenario(path: str) -> Scenario:
@@ -123,14 +150,11 @@ def _reject_float(s):
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    _check_keys(raw, _TOP_KEYS, "scenario")
+    _object(raw, _TOP_KEYS, "scenario")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ValueError("scenario needs a nonempty string 'name'")
-    ambient = raw.get("ambient")
-    if not isinstance(ambient, dict):
-        raise ValueError("scenario needs an 'ambient' object")
-    _check_keys(ambient, _AMBIENT_KEYS, "ambient")
+    ambient = _object(raw.get("ambient"), _AMBIENT_KEYS, "ambient")
     n = ambient.get("n")
     kind = ambient.get("kind")
     if _int(n, "ambient.n") < 1:
@@ -138,13 +162,13 @@ def scenario_from_dict(raw: dict) -> Scenario:
     if n > 10:
         # entry names x{i}{j} collide from n = 11 on (x1,11 and x11,1)
         raise ValueError("ambient.n must be at most 10")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"ambient.kind must be one of {sorted(_KINDS)}")
 
     gen_rows = raw.get("generators")
     if not isinstance(gen_rows, list) or not gen_rows:
         raise ValueError("scenario needs a nonempty 'generators' list")
-    mats = [_parse_matrix(g, n) for g in gen_rows]
+    mats = [_parse_matrix(g, n, "generators entry") for g in gen_rows]
     if kind == "SL":
         for m in mats:
             if m.det() != 1:
@@ -152,23 +176,26 @@ def scenario_from_dict(raw: dict) -> Scenario:
     gens = GeneratorSet(mats)
 
     variables = entry_variable_names(n)
-    f = MultiPoly.parse(raw["f"], variables) if "f" in raw else None
+    f = _poly(raw["f"], variables, "f") if "f" in raw else None
 
     vec = None
     if "orbit_vector" in raw:
-        vals = raw["orbit_vector"]
+        vals = _list(raw["orbit_vector"], "orbit_vector")
         if len(vals) != n:
             raise ValueError("orbit_vector dimension mismatch")
-        vec = tuple(parse_rational(x) for x in vals)
+        vec = tuple(_rational(x, "orbit_vector entry") for x in vals)
 
-    S0 = tuple(_int(p, "S0 entry") for p in raw.get("S0", []))
-    ideal = tuple(MultiPoly.parse(s, variables) for s in raw.get("ambient_ideal", []))
+    S0 = tuple(_int(p, "S0 entry") for p in _list(raw.get("S0", []), "S0"))
+    ideal = tuple(
+        _poly(s, variables, "ambient_ideal entry")
+        for s in _list(raw.get("ambient_ideal", []), "ambient_ideal")
+    )
 
-    params = raw.get("params", {})
-    _check_keys(params, _PARAM_KEYS, "params")
+    params = _object(raw.get("params", {}), _PARAM_KEYS, "params")
     D = _int(params.get("D", 1), "params.D")
     L_schedule = tuple(
-        _int(x, "params.L_schedule entry") for x in params.get("L_schedule", (4, 6, 8))
+        _int(x, "params.L_schedule entry")
+        for x in _list(params.get("L_schedule", [4, 6, 8]), "params.L_schedule")
     )
     ball_cap = _int(params.get("ball_cap", 5_000_000), "params.ball_cap")
     image_cap = _int(params.get("image_cap", 5_000_000), "params.image_cap")
@@ -177,21 +204,20 @@ def scenario_from_dict(raw: dict) -> Scenario:
     uni_p = None
     uni_fams: tuple[tuple[MultiPoly, ...], ...] = ()
     if "unipotent" in raw:
-        block = raw["unipotent"]
-        _check_keys(block, _UNI_KEYS, "unipotent")
-        uni_p = MultiPoly.parse(block["p"], variables)
+        block = _object(raw["unipotent"], _UNI_KEYS, "unipotent")
+        uni_p = _poly(block.get("p"), variables, "unipotent.p")
+        member = "unipotent.families member"
         uni_fams = tuple(
-            tuple(MultiPoly.parse(s, variables) for s in fam)
-            for fam in block.get("families", [])
+            tuple(_poly(s, variables, member) for s in _list(fam, "unipotent.families entry"))
+            for fam in _list(block.get("families", []), "unipotent.families")
         )
 
     torus_M = torus_nu = None
     torus_r = 1
     if "torus" in raw:
-        block = raw["torus"]
-        _check_keys(block, _TORUS_KEYS, "torus")
-        torus_M = _int(block["M"], "torus.M")
-        torus_nu = _int(block["nu"], "torus.nu")
+        block = _object(raw["torus"], _TORUS_KEYS, "torus")
+        torus_M = _int(block.get("M"), "torus.M")
+        torus_nu = _int(block.get("nu"), "torus.nu")
         torus_r = _int(block.get("r", 1), "torus.r")
 
     dim_V = _int(raw["dim_V"], "dim_V") if "dim_V" in raw else None

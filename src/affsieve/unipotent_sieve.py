@@ -29,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .core_arith import (
     FactorBudget,
     _omega_outside,
+    _s_integer_part,
     check_prime_set,
     factorize,
     omega_outside,
@@ -389,6 +390,12 @@ def _linear_coprime(prim: MultiPoly) -> bool:
     )
 
 
+def _constant_primes(c: Fraction | int) -> set[int]:
+    """The primes of the numerator and the denominator of a nonzero rational."""
+    parts = (abs(c.numerator), c.denominator)
+    return {p for part in parts if part > 1 for p in factorize(part).primes()}
+
+
 def _refine_family(
     family: Sequence[MultiPoly], variables: tuple[str, ...]
 ) -> tuple[list[tuple[MultiPoly, ...]], set[int]]:
@@ -404,9 +411,7 @@ def _refine_family(
     factor_lists: list[list[MultiPoly]] = []
     for member in family:
         prim, unit = _integerize(member)
-        for part in (abs(unit.numerator), unit.denominator):
-            if part > 1:
-                const_primes.update(factorize(part).primes())
+        const_primes |= _constant_primes(unit)
         if prim.is_constant():
             # gcd of the family divides this constant: whole family controlled
             return [], const_primes
@@ -419,9 +424,7 @@ def _refine_family(
         parts = []
         for fexpr, _exp in factors:
             fpoly, funit = _integerize(MultiPoly.from_sympy(fexpr, variables))
-            for part in (abs(funit.numerator), funit.denominator):
-                if part > 1:
-                    const_primes.update(factorize(part).primes())
+            const_primes |= _constant_primes(funit)
             parts.append(fpoly)
         factor_lists.append(parts)
     n_choices = math.prod(len(fl) for fl in factor_lists)
@@ -507,8 +510,7 @@ def _sieve_level(
                 g = math.gcd(g, abs(int(m.constant_value())))
             if g == 0:
                 raise CoprimalityError("constant family with gcd 0")
-            if g > 1:
-                S |= set(factorize(g).primes())
+            S |= _constant_primes(g)
         # a factoring budget blown on the constant is reported, not counted as r = 0
         fac = factorize(abs(val.numerator), budget.factor)
         return _LevelResult(
@@ -569,10 +571,7 @@ def _sieve_level(
         consts = [m for m in fam if m.is_constant()]
         if consts:
             for m in consts:
-                c = m.constant_value()
-                for part in (abs(c.numerator), c.denominator):
-                    if part > 1:
-                        S_const |= set(factorize(part).primes())
+                S_const |= _constant_primes(m.constant_value())
             continue
         kept_rec.append(fam)
 
@@ -624,7 +623,7 @@ def _sieve_level(
             den = inst.denominator_lcm()
             if den != 1:
                 inst = inst.scale(den)
-                S_level |= set(factorize(den).primes())
+                S_level |= _constant_primes(den)
             instances.append(inst)
             if not inst.is_constant():
                 S_level |= set(bad_prime_bound(inst).primes)
@@ -708,14 +707,7 @@ def multivariable_sieve(
             for m in fam:
                 mv = m.eval(dict(zip(variables, x)))
                 g = math.gcd(g, abs(mv.numerator))
-            if g == 0:
-                ok = False
-                break
-            rest = g
-            for p in S:
-                while rest % p == 0:
-                    rest //= p
-            if rest != 1:
+            if g == 0 or _s_integer_part(g, S) != 1:
                 ok = False
                 break
             gcds.append(g)

@@ -108,6 +108,14 @@ def test_unknown_keys_rejected():
             scenario_from_dict(raw)
 
 
+def test_readme_scenario_example_loads():
+    readme = open(os.path.join(ROOT, "README.md")).read()
+    section = readme.split("## Scenario format", 1)[1]
+    block = section.split("```json\n", 1)[1].split("```", 1)[0]
+    sc = scenario_from_dict(json.loads(block))
+    assert (sc.name, sc.n, sc.L_schedule) == ("sl2-free", 2, (4, 6, 8))
+
+
 def exit_code(tmp_path, raw, *args):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(raw))
@@ -133,6 +141,48 @@ def test_non_integer_dims_and_S0_rejected(tmp_path, key, value):
     with pytest.raises(ValueError, match="must be an integer"):
         scenario_from_dict(raw)
     assert exit_code(tmp_path, raw, "splitting-census", "--pmax", "7") == 2
+
+
+@pytest.mark.parametrize(
+    "key, value, name",
+    [
+        ("generators", [5], "generators"),
+        ("generators", [[1, 2]], "generators"),
+        ("generators", [[["1/0", 0], [0, 1]]], "generators"),
+        ("f", 5, "f must be"),
+        ("params", [], "params"),
+        ("params", {"L_schedule": 3}, "params.L_schedule"),
+        ("torus", 5, "torus"),
+        ("ambient", {"n": 2, "kind": ["SL"]}, "ambient.kind"),
+        ("orbit_vector", 3, "orbit_vector"),
+        ("S0", 3, "S0"),
+        ("ambient_ideal", "x11", "ambient_ideal"),
+        ("unipotent", {"p": "x11", "families": ["x11"]}, "unipotent.families"),
+        (None, [1, 2], "scenario must be an object"),
+    ],
+)
+def test_malformed_scenario_exits_invalid(tmp_path, capsys, key, value, name):
+    raw = json.loads(open(SL2).read())
+    if key is None:
+        raw = value
+    else:
+        raw[key] = value
+    assert exit_code(tmp_path, raw, "ball", "--L", "1") == 2
+    err = capsys.readouterr().err
+    assert "invalid input" in err and name in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["level-report", "--scenario", SL2, "--L", "2", "--D", "2", "--taus", "1/0"],
+        ["r-formula", "--deg", "1", "--s", "1", "--dim", "3", "--tau", "1/0", "--omega", "4"],
+    ],
+    ids=["level-report", "r-formula"],
+)
+def test_zero_denominator_flag_exits_invalid(capsys, argv):
+    assert main(argv) == 2
+    assert "invalid input: zero denominator in '1/0'" in capsys.readouterr().err
 
 
 def test_ambient_n_above_10_rejected(tmp_path):
@@ -288,6 +338,17 @@ def test_cli_exit_code_invalid_input(tmp_path, capsys):
     assert main(["ball", "--scenario", missing, "--L", "2"]) == 2
     # scenario without a torus block fed to the torus command
     assert main(["torus-heuristic", "--scenario", SL2]) == 2
+
+
+def test_torus_heuristic_small_bc_M(tmp_path, capsys):
+    # below 10 there is no tenth checkpoint: one partial sum, at M itself
+    rec = tmp_path / "bc.json"
+    assert main(["torus-heuristic", "--scenario", TORUS, "--bc-M", "9", "--record", str(rec)]) == 0
+    out = json.loads(rec.read_text())["outputs"]
+    assert len(out["bc_partial_sums"]) == len(out["bc_increments"]) == 1
+    capsys.readouterr()
+    assert main(["torus-heuristic", "--scenario", TORUS, "--bc-M", "0"]) == 2
+    assert "M must be >= 1" in capsys.readouterr().err
 
 
 def test_cli_exit_code_budget(tmp_path):
