@@ -20,14 +20,15 @@ are enumerated afresh, so the dual routes (``beta_squarefree``'s count mod
 d) never read it.
 
 The variety counter is exact and avoids full brute force where it can: a
-factor p for each variable that no equation uses, univariate root counts
-(closed form for quadratics) and scans, elimination of variables that appear
-linearly with a constant coefficient, and a three-way recursion on a
-variable of degree one (its leading coefficient is either invertible, giving
-one solution per assignment of the rest, or zero, giving p or none).  Full
-enumeration is the last resort and is budgeted.  Its equations are
-``MultiPoly``s reduced by ``MultiPoly.mod(p)``; it has no arithmetic of its
-own.
+factor p for each variable that no equation uses, elimination of variables
+that appear linearly with a constant coefficient, univariate root counts
+(closed form for quadratics) and scans, and one rule for a variable x of
+degree one in any equation lead * x + rest of any system: where lead is
+invertible x is solved for and cleared from the other equations, and where
+lead vanishes the equation splits into {lead, rest}.  Full enumeration runs
+only when no equation has a variable of degree one, and is budgeted.  Its
+equations are ``MultiPoly``s reduced by ``MultiPoly.mod(p)``; it has no
+arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -280,27 +281,39 @@ def _count_bound(
                 for r in _scan_roots(coeffs, p)
             )
 
-    # 3) single equation with a degree-1 variable (polynomial coefficient):
-    #    N = #{lead != 0} + p * #{lead = 0 and rest = 0}
-    if len(live) == 1:
-        t, used = live[0]
-        for i in used:
-            if t.degree_in(i) == 1:
-                lead, rest = t.coeff_in(i, 1), t.coeff_in(i, 0)
-                others = active - {i}
-                zeros_lead = _count_points([lead], others, p, brute_budget)
-                zeros_both = _count_points([lead, rest], others, p, brute_budget)
-                return (pow(p, len(others)) - zeros_lead) + p * zeros_both
+    # 3) a variable x of degree one in an equation lead * x + rest (polynomial
+    #    lead): where lead != 0, x = -rest / lead, and another equation u of
+    #    degree d in x vanishes there exactly where u~ = lead^d u(-rest / lead)
+    #    does; where lead = 0, the equation is {lead, rest} and x is free in it.
+    #    N = #{u~} - #{lead, u~} + #{lead, rest, u}, the first two without x.
+    #    One equation takes its first such x; a system takes the one whose
+    #    lead has least degree, then least degree in the other equations.
+    found = [(idx, i) for idx, (t, used) in enumerate(live) for i in used if t.degree_in(i) == 1]
+    if found:
 
-    # 4) budgeted brute force over the active variables, except one of degree
-    #    one in some equation lead * x + rest: x = -rest / lead where lead != 0,
-    #    and every x where lead = rest = 0
-    solved = next(
-        ((idx, i) for idx, (t, used) in enumerate(live) for i in used if t.degree_in(i) == 1),
-        None,
-    )
+        def cost(choice):
+            idx, i = choice
+            others = (u.degree_in(i) for j, (u, _) in enumerate(live) if j != idx)
+            return live[idx][0].coeff_in(i, 1).degree(), max(others)
+
+        idx, i = found[0] if len(live) == 1 else min(found, key=cost)
+        t = live[idx][0]
+        lead, rest = t.coeff_in(i, 1), t.coeff_in(i, 0)
+        others = [u for j, (u, _) in enumerate(live) if j != idx]
+        cleared = [
+            sum(u.coeff_in(i, k) * (-rest) ** k * lead ** (d - k) for k in range(d + 1))
+            for u, d in ((u, u.degree_in(i)) for u in others)
+        ]
+        without_x = active - {i}
+        return (
+            _count_points(cleared, without_x, p, brute_budget)
+            - _count_points([lead, *cleared], without_x, p, brute_budget)
+            + _count_points([lead, rest, *others], active, p, brute_budget)
+        )
+
+    # 4) budgeted brute force over the active variables
     variables = live[0][0].variables
-    order = [k for k, v in enumerate(variables) if v in active and not (solved and v == solved[1])]
+    order = [k for k, v in enumerate(variables) if v in active]
     total_points = pow(p, len(order))
     if total_points > brute_budget:
         raise EnumerationBudgetError(
@@ -308,32 +321,12 @@ def _count_bound(
         )
     values = [0] * len(variables)
     run = MultiPoly.run_plan
-
-    def zero(plans) -> bool:
-        return all(run(plan, values) % p == 0 for plan in plans)
-
-    if solved:
-        idx, name = solved
-        t = live[idx][0]
-        lead, rest = t.coeff_in(name, 1).term_plan(), t.coeff_in(name, 0).term_plan()
-        others = [u.term_plan() for j, (u, _) in enumerate(live) if j != idx]
-        x = variables.index(name)
-    else:
-        plans = [t.term_plan() for t, _ in live]
+    plans = [t.term_plan() for t, _ in live]
     count = 0
     for assignment in itertools.product(range(p), repeat=len(order)):
         for k, v in zip(order, assignment):
             values[k] = v
-        if not solved:
-            count += zero(plans)
-            continue
-        a, b = run(lead, values) % p, run(rest, values) % p
-        if a:
-            values[x] = -b * pow(a, -1, p) % p
-            count += zero(others)
-        elif b == 0:
-            for values[x] in range(p):
-                count += zero(others)
+        count += all(run(plan, values) % p == 0 for plan in plans)
     return count
 
 

@@ -126,7 +126,7 @@ def test_variety_count_against_brute_force():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.lists(
+    systems=st.lists(
         st.dictionaries(
             st.sampled_from([e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]),
             st.integers(-3, 3),
@@ -135,12 +135,15 @@ def test_variety_count_against_brute_force():
         min_size=1,
         max_size=3,
     ),
-    st.sampled_from([2, 3, 5, 7]),
+    p=st.sampled_from([2, 3, 5, 7]),
 )
+# x y + z^2 = x^2 + y z + 1 = 0: no constant lead, no univariate equation;
+# the degree-one rule solves the first equation for y, which the second uses
+@example(systems=[{(1, 1, 0): 1, (0, 0, 2): 1}, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 0): 1}], p=5)
 def test_variety_count_matches_plain_enumeration(systems, p):
     # every route of the counter (elimination, root branches, the degree-one
-    # recursion, brute force solving for a degree-one variable) against F_p^3;
-    # w, which no equation uses, multiplies the count by p
+    # rule on one equation or a system, brute force) against F_p^3; w, which
+    # no equation uses, multiplies the count by p
     xyz = ("x", "y", "z")
     eqs = [MultiPoly(xyz, terms) for terms in systems]
     expected = sum(
@@ -178,6 +181,14 @@ def test_variety_count_factors_out_free_variables():
     assert enumerate_variety_mod_p([f], 7, xs) == 18 * 7**3
     assert enumerate_variety_mod_p([f], 31, xs) == 90 * 31**3 == 2_681_190
     assert enumerate_variety_mod_p([f], 31, xs, brute_budget=31**2) == 2_681_190
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 31, 101])
+@pytest.mark.parametrize("n", [2, 3])
+def test_det_minus_one_counts_sl_order(n, p):
+    # with no equation besides det - 1 the counter must give |SL_n(F_p)|; at
+    # n = 3 and p >= 13 this used to exceed the brute-force budget
+    assert enumerate_variety_mod_p([det_minus_one(n)], p) == sl_order(n, p)
 
 
 def test_variety_count_budget():
@@ -452,14 +463,22 @@ def test_certificate_missing_an_adjacent_position_fails():
 
 def test_certified_sl3_density_matches_image_enumeration():
     # dual route at n = 3: the variety count on {f, det - 1} against the
-    # enumerated image (88 of 168 at p = 2, 1,863 of 5,616 at p = 3)
+    # enumerated image, N_f of 168 at p = 2 and of 5,616 at p = 3
     sl3 = adjacent_elementary(3, 1)
-    f = MultiPoly.parse("x11 + x22 - 2", entry_variable_names(3))
-    for p, want in ((2, (88, 168)), (3, (1863, 5616))):
-        d = local_density(sl3, f, p)
-        assert d.certificate is not None
+    want = {
+        "x11 + x22 - 2": (88, 1863),
+        "x11*x22 - x13 + 1": (96, 1944),
+        "x11**2 + x12*x21 - x33": (92, 1854),
+        "x11**3 - x23*x32 + 2": (84, 1908),
+        "x11**2 + x22**2 + x33**2 - 3": (88, 2052),
+    }
+    for k, p in enumerate((2, 3)):
         image = generate_image(sl3, p)
-        assert (d.N_f, d.order) == (count_Nf(image, f), len(image)) == want
+        for text, counts in want.items():
+            f = MultiPoly.parse(text, entry_variable_names(3))
+            d = local_density(sl3, f, p)
+            assert d.certificate is not None
+            assert (d.N_f, d.order) == (count_Nf(image, f), len(image)) == (counts[k], sl_order(3, p)), text
 
 
 FORGED_CERTIFICATE = """
