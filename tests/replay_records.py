@@ -49,8 +49,11 @@ SEEDS = (101, 102)
 # Mal'cev basis has denominators 2, 12 and 3 (conjugation level 6); and the
 # unipotent sieve on families that take its routes the benchmark never does:
 # a member factored by sympy (4*y1**2 - 4*y3**2) and a certificate with
-# Q = 2*y1**2 - 1.
+# Q = 2*y1**2 - 1; and beta(p) on SL_3 from root generators, certified at
+# every odd p, where |SL_3(F_31)| = 851,974,934,400 leaves the variety
+# counter on {f, det - 1} as the only route.
 HEIS_F = str(ROOT / "scenarios" / "heisenberg-families.json")
+SL3 = str(ROOT / "scenarios" / "sl3-root.json")
 EXTRA = [
     ["local-density", "--scenario", SL2, "--p", "61"],
     ["beta-table", "--scenario", SL2, "--pmax", "47"],
@@ -60,6 +63,8 @@ EXTRA = [
     ["saturate", "--scenario", SL2, "--Lmax", "5", "--D", "2"],
     ["uni-sieve", "--scenario", HEIS_Q, "--want", "3", "--prefixes", "10"],
     ["uni-sieve", "--scenario", HEIS_F, "--want", "3", "--prefixes", "10"],
+    ["local-density", "--scenario", SL3, "--p", "31"],
+    ["beta-table", "--scenario", SL3, "--pmax", "100"],
 ]
 
 
