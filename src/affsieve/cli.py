@@ -178,6 +178,8 @@ def cmd_splitting_census(sc: Scenario, args):
 
 def cmd_sequence(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
+    if args.head < 0:
+        raise ValueError("--head must be >= 0")
     seq = build_sequence(sc.generators, f, args.L, sc.S0, cap=sc.ball_cap)
     return {
         "L": args.L,
@@ -323,6 +325,8 @@ def cmd_saturate(sc: Scenario, args):
 
 def cmd_uni_sieve(sc: Scenario, args):
     p = _need(sc, "unipotent_p", "a unipotent block")
+    if args.head < 0:
+        raise ValueError("--head must be >= 0")
     budget = SieveBudget(
         value_want=args.want,
         prefix_want=args.prefixes,

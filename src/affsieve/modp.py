@@ -176,6 +176,8 @@ def verify_strong_approx(gens: GeneratorSet, q: int, cap: int = 5_000_000) -> St
     H = G_1 x G_2.  Otherwise the image mod q is enumerated (``cap`` bounds
     it).
     """
+    if q < 2:
+        raise ValueError("modulus must be >= 2")
     fac = factorize(q)
     if any(e > 1 for _, e in fac.factors) or not fac.complete:
         raise ValueError("modulus must be squarefree and factorable")
@@ -677,6 +679,8 @@ def splitting_census(
 ) -> SplittingCensus:
     """Leading coefficients c_hat(p) = round(count / p^dim_V) with a
     Lang-Weil-shaped acceptance window |count - c_hat p^dim| <= 6 p^(dim-1/2)."""
+    if dim_V < 0:
+        raise ValueError("dim_V must be >= 0")
     rows = []
     unclassified = []
     freq: dict[int, int] = {}

@@ -233,6 +233,8 @@ def _census(
     """Census over one ball.  Omega depends only on the S-integer part n of
     the value, so it is computed once per distinct n; the counts still count
     elements."""
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
     histogram = [0] * (r_max + 1)  # Omega -> elements
     elements: list[Entries] = []  # those with Omega <= r_max, in ball order
     omegas: list[int] = []  # their Omega
@@ -299,6 +301,8 @@ def saturation_estimate(
     This is an empirical lower-confidence estimate from finite data, not a
     proof of saturation at r.
     """
+    if D < 0:
+        raise ValueError("D must be >= 0")
     Sset = check_prime_set(S)
     per_L: dict[int, Optional[int]] = {}
     failure: dict[int, str] = {}

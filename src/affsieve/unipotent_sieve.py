@@ -53,6 +53,10 @@ class SieveBudget:
     search_bound: int = 100_000  # |progression argument| cap
     factor: FactorBudget = FactorBudget()
 
+    def __post_init__(self):
+        if self.value_want < 1 or self.prefix_want < 1:
+            raise ValueError("value_want and prefix_want must be >= 1")
+
 
 @dataclass(frozen=True)
 class UniSieveProblem:

@@ -185,6 +185,30 @@ def test_zero_denominator_flag_exits_invalid(capsys, argv):
     assert "invalid input: zero denominator in '1/0'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # each count used to run: saturation at D = -1, strong approximation
+        # mod -7 (read as the image mod 7), a census up to Omega = -1, a sieve
+        # wanting no value, negative sequence and sample heads, and a
+        # splitting census at dimension -1 (a TypeError traceback, exit 1)
+        ["saturate", "--scenario", SL2, "--D", "-1", "--Lmax", "2"],
+        ["strong-approx", "--scenario", SL2, "--q", "-7"],
+        ["census", "--scenario", SL2, "--L", "2", "--rmax", "-1"],
+        ["uni-sieve", "--scenario", HEIS, "--want", "0"],
+        ["uni-sieve", "--scenario", HEIS, "--prefixes", "0"],
+        ["uni-sieve", "--scenario", HEIS, "--head", "-1"],
+        ["sequence", "--scenario", SL2, "--L", "2", "--head", "-1"],
+        ["splitting-census", "--scenario", SL2, "--pmax", "7", "--dim", "-1"],
+    ],
+    ids=["saturate-D", "strong-approx-q", "census-rmax", "uni-sieve-want", "uni-sieve-prefixes",
+         "uni-sieve-head", "sequence-head", "splitting-census-dim"],
+)
+def test_out_of_range_count_exits_invalid(capsys, argv):
+    assert main(argv) == 2
+    assert "invalid input" in capsys.readouterr().err
+
+
 def test_ambient_n_above_10_rejected(tmp_path):
     def elementary(n):
         return [[int(i == j or (i, j) == (0, 1)) for j in range(n)] for i in range(n)]
