@@ -13,9 +13,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
-from .core_arith import FactorBudget, check_prime_set, factorize, ln_bracket
+from .core_arith import factorize, ln_bracket
 from .matgroup import MatrixQ
 
 
@@ -160,17 +160,15 @@ class TrendTable:
 def prime_factor_trend(
     value_fn: Callable[[int], int],
     M: int,
-    S: Iterable[int] = (),
-    budget: FactorBudget = FactorBudget(),
     start: int = 1,
 ) -> TrendTable:
     """Per m <= M: distinct and with-multiplicity counts of the odd prime
-    factors of value_fn(m) outside S, with the running minimum of the
-    distinct count over each dyadic window [2^k, 2^(k+1)).
+    factors of value_fn(m), with the running minimum of the distinct count
+    over each dyadic window [2^k, 2^(k+1)).
 
-    No extrapolation: rows where factoring exhausts its budget are marked.
+    No extrapolation: rows where factoring exhausts its default budget are
+    marked.
     """
-    Sset = set(check_prime_set(S))
     rows = []
     incomplete = 0
     window_start = None
@@ -181,12 +179,12 @@ def prime_factor_trend(
             rows.append(TrendRow(m, 0, None, None, window_min))
             incomplete += 1
             continue
-        fac = factorize(abs(v), budget)
+        fac = factorize(abs(v))
         if not fac.complete:
             rows.append(TrendRow(m, v, None, None, window_min))
             incomplete += 1
             continue
-        kept = [(p, e) for p, e in fac.factors if p not in Sset and p != 2]
+        kept = [(p, e) for p, e in fac.factors if p != 2]
         w_d = len(kept)
         w_m = sum(e for _, e in kept)
         k = m.bit_length() - 1

@@ -675,7 +675,6 @@ def splitting_census(
     dim_V: int,
     primes: Sequence[int],
     variables: Optional[Sequence[str]] = None,
-    brute_budget: int = BRUTE_BUDGET,
 ) -> SplittingCensus:
     """Leading coefficients c_hat(p) = round(count / p^dim_V) with a
     Lang-Weil-shaped acceptance window |count - c_hat p^dim| <= 6 p^(dim-1/2)."""
@@ -686,7 +685,7 @@ def splitting_census(
     freq: dict[int, int] = {}
     classified = 0
     for p in primes:
-        count = enumerate_variety_mod_p(equations, p, variables, brute_budget)
+        count = enumerate_variety_mod_p(equations, p, variables)
         c_hat = round(Fraction(count, p**dim_V))
         residual = count - c_hat * p**dim_V
         # tolerance 6 * p^(dim - 1/2), compared without floats
