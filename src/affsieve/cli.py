@@ -398,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, needs_scenario=True, **extra):
+    def add(name, handler, needs_scenario=True):
         p = sub.add_parser(name)
         if needs_scenario:
             p.add_argument("--scenario", required=True)

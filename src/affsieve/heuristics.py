@@ -171,9 +171,11 @@ def prime_factor_trend(
     """
     rows = []
     incomplete = 0
-    window_start = None
+    window = None
     window_min: Optional[int] = None
     for m in range(start, M + 1):
+        if window != m.bit_length() - 1:
+            window, window_min = m.bit_length() - 1, None
         v = int(value_fn(m))
         if v == 0:
             rows.append(TrendRow(m, 0, None, None, window_min))
@@ -187,12 +189,7 @@ def prime_factor_trend(
         kept = [(p, e) for p, e in fac.factors if p != 2]
         w_d = len(kept)
         w_m = sum(e for _, e in kept)
-        k = m.bit_length() - 1
-        if window_start != k:
-            window_start = k
-            window_min = w_d
-        else:
-            window_min = w_d if window_min is None else min(window_min, w_d)
+        window_min = w_d if window_min is None else min(window_min, w_d)
         rows.append(TrendRow(m, v, w_d, w_m, window_min))
     return TrendTable(rows=tuple(rows), incomplete=incomplete)
 

@@ -7,7 +7,9 @@ finite point sets on the one elimination ``rational_row_reduce``.
 Coefficients are exact scalars (``core_arith.exact``: int, or Fraction where
 a coefficient is not integral); no floats.  Polynomial text is read by a
 recursive-descent parser that evaluates nothing.  The gcd is a primitive
-remainder sequence over Z, normalized as ``sympy.gcd`` normalizes it;
+remainder sequence over Z, normalized as ``sympy.gcd`` normalizes it, on the
+one pseudo-division ``_prem``, which the unipotent sieve's gcd certificate
+also runs;
 ``to_sympy``/``from_sympy`` serve only the unipotent sieve's factoring of
 members it cannot prove irreducible.
 
@@ -390,38 +392,55 @@ def _zgcd(f: MultiPoly, g: MultiPoly) -> MultiPoly:
     """gcd in Z[variables] of integer polynomials, leading coefficient
     positive: the gcd of the contents in a variable v, times the primitive
     part of the last remainder of the primitive PRS of their primitive parts
-    (Brown 1971).  v is one that only one of them uses, if any, which leaves
-    the contents alone to compare; else one of least degree."""
+    (Brown 1971).  v is one that only one of them uses, if any: then the gcd
+    is that of the other and the user's coefficients in v; else v is one of
+    least degree."""
     uf, ug = f.used_variables(), g.used_variables()
     if not uf | ug:
         return MultiPoly.constant(f.variables, math.gcd(f.constant_value(), g.constant_value()))
+    if f.is_zero() or g.is_zero():
+        h = f + g
+        return h if h.terms[max(h.terms)] > 0 else -h
     v = min(uf | ug, key=lambda x: (x in uf and x in ug, max(f.degree_in(x), g.degree_in(x)), f.variables.index(x)))
+    if v not in uf or v not in ug:
+        user, other = (f, g) if v in uf else (g, f)
+        return _coeff_gcd(user, other, v)
     (cf, f), (cg, g) = _content(f, v), _content(g, v)
     while not g.is_zero():
-        f, g = g, _content(_prem(f, g, v), v)[1]
+        f, g = g, _content(_prem(f, g, v)[2], v)[1]
     h = f * _zgcd(cf, cg)
     return h if h.terms[max(h.terms)] > 0 else -h
 
 
+def _coeff_gcd(f: MultiPoly, c: MultiPoly, v: str) -> MultiPoly:
+    """The gcd of c and of f's coefficients in v, folded smallest first so
+    that the running gcd, which divides each, stays small."""
+    parts = [c] + [f.coeff_in(v, k) for k in range(f.degree_in(v) + 1)]
+    c, one = MultiPoly.constant(f.variables, 0), MultiPoly.constant(f.variables, 1)
+    for p in sorted(parts, key=lambda p: len(p.terms)):
+        c = _zgcd(c, p)
+        if c == one:
+            break
+    return c
+
+
 def _content(f: MultiPoly, v: str) -> tuple[MultiPoly, MultiPoly]:
     """(content, primitive part) of an integer polynomial in Z[others][v]."""
-    c = MultiPoly.constant(f.variables, 0)
-    one = MultiPoly.constant(f.variables, 1)
-    for k in range(f.degree_in(v) + 1):
-        c = _zgcd(c, f.coeff_in(v, k))
-        if c == one:
-            return c, f
-    return c, divmod(f, c)[0] if c.terms else c
+    c = _coeff_gcd(f, MultiPoly.constant(f.variables, 0), v)
+    return c, divmod(f, c)[0] if c.terms and c != MultiPoly.constant(f.variables, 1) else f
 
 
-def _prem(f: MultiPoly, g: MultiPoly, v: str) -> MultiPoly:
-    """A pseudo-remainder of f by g in v: lc(g)^k * f - q*g, of degree in v
-    below g's."""
+def _prem(f: MultiPoly, g: MultiPoly, v: str) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """Pseudo-division of f by g in v (Knuth, TAOCP vol. 2, 4.6.1): (a, q, r)
+    with a*f = q*g + r, a a power of g's leading coefficient in v and r of
+    degree in v below g's."""
     n = g.degree_in(v)
     lg, x = g.coeff_in(v, n), MultiPoly.var(f.variables, v)
+    a, q = MultiPoly.constant(f.variables, 1), MultiPoly.constant(f.variables, 0)
     while not f.is_zero() and (k := f.degree_in(v)) >= n:
-        f = f * lg - g * f.coeff_in(v, k) * x ** (k - n)
-    return f
+        c = f.coeff_in(v, k) * x ** (k - n)
+        a, q, f = a * lg, q * lg + c, f * lg - g * c
+    return a, q, f
 
 
 # a token, or (last group) any other character, which is an error
@@ -521,14 +540,8 @@ class CertificateError(RuntimeError):
 
 
 class CoprimalityError(ValueError):
-    """A declared family has a nonconstant common factor.
-
-    ``common_factor`` is a ``MultiPoly``: the family's gcd, or from
-    ``gcd_certificate`` the numerator of its monic gcd over Q(others)."""
-
-    def __init__(self, message: str, common_factor=None):
-        super().__init__(message)
-        self.common_factor = common_factor
+    """A declared family has a nonconstant common factor, named in the
+    message."""
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ routed through lattice coordinates and re-verified on the actual matrices.
 The classical-sieve existence step is replaced by bounded search: an empty
 result distinguishes "searched and none found" from "budget exhausted".
 
-The gcd certificates (one extended Euclid over Q(others)[pivot] in
-``MultiPoly`` arithmetic), bad-prime bounds and progression avoidance live
-here, beside their one caller; sympy is imported only to factor a family
-member that ``_linear_coprime`` cannot prove irreducible.
+The gcd certificates (one extended Euclid over Q(others)[pivot], run on
+fraction-free ``MultiPoly`` rows with the pseudo-division the gcd uses),
+bad-prime bounds and progression avoidance live here, beside their one
+caller; sympy is imported only to factor a family member that
+``_linear_coprime`` cannot prove irreducible, and its factors are
+multiplied back before they are used.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .polyalg import (
     CertificateError,
     CoprimalityError,
     MultiPoly,
+    _prem,
     exp_series,
     malcev_lattice,
     span_element,
@@ -70,7 +73,7 @@ class UniSieveProblem:
             for m in fam:
                 g = g.gcd(m)
             if not g.is_constant():
-                raise CoprimalityError(f"family has common factor {g!r}", common_factor=g)
+                raise CoprimalityError(f"family has common factor {g!r}")
 
 
 @dataclass(frozen=True)
@@ -181,64 +184,25 @@ class GcdCertificate:
         return total == self.Q.extend(variables)
 
 
-class _RatPoly:
-    """N/d in Q(others)[pivot], in lowest terms: N a polynomial over all the
-    variables, d a nonzero one free of the pivot."""
-
-    __slots__ = ("N", "d")
-
-    def __init__(self, N: MultiPoly, d: MultiPoly):
-        g = N.gcd(d)
-        self.N, self.d = divmod(N, g)[0], divmod(d, g)[0]
-
-    @classmethod
-    def of(cls, P: MultiPoly) -> "_RatPoly":
-        return cls(P, MultiPoly.constant(P.variables, 1))
-
-    def __add__(self, other: "_RatPoly") -> "_RatPoly":
-        return _RatPoly(self.N * other.d + other.N * self.d, self.d * other.d)
-
-    def __sub__(self, other: "_RatPoly") -> "_RatPoly":
-        return _RatPoly(self.N * other.d - other.N * self.d, self.d * other.d)
-
-    def __mul__(self, other: "_RatPoly") -> "_RatPoly":
-        return _RatPoly(self.N * other.N, self.d * other.d)
-
-    def inverse_lead(self, pivot: str) -> "_RatPoly":
-        """1 / the leading coefficient in the pivot."""
-        return _RatPoly(self.d, self.N.coeff_in(pivot, self.N.degree_in(pivot)))
-
-    def z_denominator(self) -> MultiPoly:
-        """The least D in Z[others], up to sign, with D * N/d in Z[variables]."""
-        L = math.lcm(self.N.denominator_lcm(), self.d.denominator_lcm())
-        d = self.d.scale(L)
-        return divmod(d, self.N.scale(L).gcd(d))[0]
-
-
-def _divmod_in(f: _RatPoly, g: _RatPoly, pivot: str) -> tuple[_RatPoly, _RatPoly]:
-    """(q, r) with f = q*g + r in Q(others)[pivot], r of lower degree than g."""
-    n = g.N.degree_in(pivot)
-    inv, x = g.inverse_lead(pivot), MultiPoly.var(f.N.variables, pivot)
-    q = _RatPoly.of(f.N.scale(0))
-    while not f.N.is_zero() and (k := f.N.degree_in(pivot)) >= n:
-        t = _RatPoly(f.N.coeff_in(pivot, k) * x ** (k - n), f.d) * inv
-        q, f = q + t, f - t * g
-    return q, f
-
-
-def _gcdex(f: _RatPoly, g: _RatPoly, pivot: str) -> tuple[_RatPoly, _RatPoly, _RatPoly]:
-    """(s, t, h) with s*f + t*g = h, the monic gcd in Q(others)[pivot]: the
-    extended Euclid that ``sympy.Poly.gcdex`` runs, so the same s and t."""
-    zero, one = (_RatPoly.of(MultiPoly.constant(f.N.variables, c)) for c in (0, 1))
-    s0, s1, t0, t1 = one, zero, zero, one
-    while not g.N.is_zero():
-        q, r = _divmod_in(f, g, pivot)
-        f, g = g, r
-        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
-    if f.N.is_zero():
+def _gcdex(f: MultiPoly, g: MultiPoly, pivot: str) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(s, t, h) with s*f + t*g = h, a gcd of f and g in Q(others)[pivot]:
+    the extended Euclid on fraction-free rows (r, s, t), each new row
+    a*row_(i-1) - q*row_i for the pseudo-division a*r_(i-1) = q*r_i + r,
+    divided by gcd(r, s, t), which is free of the pivot because the
+    cofactors of the Euclid over a field are coprime.  Every row is a
+    Q(others)-multiple of the field Euclid's (``sympy.Poly.gcdex``)."""
+    one, zero = MultiPoly.constant(f.variables, 1), MultiPoly.constant(f.variables, 0)
+    prev, row = (f, one, zero), (g, zero, one)
+    while not row[0].is_zero():
+        a, q, r = _prem(prev[0], row[0], pivot)
+        new = (r, a * prev[1] - q * row[1], a * prev[2] - q * row[2])
+        if not r.is_zero():  # the row of r = 0 ends the loop unread
+            c = r.gcd(new[1]).gcd(new[2])
+            new = tuple(divmod(x, c)[0] for x in new)
+        prev, row = row, new
+    if prev[0].is_zero():
         raise CoprimalityError("family gcd vanished; degenerate input")
-    inv = f.inverse_lead(pivot)
-    return s0 * inv, t0 * inv, f * inv
+    return prev[1], prev[2], prev[0]
 
 
 def gcd_certificate(
@@ -248,9 +212,10 @@ def gcd_certificate(
     all denominators cleared so that Q lies in Z[others].
 
     Without a pivot the family must be univariate and Q is an integer m > 0.
-    ``_gcdex`` folds over the members in ``MultiPoly`` arithmetic; the
-    identity is re-checked by ``GcdCertificate.verify`` and a failure raises
-    CertificateError.  A common factor raises CoprimalityError.
+    ``_gcdex`` folds over the members in plain ``MultiPoly`` arithmetic and
+    the denominators are cleared once at the end; the identity is re-checked
+    by ``GcdCertificate.verify`` and a failure raises CertificateError.  A
+    common factor raises CoprimalityError.
     """
     if not polys:
         raise ValueError("empty family")
@@ -260,28 +225,29 @@ def gcd_certificate(
         if len(names) > 1:
             raise ValueError(f"family is not univariate: {sorted(names)}")
         pivot = next(iter(names)) if names else variables[0]
-    g, cofactors = _RatPoly.of(polys[0]), [_RatPoly.of(MultiPoly.constant(variables, 1))]
+    g, cofactors = polys[0], [MultiPoly.constant(variables, 1)]
     for P in polys[1:]:
-        s, t, g = _gcdex(g, _RatPoly.of(P), pivot)
+        s, t, g = _gcdex(g, P, pivot)
         cofactors = [s * c for c in cofactors] + [t]
-    if g.N.degree_in(pivot) > 0:
-        raise CoprimalityError(
-            f"family has common factor {g.N!r} over the function field", common_factor=g.N
-        )
-    if g.N.is_zero():
+    if g.degree_in(pivot) > 0:
+        # named primitive in the pivot and over Z, so not by the rows' scale
+        factor = _integerize(divmod(g, _content_split(g, pivot, variables)[0])[0])[0]
+        raise CoprimalityError(f"family has common factor {factor!r} over the function field")
+    if g.is_zero():
         raise CoprimalityError("family gcd vanished; degenerate input")
-    # Q = D * c for the gcd c (1 unless the family has one member), D the lcm
-    # in Z[others] of the reduced denominators of c and of the cofactors
-    D = MultiPoly.constant(variables, 1)
-    for f in (g, *cofactors):
-        fd = f.z_denominator()
-        D = divmod(D * fd, D.gcd(fd))[0]
-    Q = divmod(D * g.N, g.d)[0]
-    den = Q.denominator_lcm()
+    # over Q(others) the gcd is 1 with cofactors S_j/g; with one member it is
+    # g with cofactor 1, which clears to the same Q.  Q is the least common
+    # denominator in Z[others] of the cofactors, Lg / gcd(Lg, L*S_1, ...)
+    # for L the lcm of all coefficient denominators, so it is integral
+    L = math.lcm(*(f.denominator_lcm() for f in (g, *cofactors)))
+    common = g.scale(L)
+    for s in cofactors:
+        common = common.gcd(s.scale(L))
+    Q = divmod(g.scale(L), common)[0]
     if Q.terms[max(Q.terms)] < 0:
-        den = -den  # leading (lexicographically largest) coefficient positive: m > 0
-    S = tuple(divmod((D * s.N).scale(den), s.d)[0] for s in cofactors)
-    cert = GcdCertificate(polys=tuple(polys), cofactors=S, Q=Q.scale(den).substitute({}, others or (pivot,)))
+        Q = -Q  # leading (lexicographically largest) coefficient positive: m > 0
+    S = tuple(divmod(Q * s, g)[0] for s in cofactors)
+    cert = GcdCertificate(polys=tuple(polys), cofactors=S, Q=Q.substitute({}, others or (pivot,)))
     if not cert.verify():
         raise CertificateError(
             f"gcd certificate identity fails for {list(polys)!r}: sum S_j P_j != {cert.Q!r}"
@@ -424,12 +390,16 @@ def _refine_family(
             continue
         import sympy
 
-        _, factors = sympy.factor_list(prim.to_sympy())
-        parts = []
-        for fexpr, _exp in factors:
-            fpoly, funit = _integerize(MultiPoly.from_sympy(fexpr, variables))
+        unit, factors = sympy.factor_list(prim.to_sympy())
+        product, parts = MultiPoly.from_sympy(unit, variables), []
+        for fexpr, e in factors:
+            fpoly = MultiPoly.from_sympy(fexpr, variables)
+            product = product * fpoly**e
+            fpoly, funit = _integerize(fpoly)
             const_primes |= _constant_primes(funit)
             parts.append(fpoly)
+        if product != prim:
+            raise CertificateError(f"sympy's factors of {prim!r} do not multiply back to it")
         factor_lists.append(parts)
     n_choices = math.prod(len(fl) for fl in factor_lists)
     if n_choices > 64:

@@ -84,6 +84,15 @@ def test_trend_running_min_is_windowed_min():
     assert by_m[31].running_min == min(window)
 
 
+def test_trend_running_min_starts_fresh_in_each_window():
+    # m = 4 opens [4, 8) with a zero value: no row of that window has a count yet
+    table = prime_factor_trend(lambda m: 0 if m == 4 else (3 if m < 4 else 15), 5)
+    by_m = {r.m: r for r in table.rows}
+    assert by_m[3].running_min == 1
+    assert by_m[4].running_min is None
+    assert by_m[5].running_min == 2
+
+
 def test_borel_cantelli_convergence():
     rep = borel_cantelli_sum(1, 2, 1, 10**5, checkpoints=[10**4])
     assert rep.partial_sums[-1] < rep.integral_bound

@@ -177,6 +177,12 @@ def test_gcd_certificate_frozen_examples():
 def test_gcd_certificate_rejects_common_factor():
     with pytest.raises(ValueError):
         gcd_certificate([X * (X + 1), X])
+    # the factor is named primitive in the pivot and over Z, whatever the
+    # scale of the Euclid's rows
+    abc = ("a", "b", "c")
+    f = MultiPoly.parse("a*c - b", abc)
+    with pytest.raises(ValueError, match=r"common factor MultiPoly\(a\*c - b\) over"):
+        gcd_certificate([f * f, f * MultiPoly.parse("(a + 2)*c/5", abc)], "c", ("a", "b"))
 
 
 FORGED_VERIFY = """

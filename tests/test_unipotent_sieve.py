@@ -186,6 +186,7 @@ def test_family_certificate_identity_is_checked(monkeypatch):
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 HEIS = os.path.join(ROOT, "scenarios", "heisenberg.json")
 HEIS_Q = os.path.join(ROOT, "scenarios", "heisenberg-rational.json")
+HEIS_F = os.path.join(ROOT, "scenarios", "heisenberg-families.json")
 
 
 def test_rational_generators_drop_no_point(tmp_path):
@@ -196,6 +197,22 @@ def test_rational_generators_drop_no_point(tmp_path):
     out = json.loads(rec.read_text())["outputs"]
     assert out["dropped"] == 0
     assert out["points"] > 0
+
+
+def test_sympy_factors_are_multiplied_back(monkeypatch, capsys):
+    # x12**2 - x23**2 is 4*y1**2 - 4*y3**2 in lattice coordinates; a
+    # factor_list that loses (y1 + y3) must not leave the prime 3 out of S
+    y1, y3 = sympy.symbols("y1 y3")
+    true_factor_list = sympy.factor_list
+
+    def lossy(expr, *args, **kwargs):
+        if sympy.expand(expr - (y1**2 - y3**2)) == 0:
+            return sympy.Integer(1), [(y1 - y3, 1)]
+        return true_factor_list(expr, *args, **kwargs)
+
+    monkeypatch.setattr(sympy, "factor_list", lossy)
+    assert main(["uni-sieve", "--scenario", HEIS_F, "--want", "3", "--prefixes", "10"]) == 4
+    assert "do not multiply back" in capsys.readouterr().err
 
 
 def test_span_stable_is_reported(monkeypatch, tmp_path):
@@ -309,10 +326,10 @@ def test_content_split_matches_sympy(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_gcd_certificate_matches_sympy(data):
-    V = data.draw(st.sampled_from(VARIABLE_TUPLES[1:]))
+    V = data.draw(st.sampled_from(VARIABLE_TUPLES))
     pivot = data.draw(st.sampled_from(V))
     others = tuple(v for v in V if v != pivot)
-    family = data.draw(st.lists(polys(V).filter(lambda m: not m.is_zero()), min_size=2, max_size=3))
+    family = data.draw(st.lists(polys(V).filter(lambda m: not m.is_zero()), min_size=1, max_size=3))
     try:
         want = gcd_certificate_sympy(family, pivot, others)
     except CoprimalityError:
