@@ -13,7 +13,6 @@ from .core_arith import (
     factorize,
     is_prime,
     omega_outside,
-    padic_valuation,
     primes_upto,
     s_integer_part,
 )

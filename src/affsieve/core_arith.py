@@ -141,19 +141,12 @@ class Factorization:
     def complete(self) -> bool:
         return self.cofactor == 1
 
-    def value(self) -> int:
-        v = self.sign
-        for p, e in self.factors:
-            v *= p**e
-        return v * self.cofactor
-
-    def omega(self, with_multiplicity: bool = True) -> Optional[int]:
-        """Number of prime factors; None when the factorization is incomplete."""
+    def omega(self) -> Optional[int]:
+        """Number of prime factors with multiplicity; None when the
+        factorization is incomplete."""
         if not self.complete:
             return None
-        if with_multiplicity:
-            return sum(e for _, e in self.factors)
-        return len(self.factors)
+        return sum(e for _, e in self.factors)
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -247,20 +240,15 @@ def factorize(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
 
 
 def omega_outside(
-    n: int,
-    S: Iterable[int],
-    with_multiplicity: bool = True,
-    budget: FactorBudget = FactorBudget(),
+    n: int, S: Iterable[int], budget: FactorBudget = FactorBudget()
 ) -> Optional[int]:
-    """Count prime factors of n outside S; None when factoring hit the budget.
-
-    Counts with multiplicity by default (almost-prime convention).
-    """
-    return _omega_outside(n, check_prime_set(S), with_multiplicity, budget)
+    """Count prime factors of n outside S, with multiplicity (almost-prime
+    convention); None when factoring hit the budget."""
+    return _omega_outside(n, check_prime_set(S), budget)
 
 
 def _omega_outside(
-    n: int, S: tuple[int, ...], with_multiplicity: bool = True, budget: FactorBudget = FactorBudget()
+    n: int, S: tuple[int, ...], budget: FactorBudget = FactorBudget()
 ) -> Optional[int]:
     """omega_outside for an S that check_prime_set has already returned."""
     if n == 0:
@@ -271,28 +259,7 @@ def _omega_outside(
             n //= p
     if n == 1:
         return 0
-    fac = factorize(n, budget)
-    if not fac.complete:
-        return None
-    if with_multiplicity:
-        return sum(e for p, e in fac.factors)
-    return len(fac.factors)
-
-
-def padic_valuation(q: Fraction | int, p: int) -> int:
-    """v_p(q): q = p^v * (p-unit)."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("valuation of 0 is undefined")
-    v = 0
-    num, den = abs(q.numerator), q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return factorize(n, budget).omega()
 
 
 def s_integer_part(q: Fraction | int, S: Iterable[int]) -> int:

@@ -57,16 +57,19 @@ class GrowthEnvelope:
     A2: float  # lower growth rate over escaping directions
     K: float  # envelope constant: A2^|m|/K <= F <= K A1^|m| on the box
     degenerate_directions: tuple[tuple[int, ...], ...]
-    verified: bool
+    verified: bool  # some direction escapes, so the rates are fitted
 
 
 def norm_growth_check(spec: TorusSpec) -> GrowthEnvelope:
     """Fit a two-sided exponential envelope for F(gamma^m) over the sup-norm
-    box |m| <= M, M >= 3, and verify it pointwise.
+    box |m| <= M, M >= 3.
 
     Rates come from boundary values along primitive directions; directions
     where F fails to grow past F(I) (eigenvalues on the unit circle, torsion)
-    are reported as degenerate and excluded from the lower rate.
+    are reported as degenerate and excluded from the lower rate.  K is the
+    largest ratio of F to either envelope side on the box, so the envelope
+    holds there by construction; ``verified`` is False only when no
+    direction escapes.
     """
     if spec.M < 3:
         raise ValueError("box radius must be >= 3")
@@ -128,17 +131,8 @@ def norm_growth_check(spec: TorusSpec) -> GrowthEnvelope:
         K = max(K, F / A1**norm)
         if m not in degenerate_set:
             K = max(K, A2**norm / F)
-    verified = True
-    for m, F in values.items():
-        norm = max((abs(c) for c in m), default=0)
-        if norm == 0:
-            continue
-        if F > K * A1**norm * (1 + 1e-12):
-            verified = False
-        if m not in degenerate_set and F * K < A2**norm * (1 - 1e-12):
-            verified = False
     return GrowthEnvelope(
-        A1=A1, A2=A2, K=K, degenerate_directions=tuple(degenerate), verified=verified
+        A1=A1, A2=A2, K=K, degenerate_directions=tuple(degenerate), verified=True
     )
 
 

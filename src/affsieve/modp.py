@@ -234,9 +234,7 @@ class EnumerationBudgetError(RuntimeError):
     pass
 
 
-def _count_points(
-    eqs: list[MultiPoly], active: frozenset[str], p: int, brute_budget: int
-) -> int:
+def _count_points(eqs: list[MultiPoly], active: frozenset[str], p: int) -> int:
     """#{x in F_p^active : every equation vanishes at x}.  The equations share
     one variable tuple and use no variable outside ``active`` (substitutions
     clear the variables they eliminate)."""
@@ -251,11 +249,11 @@ def _count_points(
         live.append((t, tuple(filter(used.__contains__, t.variables))))
     # an active variable that no equation uses contributes a factor p
     bound = frozenset().union(*(used for _, used in live))
-    return pow(p, len(active - bound)) * (_count_bound(live, bound, p, brute_budget) if live else 1)
+    return pow(p, len(active - bound)) * (_count_bound(live, bound, p) if live else 1)
 
 
 def _count_bound(
-    live: list[tuple[MultiPoly, tuple[str, ...]]], active: frozenset[str], p: int, brute_budget: int
+    live: list[tuple[MultiPoly, tuple[str, ...]]], active: frozenset[str], p: int
 ) -> int:
     """``_count_points`` on reduced, distinct, nonconstant equations that use
     every active variable."""
@@ -268,7 +266,7 @@ def _count_bound(
             if lead.is_constant():
                 repl = t.coeff_in(i, 0).scale(-pow(lead.constant_value(), -1, p))
                 new_eqs = [u.substitute({i: repl}) for j, (u, _) in enumerate(live) if j != idx]
-                return _count_points(new_eqs, active - {i}, p, brute_budget)
+                return _count_points(new_eqs, active - {i}, p)
 
     # 2) a univariate equation: branch over its (few) roots
     for idx, (t, used) in enumerate(live):
@@ -277,9 +275,9 @@ def _count_bound(
             coeffs = [t.coeff_in(i, k).constant_value() for k in range(t.degree_in(i) + 1)]
             others = [u for j, (u, _) in enumerate(live) if j != idx]
             if not others:
-                return _count_roots(coeffs, p) * pow(p, len(active) - 1)
+                return _count_roots(coeffs, p)  # i is then the only active variable
             return sum(
-                _count_points([u.substitute({i: r}) for u in others], active - {i}, p, brute_budget)
+                _count_points([u.substitute({i: r}) for u in others], active - {i}, p)
                 for r in _scan_roots(coeffs, p)
             )
 
@@ -308,16 +306,16 @@ def _count_bound(
         ]
         without_x = active - {i}
         return (
-            _count_points(cleared, without_x, p, brute_budget)
-            - _count_points([lead, *cleared], without_x, p, brute_budget)
-            + _count_points([lead, rest, *others], active, p, brute_budget)
+            _count_points(cleared, without_x, p)
+            - _count_points([lead, *cleared], without_x, p)
+            + _count_points([lead, rest, *others], active, p)
         )
 
     # 4) budgeted brute force over the active variables
     variables = live[0][0].variables
     order = [k for k, v in enumerate(variables) if v in active]
     total_points = pow(p, len(order))
-    if total_points > brute_budget:
+    if total_points > BRUTE_BUDGET:
         raise EnumerationBudgetError(
             f"brute force over p^{len(order)} = {total_points} exceeds budget"
         )
@@ -332,7 +330,7 @@ def _count_bound(
     return count
 
 
-BRUTE_BUDGET = 2_000_000  # default number of points a brute force may visit
+BRUTE_BUDGET = 2_000_000  # number of points a brute force may visit
 CROSS_CHECK_BOUND = 50  # beta_squarefree also counts on the image mod composite d up to this
 
 
@@ -340,7 +338,6 @@ def enumerate_variety_mod_p(
     equations: Sequence[MultiPoly],
     p: int,
     variables: Optional[Sequence[str]] = None,
-    brute_budget: int = BRUTE_BUDGET,
 ) -> int:
     """Exact #V(F_p) of the affine variety cut out by the equations.
 
@@ -351,25 +348,23 @@ def enumerate_variety_mod_p(
     if variables is None:
         variables = equations[0].variables if equations else ()
     variables = tuple(variables)
-    eqs = [P if P.variables == variables else P.extend(variables) for P in equations]
-    return _count_points(eqs, frozenset(variables), p, brute_budget)
+    eqs = [P if P.variables == variables else P.substitute({}, variables) for P in equations]
+    return _count_points(eqs, frozenset(variables), p)
 
 
 # ---------------------------------------------------------------------------
 # densities
 
 
-def count_Nf(image: FiniteImage, f: MultiPoly, d: Optional[int] = None) -> int:
-    """#{x in image : f(x) = 0 mod d}; d defaults to the image modulus.
+def count_Nf(image: FiniteImage, f: MultiPoly) -> int:
+    """#{x in image : f(x) = 0 mod q}, q the image modulus.
 
     Every variable of f must name a matrix entry x{i}{j} of the image.
     """
-    d = image.q if d is None else d
-    if image.q % d != 0:
-        raise ValueError("d must divide the image modulus")
-    plan = f.mod(d).term_plan(entry_positions(f.variables, len(next(iter(image.words)))))
+    q = image.q
+    plan = f.mod(q).term_plan(entry_positions(f.variables, len(next(iter(image.words)))))
     run = MultiPoly.run_plan
-    return sum(run(plan, sum(entries, ())) % d == 0 for entries in image.words)
+    return sum(run(plan, sum(entries, ())) % q == 0 for entries in image.words)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +535,8 @@ def local_density(
     budget, the image mod p is enumerated (``cap`` bounds its size).  The
     unramified result is memoized on (gens, f, p, cap).
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     ram = set(check_prime_set(ramified))
     if p in ram:
         return LocalDensity(p=p, N_f=0, order=0, beta=Fraction(0), ramified=True)

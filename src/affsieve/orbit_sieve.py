@@ -247,7 +247,7 @@ def _census(
             continue
         n = _s_integer_part(val, Sset)
         if n not in omega:
-            omega[n] = _omega_outside(n, Sset, with_multiplicity=True, budget=budget)
+            omega[n] = _omega_outside(n, Sset, budget=budget)
         om = omega[n]
         if om is None:
             incomplete += 1

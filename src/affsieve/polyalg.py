@@ -343,18 +343,6 @@ class MultiPoly:
                 out[e] = out.get(e, 0) + x
         return MultiPoly._of(target, _exact_terms(out))
 
-    def extend(self, variables: Sequence[str]) -> "MultiPoly":
-        """Re-express over a larger variable tuple."""
-        variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
-        terms = {}
-        for exps, c in self.terms.items():
-            new = [0] * len(variables)
-            for j, e in enumerate(exps):
-                new[pos[j]] = e
-            terms[tuple(new)] = c
-        return MultiPoly(variables, terms)
-
     def coeff_in(self, name: str, k: int) -> "MultiPoly":
         """Coefficient of name^k, as a polynomial over the same variable tuple."""
         i = self.variables.index(name)
@@ -868,7 +856,7 @@ def zariski_density_test(
     # span of ambient combinations of degree <= D, as vectors over monos
     ambient_rows = []
     for g in ambient_ideal_basis:
-        g = g if g.variables == variables else g.extend(variables)
+        g = g if g.variables == variables else g.substitute({}, variables)
         room = D - g.degree()
         if room < 0:
             continue

@@ -131,7 +131,6 @@ def single_variable_almost_primes(
     values = []
     omegas = []
     exhausted = False
-    seen: set[int] = set()
     for j in itertools.count():
         step = (j + 1) // 2 * (1 if j % 2 else -1)  # 0, -1, 1, -2, 2, ...
         n = a * step + b
@@ -141,13 +140,10 @@ def single_variable_almost_primes(
                 exhausted = len(values) < want
                 break
             continue
-        if n in seen:
-            continue
-        seen.add(n)
         val = P.eval({name: n for name in P.variables})
         if val == 0 or val.denominator != 1:
             continue  # a value that is not a nonzero integer has no almost-prime verdict
-        om = _omega_outside(val.numerator, Sset, with_multiplicity=True, budget=budget)
+        om = _omega_outside(val.numerator, Sset, budget=budget)
         if om is None:
             continue  # factoring budget: skip, never guess
         if om <= r:
@@ -181,7 +177,7 @@ class GcdCertificate:
         total = MultiPoly.constant(variables, 0)
         for S, P in zip(self.cofactors, self.polys):
             total = total + S * P
-        return total == self.Q.extend(variables)
+        return total == self.Q.substitute({}, variables)
 
 
 def _gcdex(f: MultiPoly, g: MultiPoly, pivot: str) -> tuple[MultiPoly, MultiPoly, MultiPoly]:

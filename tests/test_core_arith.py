@@ -14,7 +14,6 @@ from affsieve.core_arith import (
     factorize,
     is_prime,
     omega_outside,
-    padic_valuation,
     primes_upto,
     s_integer_part,
 )
@@ -94,14 +93,13 @@ def test_factorize_exact():
     f = factorize(561)
     assert f.complete
     assert f.factors == ((3, 1), (11, 1), (17, 1))
-    assert f.value() == 561
+    assert f.sign * math.prod(p**e for p, e in f.factors) * f.cofactor == 561
 
     f = factorize(-360)
     assert f.sign == -1
     assert f.factors == ((2, 3), (3, 2), (5, 1))
-    assert f.value() == -360
+    assert f.sign * math.prod(p**e for p, e in f.factors) * f.cofactor == -360
     assert f.omega() == 6
-    assert f.omega(with_multiplicity=False) == 3
 
 
 def test_factorize_budget_failure_is_a_value():
@@ -111,7 +109,7 @@ def test_factorize_budget_failure_is_a_value():
     hard = p * q
     f = factorize(hard, FactorBudget(trial_bound=100, rho_iterations=10))
     assert not f.complete
-    assert f.value() == hard
+    assert f.sign * math.prod(p**e for p, e in f.factors) * f.cofactor == hard
     assert f.omega() is None
 
 
@@ -189,7 +187,6 @@ def test_factorize_multiplicative(a, b):
 
 def test_omega_outside_examples():
     assert omega_outside(360, [2]) == 3  # 3^2 * 5
-    assert omega_outside(360, [2], with_multiplicity=False) == 2
     assert omega_outside(1, []) == 0
     assert omega_outside(-30, [3]) == 2
     with pytest.raises(ValueError):
@@ -200,15 +197,6 @@ def test_omega_outside_examples():
 @given(st.integers(2, 10**6), st.integers(2, 10**6))
 def test_omega_additive(a, b):
     assert omega_outside(a * b, []) == omega_outside(a, []) + omega_outside(b, [])
-
-
-def test_padic_valuation():
-    assert padic_valuation(12, 2) == 2
-    assert padic_valuation(Fraction(9, 2), 2) == -1
-    assert padic_valuation(Fraction(9, 2), 3) == 2
-    assert padic_valuation(Fraction(-12, 35), 5) == -1
-    with pytest.raises(ValueError):
-        padic_valuation(0, 2)
 
 
 def test_s_integer_part():

@@ -171,7 +171,7 @@ def test_variety_count_split_nonsplit():
     assert enumerate_variety_mod_p([f, *IDEAL], 7, V) == 0  # -1 non-square mod 7
 
 
-def test_variety_count_factors_out_free_variables():
+def test_variety_count_factors_out_free_variables(monkeypatch):
     # x y (x + y - 2) = 0 is three lines in the (x, y) plane, 3p - 3 points;
     # z, w and v occur in no equation, so each is a factor p and is never
     # enumerated: at p = 31 the brute force stays at 31^2 points, far below
@@ -180,7 +180,8 @@ def test_variety_count_factors_out_free_variables():
     f = MultiPoly.parse("x * y * (x + y - 2)", xs)
     assert enumerate_variety_mod_p([f], 7, xs) == 18 * 7**3
     assert enumerate_variety_mod_p([f], 31, xs) == 90 * 31**3 == 2_681_190
-    assert enumerate_variety_mod_p([f], 31, xs, brute_budget=31**2) == 2_681_190
+    monkeypatch.setattr(modp, "BRUTE_BUDGET", 31**2)
+    assert enumerate_variety_mod_p([f], 31, xs) == 2_681_190
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 31, 101])
@@ -191,14 +192,15 @@ def test_det_minus_one_counts_sl_order(n, p):
     assert enumerate_variety_mod_p([det_minus_one(n)], p) == sl_order(n, p)
 
 
-def test_variety_count_budget():
+def test_variety_count_budget(monkeypatch):
     many = tuple(f"z{i}" for i in range(12))
     # an equation with no structure to exploit: cubic in every variable
     hard = MultiPoly.constant(many, -1)
     for z in many:
         hard = hard + MultiPoly.var(many, z) ** 3
+    monkeypatch.setattr(modp, "BRUTE_BUDGET", 1000)
     with pytest.raises(EnumerationBudgetError):
-        enumerate_variety_mod_p([hard], 7, many, brute_budget=1000)
+        enumerate_variety_mod_p([hard], 7, many)
 
 
 def test_count_Nf_multiplicativity():
@@ -213,16 +215,15 @@ def test_count_Nf_multiplicativity():
 
 
 def test_count_Nf_matches_a_naive_count_mod_composite_d():
-    # f has a coefficient 1/2, invertible mod 15; every d | 15 against the
-    # exact value reduced mod d at each element of the image mod 15
+    # f has a coefficient 1/2, invertible mod 15: against the exact value
+    # reduced mod 15 at each element of the image mod 15
     img15 = generate_image(FREE, 15)
     f = MultiPoly.parse("x11**2 / 2 + x12*x21 - 3*x22 + 1", V)
-    for d in (15, 5, 3):
-        expected = 0
-        for entries in img15.words:
-            value = f.eval(sum(entries, ()))
-            expected += value.numerator * pow(value.denominator, -1, d) % d == 0
-        assert count_Nf(img15, f, d) == expected, d
+    expected = 0
+    for entries in img15.words:
+        value = f.eval(sum(entries, ()))
+        expected += value.numerator * pow(value.denominator, -1, 15) % 15 == 0
+    assert count_Nf(img15, f) == expected
 
 
 def test_count_Nf_rejects_non_entry_variables():
@@ -237,6 +238,36 @@ def test_local_density_exact():
         d = local_density(FREE, TR2, p)
         assert d.beta == Fraction(p, p * p - 1)
         assert d.order == sl_order(2, p)
+
+
+def test_local_density_rejects_composite_p():
+    # p = 15 used to give beta 5/64, the product of beta(3) and beta(5)
+    with pytest.raises(ValueError, match="15 is not prime"):
+        local_density(FREE, TR2, 15)
+
+
+def test_certified_density_falls_back_to_the_image_past_the_counter_budget(monkeypatch):
+    # p = 7 is certified, so the counter runs on {f, det - 1}; with a
+    # brute-force budget of 2 points it gives up, and the image mod 7 is
+    # enumerated instead: the same N_f, order and beta either way
+    f = MultiPoly.parse("x11**2 + x22**2 - 2", V)
+    modp._unramified_density.cache_clear()
+    counted = local_density(FREE, f, 7)
+    modp._unramified_density.cache_clear()
+    moduli = []
+    true_image = modp.generate_image
+
+    def recording(gens, q, *args, **kwargs):
+        moduli.append(q)
+        return true_image(gens, q, *args, **kwargs)
+
+    monkeypatch.setattr(modp, "generate_image", recording)
+    monkeypatch.setattr(modp, "BRUTE_BUDGET", 2)
+    enumerated = local_density(FREE, f, 7)
+    modp._unramified_density.cache_clear()
+    assert moduli == [7] and enumerated.certificate is not None
+    assert enumerated == counted
+    assert (counted.N_f, counted.order, counted.beta) == (62, 336, Fraction(31, 168))
 
 
 def test_local_density_ramified_fiat():
@@ -328,6 +359,15 @@ def test_detect_ramified_tr_minus_2():
     rep = detect_ramified(FREE, TR2, sample)
     assert rep.confirmed == (2,)
     assert rep.unresolved == ()
+
+
+def test_detect_ramified_zero_sample_gcd():
+    # det - 1 vanishes on the whole sample: every prime up to p_max is a
+    # candidate, each is confirmed, and -1 marks the unexamined tail
+    rep = detect_ramified(FREE, det_minus_one(2), ball(FREE, 2), p_max=20)
+    assert rep.sample_gcd == 0
+    assert rep.confirmed == tuple(primes_upto(20))
+    assert rep.unresolved == (-1,)
 
 
 def test_detect_ramified_entry_function():

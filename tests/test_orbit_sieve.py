@@ -237,7 +237,7 @@ def oracle(gens, f, L, S, r_max=8, budget=FactorBudget()):
             continue
         n = s_integer_part(val, Sset)
         entries[n] = entries.get(n, 0) + 1
-        om = omega_outside(n, Sset, with_multiplicity=True, budget=budget) if n > 1 else 0
+        om = omega_outside(n, Sset, budget=budget) if n > 1 else 0
         if om is None:
             incomplete += 1
             continue

@@ -415,7 +415,7 @@ def _density_reference(points, D, ambient_ideal_basis=(), variables=None):
     monos = monomials_upto(variables, D)
     ambient_rows = []
     for g in ambient_ideal_basis:
-        g = g if g.variables == variables else g.extend(variables)
+        g = g if g.variables == variables else g.substitute({}, variables)
         room = D - g.degree()
         if room < 0:
             continue

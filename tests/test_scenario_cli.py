@@ -191,7 +191,8 @@ def test_zero_denominator_flag_exits_invalid(capsys, argv):
         # each count used to run: saturation at D = -1, strong approximation
         # mod -7 (read as the image mod 7), a census up to Omega = -1, a sieve
         # wanting no value, negative sequence and sample heads, and a
-        # splitting census at dimension -1 (a TypeError traceback, exit 1)
+        # splitting census at dimension -1 (a TypeError traceback, exit 1),
+        # and a local density at the composite p = 15 (beta 5/64, exit 0)
         ["saturate", "--scenario", SL2, "--D", "-1", "--Lmax", "2"],
         ["strong-approx", "--scenario", SL2, "--q", "-7"],
         ["census", "--scenario", SL2, "--L", "2", "--rmax", "-1"],
@@ -200,9 +201,10 @@ def test_zero_denominator_flag_exits_invalid(capsys, argv):
         ["uni-sieve", "--scenario", HEIS, "--head", "-1"],
         ["sequence", "--scenario", SL2, "--L", "2", "--head", "-1"],
         ["splitting-census", "--scenario", SL2, "--pmax", "7", "--dim", "-1"],
+        ["local-density", "--scenario", SL2, "--p", "15"],
     ],
     ids=["saturate-D", "strong-approx-q", "census-rmax", "uni-sieve-want", "uni-sieve-prefixes",
-         "uni-sieve-head", "sequence-head", "splitting-census-dim"],
+         "uni-sieve-head", "sequence-head", "splitting-census-dim", "local-density-p"],
 )
 def test_out_of_range_count_exits_invalid(capsys, argv):
     assert main(argv) == 2
