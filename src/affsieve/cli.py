@@ -359,6 +359,7 @@ def cmd_torus_heuristic(sc: Scenario, args):
         "envelope_verified": env.verified,
         "degenerate_directions": [list(d) for d in env.degenerate_directions],
         "bc_partial_sums": list(rep.partial_sums),
+        "bc_partial_sums_lo": list(rep.partial_sums_lo),
         "bc_increments": list(rep.increments),
         "bc_integral_bound": rep.integral_bound,
     }

@@ -9,13 +9,15 @@ asserts non-saturation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core_arith import factorize, ln_bracket
+from .core_arith import factorize
 from .matgroup import MatrixQ
 
 
@@ -65,17 +67,16 @@ def norm_growth_check(spec: TorusSpec) -> GrowthEnvelope:
     box |m| <= M, M >= 3.
 
     Rates come from boundary values along primitive directions; directions
-    where F fails to grow past F(I) (eigenvalues on the unit circle, torsion)
-    are reported as degenerate and excluded from the lower rate.  K is the
-    largest ratio of F to either envelope side on the box, so the envelope
-    holds there by construction; ``verified`` is False only when no
-    direction escapes.
+    where the exact F fails to grow past F(I) = n (eigenvalues on the unit
+    circle, torsion) are reported as degenerate and excluded from the lower
+    rate.  K is the largest ratio of F to either envelope side on the box, so
+    the envelope holds there by construction; ``verified`` is False only when
+    no direction escapes.
     """
     if spec.M < 3:
         raise ValueError("box radius must be >= 3")
     t = spec.rank
     n = spec.generators[0].n
-    F_I = float(n)
 
     # primitive directions from the boundary shell
     directions = []
@@ -92,18 +93,17 @@ def norm_growth_check(spec: TorusSpec) -> GrowthEnvelope:
     rates_up = []
     rates_down = []
     degenerate = []
-    values: dict[tuple[int, ...], float] = {}
-    for m in itertools.product(range(-spec.M, spec.M + 1), repeat=t):
-        values[m] = float(hilbert_schmidt(spec.power(m)))
+    exact = {m: hilbert_schmidt(spec.power(m)) for m in itertools.product(range(-spec.M, spec.M + 1), repeat=t)}
+    values = {m: float(F) for m, F in exact.items()}
     for d in directions:
         steps = spec.M // max(abs(c) for c in d)
         boundary = tuple(c * steps for c in d)
-        Fb = values[boundary]
         norm = max(abs(c) for c in boundary)
-        if Fb <= F_I + 1e-9:
+        # exact: for det 1, F >= n with equality only at orthogonal matrices
+        if exact[boundary] <= n:
             degenerate.append(d)
             continue
-        rate = Fb ** (1.0 / norm)
+        rate = values[boundary] ** (1.0 / norm)
         rates_up.append(rate)
         rates_down.append(rate)
     if not rates_up:
@@ -190,8 +190,9 @@ def prime_factor_trend(
 
 @dataclass(frozen=True)
 class BorelCantelliReport:
-    partial_sums: tuple[float, ...]  # at each checkpoint and at M, ascending
-    increments: tuple[float, ...]  # sums between consecutive checkpoints
+    partial_sums: tuple[float, ...]  # upper ends at each checkpoint and at M, ascending
+    partial_sums_lo: tuple[float, ...]  # the lower ends
+    increments: tuple[float, ...]  # upper ends of the sums between consecutive checkpoints
     integral_bound: float  # upper bound for the full sum (integral test), rounded up
 
 
@@ -202,14 +203,24 @@ def _shell_count(t: int, s: int) -> int:
 
 
 def _ln_outward(n: int) -> tuple[Fraction, Fraction]:
-    """lo <= ln n <= hi for n >= 2: ``ln_bracket`` widened to multiples of
-    2^-64, so that powers of the ends stay small Fractions."""
-    lo, hi = ln_bracket(n, 16)
-    scale = 1 << 64
-    return (
-        Fraction(lo.numerator * scale // lo.denominator, scale),
-        Fraction(-(-hi.numerator * scale // hi.denominator), scale),
-    )
+    """lo <= ln n <= hi for n >= 2, multiples of 2^-64 so that powers of the
+    ends stay small Fractions.  As in ``ln_bracket``, n = 2^k m with
+    1 <= m < 2 and ln n = 2k atanh(1/3) + 2 atanh(y), y = (m-1)/(m+1) < 1/3,
+    here in 80-bit fixed point: the lower end floors every product and
+    quotient of the first 25 terms of each series; the upper end takes
+    ceilings and adds the rest, at most y^51 / (51 (1 - y^2)) <= 9 y^51 / 408."""
+    k = n.bit_length() - 1
+    ends = []
+    for div in (lambda a, b: a // b, lambda a, b: -(-a // b)):
+        total = 0
+        for num, den, weight in ((1, 3, 2 * k), (n - 2**k, n + 2**k, 2)):
+            p, y2, series = div(num << 80, den), div(num * num << 80, den * den), 0
+            for j in range(25):
+                series += div(p, 2 * j + 1)
+                p = div(p * y2, 1 << 80)
+            total += weight * (series + (div(9 * p, 408) if ends else 0))
+        ends.append(Fraction(div(total, 1 << 16), 1 << 64))
+    return ends[0], ends[1]
 
 
 def _tail_upper(t: int, nu: int, power: int, H: int) -> Fraction:
@@ -239,16 +250,140 @@ def _round_up(q: Fraction) -> float:
     return math.nextafter(x, math.inf) if x < q else x
 
 
+def _round_down(q: Fraction) -> float:
+    x = float(q)
+    return math.nextafter(x, -math.inf) if x > q else x
+
+
+# Terms {(b, q): c} stand for the sum of c u^b ln(u)^q, every b <= -1.
+
+# B_2k / (2k)! for k = 1..8, the Euler-Maclaurin corrections.  The remainder
+# after them is at most |B_16|/16! int |f^(16)|, and |B_2k|/(2k)! =
+# 2 zeta(2k)/(2 pi)^2k < 4/6^2k.
+_BERNOULLI = tuple(
+    b / math.factorial(2 * k)
+    for k, b in enumerate(
+        (
+            Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+            Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6), Fraction(-3617, 510),
+        ),
+        start=1,
+    )
+)
+_REMAINDER = Fraction(4, 6 ** (2 * len(_BERNOULLI)))
+
+
+def _summand(t: int, nu: int, power: int) -> dict:
+    """f(u) = [(2u-1)^t - (2u-3)^t] ln(u)^power u^-nu: shell(u-1) for u >= 2."""
+    return {
+        (j - nu, power): math.comb(t, j) * 2**j * ((-1) ** (t - j) - (-3) ** (t - j))
+        for j in range(t)
+    }
+
+
+def _derivative(terms: dict) -> dict:
+    out = defaultdict(int)
+    for (b, q), c in terms.items():
+        out[b - 1, q] += c * b
+        if q:
+            out[b - 1, q - 1] += c * q
+    return out
+
+
+def _tail(terms: dict) -> dict:
+    """The terms of the integral over [x, oo), every b <= -2: as in
+    ``_tail_upper``, int u^b ln(u)^q = x^-a sum_{j<=q} (q!/j!) ln(x)^j / a^(q-j+1)
+    with a = -b - 1."""
+    out = defaultdict(int)
+    for (b, q), c in terms.items():
+        a = -b - 1
+        for j in range(q + 1):
+            out[b + 1, j] += c * Fraction(math.factorial(q) // math.factorial(j), a ** (q - j + 1))
+    return out
+
+
+def _evaluate(terms: dict, x: int, ln: tuple[Fraction, Fraction]) -> tuple[Fraction, Fraction]:
+    """[lo, hi] of the terms at x from 0 <= lo <= ln x <= hi: each term takes
+    the end of the bracket that its sign calls for."""
+    lo = hi = Fraction(0)
+    for (b, q), c in terms.items():
+        v = Fraction(c, x**-b)
+        ends = (v * ln[0] ** q, v * ln[1] ** q)
+        lo += min(ends)
+        hi += max(ends)
+    return lo, hi
+
+
+def _increment_brackets(t: int, nu: int, power: int, cps: Sequence[float]) -> list[tuple[Fraction, Fraction]]:
+    """[lo, hi] of the sum of shell(s) ln(s+1)^power / (s+1)^nu over
+    prev < s <= cp for each of the ascending checkpoints cp (prev = 0 first;
+    the last may be inf).
+
+    In u = s + 1 the summand f is a sum of terms c u^b ln(u)^q, b <= -2, and
+    so are its derivatives and integrals.  The head 2 <= u <= H is summed term
+    by term from bracketed logarithms.  Past H, Euler-Maclaurin gives
+    sum_{A<u<=B} f = Phi(B) - Phi(A) + R, Phi = -T + f/2 + sum_k B_2k/(2k)!
+    f^(2k-1) with T(x) the integral of f over [x, oo) (every term of Phi
+    vanishes at inf) and |R| <= 4/6^16 int_A^oo |f^(16)|, which assumes no
+    monotonicity.  H doubles from 16 until every partial sum is at most
+    1e-12 relative wide.
+    """
+    f = _summand(t, nu, power)
+    derivs = [f]
+    for _ in range(2 * len(_BERNOULLI)):
+        derivs.append(_derivative(derivs[-1]))
+    phi = defaultdict(int)
+    for scale, terms in [(-1, _tail(f)), (Fraction(1, 2), f), *zip(_BERNOULLI, derivs[1::2])]:
+        for key, c in terms.items():
+            phi[key] += scale * c
+    rest = _tail({key: abs(c) for key, c in derivs[-1].items()})
+    # with power = 0 every q is 0, so the (dummy) logarithm is never read
+    ln = functools.cache(_ln_outward if power else lambda x: (Fraction(0), Fraction(0)))
+
+    @functools.cache
+    def at(x):
+        if x == math.inf:
+            return Fraction(0), Fraction(0), Fraction(0)
+        return (*_evaluate(phi, x, ln(x)), _REMAINDER * _evaluate(rest, x, ln(x))[1])
+
+    ends = [cp + 1 for cp in cps]
+    head = [(Fraction(0), Fraction(0))] * 2  # head[u]: the sum over 2 <= v <= u
+    H = 16
+    while True:
+        while len(head) <= min(H, ends[-1]):
+            u = len(head)
+            c = Fraction(_shell_count(t, u - 1), u**nu)
+            lo, hi = ln(u)
+            head.append((head[-1][0] + c * lo**power, head[-1][1] + c * hi**power))
+        out, lo_sum, hi_sum, prev, wide = [], 0, 0, 1, False
+        for end in ends:
+            top = min(end, H)
+            lo, hi = (head[top][0] - head[prev][0], head[top][1] - head[prev][1]) if prev < top else (0, 0)
+            if end > H:
+                a_lo, a_hi, err = at(max(prev, H))
+                b_lo, b_hi, _ = at(end)
+                lo, hi = lo + b_lo - a_hi - err, hi + b_hi - a_lo + err
+            out.append((lo, hi))
+            lo_sum, hi_sum, prev = lo_sum + lo, hi_sum + hi, end
+            wide = wide or (hi_sum - lo_sum) * 10**12 > lo_sum
+        if not wide or H >= ends[-1]:
+            return out
+        H *= 2
+
+
 def borel_cantelli_sum(
-    t: int, nu: int, r: int, M: int, checkpoints: Sequence[int] = ()
+    t: int, nu: int, r: int, M: float, checkpoints: Sequence[int] = ()
 ) -> BorelCantelliReport:
     """Partial sums over m in Z^t, |m|_sup <= M of
     [log(|m|+1)]^(nu(r-1)) / (|m|+1)^nu, grouped by sup-norm shells.
 
     Convergent exactly when nu > t (enforced); the integral-test bound covers
-    the infinite tail so partial sums must stay below it.  The partial sums
-    are floats; the bound is computed in Fractions from rational brackets of
-    every logarithm and rounded up to a float.
+    the infinite tail so partial sums must stay below it.  Every partial sum
+    and increment is a certified bracket (``_increment_brackets``), at most
+    1e-12 relative wide and rounded outward to floats; its cost does not grow
+    with M, which may be inf (the full series).  The bound is computed in
+    Fractions from rational brackets of every logarithm and rounded up to a
+    float.
     """
     if not (nu > t >= 1):
         raise ValueError("need nu > t >= 1")
@@ -259,22 +394,10 @@ def borel_cantelli_sum(
     cps = sorted(set(int(c) for c in checkpoints) | {M})
     if any(c < 1 for c in cps):
         raise ValueError("checkpoints must be >= 1")
-    import numpy as np
-
     power = nu * (r - 1)
-    sums = []
-    total = 1.0 if power == 0 else 0.0  # s = 0 shell: log(1)^power / 1
-    prev = 0
-    for cp in cps:
-        s = np.arange(prev + 1, cp + 1, dtype=np.float64)
-        shells = (2 * s + 1) ** t - (2 * s - 1) ** t
-        total += float(np.sum(shells * np.log(s + 1) ** power / (s + 1) ** nu))
-        sums.append(total)
-        prev = cp
-    increments = tuple(
-        sums[i] - (sums[i - 1] if i else (1.0 if power == 0 else 0.0))
-        for i in range(len(sums))
-    )
+    base = 1 if power == 0 else 0  # s = 0 shell: log(1)^power / 1
+    increments = _increment_brackets(t, nu, power, cps)
+    sums = list(itertools.accumulate(increments, lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(base, base)))
     # integral-test tail bound: shell(s) <= 2t(2s+1)^(t-1) <= 2t(3s)^(t-1)
     # for s >= 1, and the summand is decreasing for s+1 > e^(power/nu).  The
     # head sums the shells 1..head_end exactly; the integral from head_end
@@ -284,6 +407,10 @@ def borel_cantelli_sum(
         _shell_count(t, s) * _ln_outward(s + 1)[1] ** power / (s + 1) ** nu
         for s in range(1, head_end + 1)
     )
-    base = 1 if power == 0 else 0
     bound = _round_up(base + head + _tail_upper(t, nu, power, head_end))
-    return BorelCantelliReport(partial_sums=tuple(sums), increments=increments, integral_bound=bound)
+    return BorelCantelliReport(
+        partial_sums=tuple(_round_up(hi) for _, hi in sums[1:]),
+        partial_sums_lo=tuple(_round_down(lo) for lo, _ in sums[1:]),
+        increments=tuple(_round_up(hi) for _, hi in increments),
+        integral_bound=bound,
+    )

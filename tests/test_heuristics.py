@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from affsieve.heuristics import (
     TorusSpec,
+    _increment_brackets,
     borel_cantelli_sum,
     hilbert_schmidt,
     norm_growth_check,
@@ -44,6 +46,17 @@ def test_norm_growth_envelope_diag():
     assert env.verified
     # F(gamma^m) = 4^|m| + 4^-|m| in both directions: rate slightly above 4
     assert 4.0 <= env.A2 <= env.A1 <= 4.25
+    assert env.degenerate_directions == ()
+
+
+def test_norm_growth_escape_decided_exactly():
+    # F(gamma^3) exceeds F(I) = 3 by about 3.6e-11, below any float
+    # tolerance; the direction still escapes
+    g = MatrixQ([[Fraction(1000001, 1000000), 0, 0], [0, Fraction(1000000, 1000001), 0], [0, 0, 1]])
+    spec = TorusSpec((g,), 3)
+    assert 0 < hilbert_schmidt(spec.power([3])) - 3 < Fraction(1, 10**10)
+    env = norm_growth_check(spec)
+    assert env.verified
     assert env.degenerate_directions == ()
 
 
@@ -154,6 +167,87 @@ def test_borel_cantelli_bound_matches_quad(t, nu, r):
     bound = borel_cantelli_sum(t, nu, r, 100).integral_bound
     assert bound >= exact
     assert (bound - exact) / exact < 1e-12
+
+
+def _exact_partial_sum(t, nu, M):
+    """The r = 1 partial sum over |m|_sup <= M of 1/(|m|+1)^nu, exactly."""
+    D = math.lcm(*range(1, M + 2)) ** nu
+    shells = [1] + [(2 * s + 1) ** t - (2 * s - 1) ** t for s in range(1, M + 1)]
+    return Fraction(sum(c * (D // (s + 1) ** nu) for s, c in enumerate(shells)), D)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(1, 2000), st.integers(1, 2000))
+def test_borel_cantelli_r1_brackets_contain_exact_sum(t, extra, a, b):
+    ends = sorted({a, b})
+    rep = borel_cantelli_sum(t, t + extra, 1, ends[-1], checkpoints=ends[:1])
+    exact = [_exact_partial_sum(t, t + extra, end) for end in ends]
+    for x, lo, hi in zip(exact, rep.partial_sums_lo, rep.partial_sums):
+        assert lo <= x <= hi
+        assert hi - lo <= 1e-12 * lo
+    # no logarithm at r = 1: the Fraction brackets are as wide as the
+    # Euler-Maclaurin remainder bound alone
+    steps = [x - y for x, y in zip(exact, [1] + exact)]  # after the s = 0 shell
+    for x, hi, (lo_q, hi_q) in zip(steps, rep.increments, _increment_brackets(t, t + extra, 0, ends)):
+        assert lo_q <= x <= hi_q
+        assert x <= hi
+
+
+# Partial sums at M = 10^2, 10^4, 10^5 and 10^6, summed shell by shell in
+# mpmath at 40 digits and printed by mpmath.nstr(acc, 30):
+#     mpmath.mp.dps = 40
+#     for s in range(1, 10**6 + 1):
+#         acc += ((2*s+1)**t - (2*s-1)**t) * mpmath.log(s+1)**(nu*(r-1)) / mpmath.mpf(s+1)**nu
+BC_REFERENCE = {
+    (1, 2, 2): ["3.33649296876200032983627867172", "3.95751280307892881837248897617",
+                "3.97540904228767539115746639417", "3.97811947046421997379232372503"],
+    (1, 3, 2): ["0.734662091530809764316080213634", "0.748078135839353123093781191206",
+                "0.748087190491929305939350608311", "0.748087361827591217129711373745"],
+    (2, 3, 2): ["29.5851161167592987689410094173", "44.131291841260224286870151764",
+                "44.8489211835407057975530477453", "44.9824294749581403973428600579"],
+    (2, 4, 2): ["4.93123395773981579408273111005", "5.21358796354184111456005364496",
+                "5.21394113125013474166665068468", "5.21394938351695235001798987109"],
+    (2, 4, 3): ["347.289439633622533729248682805", "610.150183224254968469862621605",
+                "613.427881275534555245255825328", "613.604223882709655409549266419"],
+    (3, 5, 2): ["33.3258082129529263367054340211", "37.8513200155943065788288025396",
+                "37.8616767312424156289636550641", "37.8619752968083983960141603435"],
+    (4, 5, 5): ["3303054903285.3783458252902515", "91332438202357910.5555368131271",
+                "1181920853489328294.88530557099", "6670036909091266593.20496209677"],
+}
+
+
+@pytest.mark.parametrize("t, nu, r", sorted(BC_REFERENCE))
+def test_borel_cantelli_brackets_contain_mpmath(t, nu, r):
+    refs = [Fraction(v) for v in BC_REFERENCE[(t, nu, r)]]
+    rep = borel_cantelli_sum(t, nu, r, 10**6, checkpoints=[10**2, 10**4, 10**5])
+    alone = borel_cantelli_sum(t, nu, r, 10**2)
+    brackets = list(zip(rep.partial_sums_lo, rep.partial_sums)) + [(alone.partial_sums_lo[0], alone.partial_sums[0])]
+    for (lo, hi), ref in zip(brackets, refs + refs[:1]):
+        assert lo <= ref <= hi
+        assert hi - lo <= 1e-12 * lo
+
+
+def test_borel_cantelli_cost_does_not_grow_with_M():
+    tracemalloc.start()
+    try:
+        rep = borel_cantelli_sum(2, 3, 2, 10**12, checkpoints=[10**11])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert all(lo <= hi for lo, hi in zip(rep.partial_sums_lo, rep.partial_sums))
+    assert rep.partial_sums_lo[0] <= rep.partial_sums_lo[1]
+    assert rep.partial_sums[0] <= rep.partial_sums[1] <= rep.integral_bound
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+@pytest.mark.parametrize("t, nu", [(2, 3), (2, 4), (3, 4), (3, 5)])
+def test_borel_cantelli_full_series_below_bound(t, nu, r):
+    # for t >= 2 the integral bound's tail assumes a summand that decreases
+    # past head_end, which nothing proves; the certified bracket of the full
+    # series (M = inf) checks the bound on this grid
+    rep = borel_cantelli_sum(t, nu, r, math.inf)
+    assert rep.partial_sums_lo[0] <= rep.partial_sums[0] <= rep.integral_bound
 
 
 def test_borel_cantelli_domain():

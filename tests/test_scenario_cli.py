@@ -280,6 +280,8 @@ def test_modules_stay_under_the_parser_token_step():
     [
         # the dimension fit is a closed-form regression in math.fsum
         pytest.param(["sieve-dim", "--scenario", SL2, "--pmax", "100"], "numpy", id="sieve-dim-numpy"),
+        # the Borel-Cantelli partial sums are closed forms in Fraction
+        pytest.param(["torus-heuristic", "--scenario", TORUS], "numpy", id="torus-heuristic-numpy"),
         # gcds, content splits and certificates run on MultiPoly; every member
         # of these families is proved irreducible without factoring
         pytest.param(["uni-sieve", "--scenario", HEIS, "--want", "3", "--prefixes", "10"], "sympy", id="uni-sieve-sympy"),
@@ -371,7 +373,7 @@ def test_torus_heuristic_small_bc_M(tmp_path, capsys):
     rec = tmp_path / "bc.json"
     assert main(["torus-heuristic", "--scenario", TORUS, "--bc-M", "9", "--record", str(rec)]) == 0
     out = json.loads(rec.read_text())["outputs"]
-    assert len(out["bc_partial_sums"]) == len(out["bc_increments"]) == 1
+    assert len(out["bc_partial_sums"]) == len(out["bc_partial_sums_lo"]) == len(out["bc_increments"]) == 1
     capsys.readouterr()
     assert main(["torus-heuristic", "--scenario", TORUS, "--bc-M", "0"]) == 2
     assert "M must be >= 1" in capsys.readouterr().err
