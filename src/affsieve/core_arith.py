@@ -292,14 +292,25 @@ def _s_integer_part(q: Fraction | int, S: tuple[int, ...]) -> int:
 
 
 def ln_bracket(n: int, terms: int) -> tuple[Fraction, Fraction]:
-    """lo < ln n < hi for n >= 2.  With n = 2^k m, 1 <= m < 2,
-    ln n = 2k atanh(1/3) + 2 atanh(y), y = (m-1)/(m+1) < 1/3; each atanh(y) =
-    sum_j y^(2j+1)/(2j+1) is cut after ``terms`` terms, and the rest is below
-    the geometric bound y^(2 terms+1) / ((2 terms+1)(1 - y^2))."""
+    """lo < ln n < hi for n >= 2, multiples of 2^-bits, bits = 3 terms + 5.
+    With n = 2^k m, 1 <= m < 2, ln n = 2k atanh(1/3) + 2 atanh(y),
+    y = (m-1)/(m+1) < 1/3; each atanh(y) = sum_j y^(2j+1)/(2j+1) is cut after
+    ``terms`` terms, and the rest is below the geometric bound
+    y^(2 terms+1) / ((2 terms+1)(1 - y^2)) <= 9 y^(2 terms+1) / (8 (2 terms+1)).
+    The head runs in fixed point: the lower end floors every product and
+    quotient, the upper end takes ceilings and adds the rest.  The rest is
+    below 3^-(2 terms+1), about 2^-(3.17 terms), which the precision matches,
+    so both ends close in on ln n as ``terms`` grows."""
+    bits = 3 * terms + 5
     k = n.bit_length() - 1
-    lo = hi = Fraction(0)
-    for y, weight in ((Fraction(1, 3), 2 * k), (Fraction(n - 2**k, n + 2**k), 2)):
-        head = sum(y ** (2 * j + 1) / (2 * j + 1) for j in range(terms))
-        lo += weight * head
-        hi += weight * (head + y ** (2 * terms + 1) / ((2 * terms + 1) * (1 - y * y)))
-    return lo, hi
+    ends = []
+    for div in (lambda a, b: a // b, lambda a, b: -(-a // b)):
+        total = 0
+        for num, den, weight in ((1, 3, 2 * k), (n - 2**k, n + 2**k, 2)):
+            p, y2, series = div(num << bits, den), div(num * num << bits, den * den), 0
+            for j in range(terms):
+                series += div(p, 2 * j + 1)
+                p = div(p * y2, 1 << bits)
+            total += weight * (series + (div(9 * p, 8 * (2 * terms + 1)) if ends else 0))
+        ends.append(Fraction(total, 1 << bits))
+    return ends[0], ends[1]

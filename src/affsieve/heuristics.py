@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core_arith import factorize
+from .core_arith import factorize, ln_bracket
 from .matgroup import MatrixQ
 
 
@@ -203,46 +203,15 @@ def _shell_count(t: int, s: int) -> int:
 
 
 def _ln_outward(n: int) -> tuple[Fraction, Fraction]:
-    """lo <= ln n <= hi for n >= 2, multiples of 2^-64 so that powers of the
-    ends stay small Fractions.  As in ``ln_bracket``, n = 2^k m with
-    1 <= m < 2 and ln n = 2k atanh(1/3) + 2 atanh(y), y = (m-1)/(m+1) < 1/3,
-    here in 80-bit fixed point: the lower end floors every product and
-    quotient of the first 25 terms of each series; the upper end takes
-    ceilings and adds the rest, at most y^51 / (51 (1 - y^2)) <= 9 y^51 / 408."""
-    k = n.bit_length() - 1
-    ends = []
-    for div in (lambda a, b: a // b, lambda a, b: -(-a // b)):
-        total = 0
-        for num, den, weight in ((1, 3, 2 * k), (n - 2**k, n + 2**k, 2)):
-            p, y2, series = div(num << 80, den), div(num * num << 80, den * den), 0
-            for j in range(25):
-                series += div(p, 2 * j + 1)
-                p = div(p * y2, 1 << 80)
-            total += weight * (series + (div(9 * p, 408) if ends else 0))
-        ends.append(Fraction(div(total, 1 << 16), 1 << 64))
-    return ends[0], ends[1]
-
-
-def _tail_upper(t: int, nu: int, power: int, H: int) -> Fraction:
-    """An upper bound for the integral over [H, oo) of
-    2t (3x)^(t-1) ln(x+1)^power / (x+1)^nu, nu > t.  With u = ln(x+1) and
-    (e^u - 1)^(t-1) expanded binomially it is
-    2t 3^(t-1) sum_i C(t-1,i) (-1)^(t-1-i) (H+1)^-a P_a(u0), a = nu-1-i >= 1,
-    P_a(u0) = sum_{j<=power} (power!/j!) u0^j / a^(power-j+1), u0 = ln(H+1).
-    P_a increases in u0 >= 0, so each term takes the end of u0's bracket that
-    makes it larger."""
-    lo, hi = _ln_outward(H + 1)
-    total = Fraction(0)
-    for i in range(t):
-        a = nu - 1 - i
-        c = Fraction(math.comb(t - 1, i) * (-1) ** (t - 1 - i), (H + 1) ** a)
-        u = hi if c > 0 else lo
-        P = sum(
-            Fraction(math.factorial(power) // math.factorial(j), a ** (power - j + 1)) * u**j
-            for j in range(power + 1)
-        )
-        total += c * P
-    return 2 * t * 3 ** (t - 1) * total
+    """lo <= ln n <= hi for n >= 2: ``ln_bracket`` with 25 terms (80 bits)
+    widened to multiples of 2^-64, so that powers of the ends stay small
+    Fractions."""
+    lo, hi = ln_bracket(n, 25)
+    scale = 1 << 64
+    return (
+        Fraction(lo.numerator * scale // lo.denominator, scale),
+        Fraction(-(-hi.numerator * scale // hi.denominator), scale),
+    )
 
 
 def _round_up(q: Fraction) -> float:
@@ -291,9 +260,9 @@ def _derivative(terms: dict) -> dict:
 
 
 def _tail(terms: dict) -> dict:
-    """The terms of the integral over [x, oo), every b <= -2: as in
-    ``_tail_upper``, int u^b ln(u)^q = x^-a sum_{j<=q} (q!/j!) ln(x)^j / a^(q-j+1)
-    with a = -b - 1."""
+    """The terms of the integral over [x, oo), every b <= -2: with a = -b - 1
+    and substituting v = a ln u, int u^b ln(u)^q is the incomplete-gamma sum
+    x^-a sum_{j<=q} (q!/j!) ln(x)^j / a^(q-j+1)."""
     out = defaultdict(int)
     for (b, q), c in terms.items():
         a = -b - 1
@@ -400,14 +369,20 @@ def borel_cantelli_sum(
     sums = list(itertools.accumulate(increments, lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(base, base)))
     # integral-test tail bound: shell(s) <= 2t(2s+1)^(t-1) <= 2t(3s)^(t-1)
     # for s >= 1, and the summand is decreasing for s+1 > e^(power/nu).  The
-    # head sums the shells 1..head_end exactly; the integral from head_end
-    # bounds every later shell.
+    # head sums the shells 1..head_end exactly; the later ones are bounded by
+    # the integral over u >= head_end + 1 (u = s + 1) of the majorant
+    # 2t 3^(t-1) (u-1)^(t-1) ln(u)^power u^-nu, expanded binomially.
     head_end = max(2, math.floor(math.exp(power / nu)))
     head = sum(
         _shell_count(t, s) * _ln_outward(s + 1)[1] ** power / (s + 1) ** nu
         for s in range(1, head_end + 1)
     )
-    bound = _round_up(base + head + _tail_upper(t, nu, power, head_end))
+    majorant = {
+        (i - nu, power): 2 * t * 3 ** (t - 1) * math.comb(t - 1, i) * (-1) ** (t - 1 - i)
+        for i in range(t)
+    }
+    tail = _evaluate(_tail(majorant), head_end + 1, _ln_outward(head_end + 1))[1]
+    bound = _round_up(base + head + tail)
     return BorelCantelliReport(
         partial_sums=tuple(_round_up(hi) for _, hi in sums[1:]),
         partial_sums_lo=tuple(_round_down(lo) for lo, _ in sums[1:]),

@@ -13,6 +13,7 @@ from affsieve.core_arith import (
     check_prime_set,
     factorize,
     is_prime,
+    ln_bracket,
     omega_outside,
     primes_upto,
     s_integer_part,
@@ -224,3 +225,18 @@ def test_is_unit_in_ZS():
     assert is_unit_in_ZS(-8, [2])
     with pytest.raises(ValueError):
         is_unit_in_ZS(0, [2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 10**30), st.sampled_from([1, 4, 16, 25, 64]))
+def test_ln_bracket_contains_ln_and_narrows(n, terms):
+    import mpmath
+
+    lo, hi = ln_bracket(n, terms)
+    with mpmath.workdps(120):
+        ln = mpmath.log(n)
+        assert mpmath.mpf(lo.numerator) / lo.denominator < ln < mpmath.mpf(hi.numerator) / hi.denominator
+    # the fixed-point grid is 2^-(3 terms + 5), and more terms narrow the bracket
+    assert (lo * 2 ** (3 * terms + 5)).denominator == 1
+    lo2, hi2 = ln_bracket(n, 2 * terms)
+    assert hi2 - lo2 < hi - lo
