@@ -12,12 +12,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .core_arith import factorize, ln_bracket
+from .core_arith import FactorBudget, factorize, ln_bracket
 from .matgroup import MatrixQ
 
 
@@ -160,29 +161,47 @@ def prime_factor_trend(
     factors of value_fn(m), with the running minimum of the distinct count
     over each dyadic window [2^k, 2^(k+1)).
 
-    No extrapolation: rows where factoring exhausts its default budget are
-    marked.
+    value_fn must return an int (anything with ``__index__``); a Fraction
+    or a float raises TypeError instead of being truncated.  The primes
+    above the trial bound that earlier rows yielded are divided out of each
+    value first, and only the rest goes to ``factorize``, whose default
+    budget applies to that rest.  No extrapolation: rows where factoring
+    exhausts the budget are marked.
     """
     rows = []
     incomplete = 0
     window = None
     window_min: Optional[int] = None
+    bound = FactorBudget().trial_bound
+    known: list[int] = []  # primes above the bound found by earlier rows
+    known_product = 1
     for m in range(start, M + 1):
         if window != m.bit_length() - 1:
             window, window_min = m.bit_length() - 1, None
-        v = int(value_fn(m))
+        v = operator.index(value_fn(m))
         if v == 0:
             rows.append(TrendRow(m, 0, None, None, window_min))
             incomplete += 1
             continue
-        fac = factorize(abs(v))
+        rest = abs(v)
+        g = math.gcd(rest, known_product)
+        exponents = {p: 0 for p in known if g % p == 0} if g > 1 else {}
+        for p in exponents:
+            while rest % p == 0:
+                rest //= p
+                exponents[p] += 1
+        fac = factorize(rest)
+        for p, e in fac.factors:
+            exponents[p] = e
+            if p > bound:
+                known.append(p)
+                known_product *= p
         if not fac.complete:
             rows.append(TrendRow(m, v, None, None, window_min))
             incomplete += 1
             continue
-        kept = [(p, e) for p, e in fac.factors if p != 2]
-        w_d = len(kept)
-        w_m = sum(e for _, e in kept)
+        w_d = sum(1 for p in exponents if p != 2)
+        w_m = sum(e for p, e in exponents.items() if p != 2)
         window_min = w_d if window_min is None else min(window_min, w_d)
         rows.append(TrendRow(m, v, w_d, w_m, window_min))
     return TrendTable(rows=tuple(rows), incomplete=incomplete)

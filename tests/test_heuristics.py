@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +8,8 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from affsieve import core_arith
+from affsieve.core_arith import factorize
 from affsieve.heuristics import (
     TorusSpec,
     _increment_brackets,
@@ -104,6 +107,87 @@ def test_trend_running_min_starts_fresh_in_each_window():
     assert by_m[3].running_min == 1
     assert by_m[4].running_min is None
     assert by_m[5].running_min == 2
+
+
+@pytest.mark.parametrize("value", [Fraction(15, 2), 3.0**40 + 1])
+def test_trend_rejects_non_integral_values(value):
+    # int() would factor 7 and 12157665459056928768 (not 3^40 + 1) instead
+    with pytest.raises(TypeError):
+        prime_factor_trend(lambda m: value, 2)
+
+
+# Primes of 20 to 28 bits, all above the trial bound
+PLANTED = tuple(sympy.nextprime(2**k + 7919 * k) for k in range(19, 28))
+
+
+def _check_against_reference(values):
+    """Each row has the counts of its value factored on its own, wherever
+    that factoring completes."""
+    table = prime_factor_trend(lambda m: values[m - 1], len(values))
+    for row, v in zip(table.rows, values):
+        assert row.value == v
+        fac = factorize(v)
+        if fac.complete:
+            odd = [e for p, e in fac.factors if p != 2]
+            assert (row.omega_distinct, row.omega_mult) == (len(odd), sum(odd)), row.m
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 40))
+def test_trend_rows_match_per_row_factorize_algebraic(a, M):
+    # cap at 160 bits: above it, whole values such as a = 10, m = 38 exhaust
+    # the reference's rho budget after 15-20 s
+    values = [(a**m - a) * (a**m - 1) for m in range(2, M + 1)]
+    _check_against_reference([v for v in values if v.bit_length() <= 160])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(PLANTED), min_size=1, max_size=4), min_size=1, max_size=12))
+@example([[PLANTED[0], PLANTED[1]], [PLANTED[2], PLANTED[3]], [PLANTED[4]]])  # no repeats
+@example([[PLANTED[0], PLANTED[1]], [PLANTED[1], PLANTED[1], PLANTED[0]], [PLANTED[0], PLANTED[2]]])
+def test_trend_rows_match_per_row_factorize_planted(rows):
+    _check_against_reference([3 * math.prod(primes) for primes in rows])
+
+
+def _count_rho(monkeypatch):
+    """Route core_arith._brent_rho through a counter; returns the list of
+    the row m each call was made for (set by the value_fn wrapper)."""
+    calls, current = [], [None]
+    original = core_arith._brent_rho
+
+    def counting(n, iterations):
+        calls.append(current[0])
+        return original(n, iterations)
+
+    monkeypatch.setattr(core_arith, "_brent_rho", counting)
+    return calls, current
+
+
+def test_trend_rho_skips_rows_of_known_primes(monkeypatch):
+    calls, current = _count_rho(monkeypatch)
+    rng = random.Random(1)
+    rows = [rng.choices(PLANTED, k=rng.randint(1, 4)) for _ in range(30)]
+
+    def value_fn(m):
+        current[0] = m
+        return m * math.prod(rows[m - 1])
+
+    prime_factor_trend(value_fn, len(rows))
+    seen, known_rows = set(), []
+    for m, primes in enumerate(rows, start=1):
+        if seen.issuperset(primes):
+            known_rows.append(m)
+        seen.update(primes)
+    assert len(known_rows) >= 10 and calls  # the check below is not vacuous
+    assert not set(calls) & set(known_rows)
+
+
+def test_trend_rho_calls_on_doubling_family(monkeypatch):
+    # factoring each row from scratch takes 77 calls; dividing out the
+    # primes that earlier rows found leaves 10
+    calls, _ = _count_rho(monkeypatch)
+    prime_factor_trend(two_power_product, 75, start=2)
+    assert len(calls) <= 12
 
 
 def test_borel_cantelli_convergence():
