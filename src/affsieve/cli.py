@@ -391,97 +391,77 @@ def cmd_r_formula(_sc, args):
 # argument wiring
 
 
+REQUIRED = object()  # the default of a flag that must be given
+
+# name -> (handler, needs_scenario, flags); a flag is (name, type, default)
+COMMANDS = {
+    "ball": (cmd_ball, True, (("--L", int, REQUIRED),)),
+    "orbit": (cmd_orbit, True, (("--L", int, REQUIRED),)),
+    "local-density": (cmd_local_density, True, (("--p", int, REQUIRED),)),
+    "beta-table": (cmd_beta_table, True, (("--pmax", int, REQUIRED),)),
+    "strong-approx": (cmd_strong_approx, True, (("--q", int, REQUIRED),)),
+    "ramified": (cmd_ramified, True, (("--Lsample", int, 3), ("--pmax", int, 100))),
+    "variety-count": (cmd_variety_count, True, (("--p", int, REQUIRED),)),
+    "splitting-census": (cmd_splitting_census, True, (
+        ("--pmin", int, 3), ("--pmax", int, REQUIRED), ("--dim", int, None),
+    )),
+    "sequence": (cmd_sequence, True, (("--L", int, REQUIRED), ("--head", int, 20))),
+    "decompose": (cmd_decompose, True, (("--L", int, REQUIRED), ("--D", int, REQUIRED))),
+    "level-report": (cmd_level_report, True, (
+        ("--L", int, REQUIRED), ("--D", int, REQUIRED), ("--taus", str, "1/10,1/4,1/2,3/4,9/10"),
+    )),
+    "sieve-dim": (cmd_sieve_dim, True, (("--pmax", int, REQUIRED), ("--w", int, 3))),
+    "brun-bound": (cmd_brun_bound, True, (
+        ("--L", int, REQUIRED), ("--z", int, REQUIRED), ("--b", int, REQUIRED),
+    )),
+    "census": (cmd_census, True, (("--L", int, REQUIRED), ("--rmax", int, 8))),
+    "saturate": (cmd_saturate, True, (("--D", int, None), ("--Lmax", int, None))),
+    "uni-sieve": (cmd_uni_sieve, True, (
+        ("--want", int, 5), ("--prefixes", int, 60), ("--bound", int, 100_000), ("--head", int, 10),
+    )),
+    "torus-heuristic": (cmd_torus_heuristic, True, (("--bc-M", int, 1_000_000),)),
+    "r-formula": (cmd_r_formula, False, (
+        ("--deg", int, REQUIRED), ("--s", int, REQUIRED), ("--dim", int, REQUIRED), ("--tau", str, REQUIRED),
+        ("--omega", int, REQUIRED), ("--T", str, "1"), ("--logM0", str, "1"),
+    )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser: the command's name, and its flags unparsed."""
     parser = argparse.ArgumentParser(
         prog="affsieve",
         description="Exact sieve experiments on orbits of rational matrix groups",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("args", nargs=argparse.REMAINDER, help="the command's flags (see COMMAND --help)")
+    return parser
 
-    def add(name, handler, needs_scenario=True):
-        p = sub.add_parser(name)
-        if needs_scenario:
-            p.add_argument("--scenario", required=True)
-        p.add_argument("--record", help="write the machine-readable record here")
-        p.set_defaults(handler=handler, needs_scenario=needs_scenario)
-        return p
 
-    p = add("ball", cmd_ball)
-    p.add_argument("--L", type=int, required=True)
-    p = add("orbit", cmd_orbit)
-    p.add_argument("--L", type=int, required=True)
-    p = add("local-density", cmd_local_density)
-    p.add_argument("--p", type=int, required=True)
-    p = add("beta-table", cmd_beta_table)
-    p.add_argument("--pmax", type=int, required=True)
-    p = add("strong-approx", cmd_strong_approx)
-    p.add_argument("--q", type=int, required=True)
-    p = add("ramified", cmd_ramified)
-    p.add_argument("--Lsample", type=int, default=3)
-    p.add_argument("--pmax", type=int, default=100)
-    p = add("variety-count", cmd_variety_count)
-    p.add_argument("--p", type=int, required=True)
-    p = add("splitting-census", cmd_splitting_census)
-    p.add_argument("--pmin", type=int, default=3)
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--dim", type=int, default=None)
-    p = add("sequence", cmd_sequence)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--head", type=int, default=20)
-    p = add("decompose", cmd_decompose)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p = add("level-report", cmd_level_report)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--taus", default="1/10,1/4,1/2,3/4,9/10")
-    p = add("sieve-dim", cmd_sieve_dim)
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--w", type=int, default=3)
-    p = add("brun-bound", cmd_brun_bound)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--z", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p = add("census", cmd_census)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--rmax", type=int, default=8)
-    p = add("saturate", cmd_saturate)
-    p.add_argument("--D", type=int, default=None)
-    p.add_argument("--Lmax", type=int, default=None)
-    p = add("uni-sieve", cmd_uni_sieve)
-    p.add_argument("--want", type=int, default=5)
-    p.add_argument("--prefixes", type=int, default=60)
-    p.add_argument("--bound", type=int, default=100_000)
-    p.add_argument("--head", type=int, default=10)
-    p = add("torus-heuristic", cmd_torus_heuristic)
-    p.add_argument("--bc-M", dest="bc_M", type=int, default=1_000_000)
-    p = add("r-formula", cmd_r_formula, needs_scenario=False)
-    p.add_argument("--deg", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--omega", type=int, required=True)
-    p.add_argument("--T", default="1")
-    p.add_argument("--logM0", default="1")
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command's flags, built from its COMMANDS entry."""
+    _, needs_scenario, flags = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"affsieve {name}")
+    if needs_scenario:
+        parser.add_argument("--scenario", required=True)
+    parser.add_argument("--record", help="write the machine-readable record here")
+    for flag, type_, default in flags:
+        parser.add_argument(flag, type=type_, default=default, required=default is REQUIRED)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    top = build_parser().parse_args(argv)
+    handler, needs_scenario, _ = COMMANDS[top.command]
+    args = _command_parser(top.command).parse_args(top.args)
     scenario = None
     try:
-        if args.needs_scenario:
+        if needs_scenario:
             scenario = load_scenario(args.scenario)
-        outputs = args.handler(scenario, args)
-        flags = {
-            k: v
-            for k, v in vars(args).items()
-            if k not in ("handler", "needs_scenario", "command", "record", "scenario")
-            and v is not None
-        }
-        _emit(args, args.command, scenario, flags, outputs)
+        outputs = handler(scenario, args)
+        flags = {k: v for k, v in vars(args).items() if k not in ("record", "scenario") and v is not None}
+        _emit(args, top.command, scenario, flags, outputs)
         return EXIT_OK
     except (ResourceCapError, EnumerationBudgetError) as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

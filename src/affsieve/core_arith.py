@@ -12,10 +12,9 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 # Miller-Rabin bases by size.  psi_t is the least strong pseudoprime to each
 # of the first t prime bases (Jaeschke 1993; Sorenson and Webster, Math.
@@ -123,14 +122,25 @@ def check_prime_set(S: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FactorBudget:
+class Constructed:
+    """Base for a subclass of a NamedTuple: ``_make``, and so ``_replace``,
+    build through the constructor, so a ``__new__`` that normalizes or
+    checks the fields runs on every instance, and a ``__len__`` that counts
+    elements is never taken for the number of fields."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
+
+
+class FactorBudget(NamedTuple):
     trial_bound: int = 10_000
     rho_iterations: int = 20_000_000
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Partial or complete factorization: value = sign * prod(p^e) * cofactor."""
 
     sign: int

@@ -14,11 +14,10 @@ import itertools
 import math
 import operator
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .core_arith import FactorBudget, factorize, ln_bracket
+from .core_arith import Constructed, FactorBudget, factorize, ln_bracket
 from .matgroup import MatrixQ
 
 
@@ -27,19 +26,23 @@ def hilbert_schmidt(x: MatrixQ) -> Fraction:
     return sum(e * e for row in x.entries for e in row)
 
 
-@dataclass(frozen=True)
-class TorusSpec:
+class _TorusSpec(NamedTuple):
     generators: tuple[MatrixQ, ...]
     M: int
 
-    def __post_init__(self):
-        if not self.generators:
+
+class TorusSpec(Constructed, _TorusSpec):
+    __slots__ = ()
+
+    def __new__(cls, generators, M):
+        if not generators:
             raise ValueError("need at least one generator")
-        if self.M < 1:
+        if M < 1:
             raise ValueError("box radius must be >= 1")
-        for a, b in itertools.combinations(self.generators, 2):
+        for a, b in itertools.combinations(generators, 2):
             if a @ b != b @ a:
                 raise ValueError("generators must commute pairwise")
+        return super().__new__(cls, generators, M)
 
     @property
     def rank(self) -> int:
@@ -54,8 +57,7 @@ class TorusSpec:
         return out
 
 
-@dataclass(frozen=True)
-class GrowthEnvelope:
+class GrowthEnvelope(NamedTuple):
     A1: float  # upper growth rate
     A2: float  # lower growth rate over escaping directions
     K: float  # envelope constant: A2^|m|/K <= F <= K A1^|m| on the box
@@ -137,8 +139,7 @@ def norm_growth_check(spec: TorusSpec) -> GrowthEnvelope:
     )
 
 
-@dataclass(frozen=True)
-class TrendRow:
+class TrendRow(NamedTuple):
     m: int
     value: int
     omega_distinct: Optional[int]  # None when factoring hit the budget
@@ -146,8 +147,7 @@ class TrendRow:
     running_min: Optional[int]  # min of omega_distinct over the dyadic window
 
 
-@dataclass(frozen=True)
-class TrendTable:
+class TrendTable(NamedTuple):
     rows: tuple[TrendRow, ...]
     incomplete: int
 
@@ -207,8 +207,7 @@ def prime_factor_trend(
     return TrendTable(rows=tuple(rows), incomplete=incomplete)
 
 
-@dataclass(frozen=True)
-class BorelCantelliReport:
+class BorelCantelliReport(NamedTuple):
     partial_sums: tuple[float, ...]  # upper ends at each checkpoint and at M, ascending
     partial_sums_lo: tuple[float, ...]  # the lower ends
     increments: tuple[float, ...]  # upper ends of the sums between consecutive checkpoints

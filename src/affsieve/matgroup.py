@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .core_arith import exact
+from .core_arith import Constructed, exact
 
 Entries = tuple[tuple[int | Fraction, ...], ...]
 
@@ -148,18 +147,21 @@ def bfs(
     return labels
 
 
-@dataclass(frozen=True)
-class MatrixQ:
-    """Invertible square matrix with exact rational entries."""
-
+class _MatrixQ(NamedTuple):
     entries: Entries
 
-    def __init__(self, entries):
+
+class MatrixQ(Constructed, _MatrixQ):
+    """Invertible square matrix with exact rational entries."""
+
+    __slots__ = ()
+
+    def __new__(cls, entries):
         rows = _freeze(entries)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        object.__setattr__(self, "entries", rows)
+        return super().__new__(cls, rows)
 
     @property
     def n(self) -> int:
@@ -281,13 +283,16 @@ def _sort_key(m: MatrixQ):
     )
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
-    """The distinct non-identity generators and their inverses, sorted."""
-
+class _GeneratorSet(NamedTuple):
     generators: tuple[MatrixQ, ...]
 
-    def __init__(self, generators: Iterable):
+
+class GeneratorSet(Constructed, _GeneratorSet):
+    """The distinct non-identity generators and their inverses, sorted."""
+
+    __slots__ = ()
+
+    def __new__(cls, generators: Iterable):
         gens = [g if isinstance(g, MatrixQ) else MatrixQ(g) for g in generators]
         if not gens:
             raise ValueError("need at least one generator")
@@ -310,19 +315,22 @@ class GeneratorSet:
                 seen.add(inv.entries)
                 out.append(inv)
         out.sort(key=_sort_key)
-        object.__setattr__(self, "generators", tuple(out))
+        return super().__new__(cls, tuple(out))
 
     @property
     def n(self) -> int:
         return self.generators[0].n
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Word-metric ball: every element with its exact word length <= L."""
-
+class _Ball(NamedTuple):
     L: int
     length: dict[Entries, int]  # in ball order: word length, then BFS discovery
+
+
+class Ball(Constructed, _Ball):
+    """Word-metric ball: every element with its exact word length <= L."""
+
+    __slots__ = ()
 
     def values(self, f) -> Iterator[tuple[Entries, int | Fraction]]:
         """(entries, f(entries)) for every element in ball order; f's term
@@ -347,9 +355,12 @@ def ball(gens: GeneratorSet, L: int, cap: int = 5_000_000) -> Ball:
     return Ball(L=L, length=bfs(start, words, _kernels(gens.n).mul, L, cap, what="ball"))
 
 
-@dataclass(frozen=True)
-class OrbitSlice:
+class _OrbitSlice(NamedTuple):
     points: dict[tuple, int]  # point -> minimal word length
+
+
+class OrbitSlice(Constructed, _OrbitSlice):
+    __slots__ = ()
 
     def __len__(self):
         return len(self.points)

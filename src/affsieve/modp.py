@@ -36,11 +36,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .core_arith import check_prime_set, factorize, is_prime, primes_upto
+from .core_arith import Constructed, check_prime_set, factorize, is_prime, primes_upto
 from .matgroup import (
     Ball,
     Entries,
@@ -67,8 +66,7 @@ def sl_order(n: int, p: int) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class MatrixModQ:
+class MatrixModQ(NamedTuple):
     q: int
     entries: EntriesMod
 
@@ -99,14 +97,17 @@ def reduce_mod(gamma: MatrixQ, q: int) -> MatrixModQ:
     return MatrixModQ(q, tuple(rows))
 
 
-@dataclass(frozen=True)
-class FiniteImage:
-    """Closure of the generator reductions mod q, with a word certificate per
-    element (indices into the symmetrized generator list)."""
-
+class _FiniteImage(NamedTuple):
     q: int
     generators: tuple[MatrixModQ, ...]
     words: dict[EntriesMod, tuple[int, ...]]
+
+
+class FiniteImage(Constructed, _FiniteImage):
+    """Closure of the generator reductions mod q, with a word certificate per
+    element (indices into the symmetrized generator list)."""
+
+    __slots__ = ()
 
     def __len__(self):
         return len(self.words)
@@ -148,8 +149,7 @@ def generate_image(
     return FiniteImage(q=q, generators=reduced, words=words)
 
 
-@dataclass(frozen=True)
-class StrongApproxVerdict:
+class StrongApproxVerdict(NamedTuple):
     q: int
     holds: bool
     image_order: int
@@ -378,8 +378,7 @@ def _root_positions(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if abs(i - j) == 1]
 
 
-@dataclass(frozen=True)
-class SurjectivityCertificate:
+class SurjectivityCertificate(NamedTuple):
     """Proof that pi_p(Gamma) = SL_n(F_p) for a prime p.
 
     Every generator has det = 1 mod p, so the image lies in SL_n(F_p).  For
@@ -424,8 +423,7 @@ class SurjectivityCertificate:
             raise CertificateError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class RootSearch:
+class RootSearch(NamedTuple):
     """The short ball of Gamma, read once for the certificates at every p.
 
     ``candidates[(i, j)]`` lists, for each adjacent position (i, j) and in
@@ -511,8 +509,7 @@ def det_minus_one(n: int) -> MultiPoly:
 # local densities
 
 
-@dataclass(frozen=True)
-class LocalDensity:
+class LocalDensity(NamedTuple):
     p: int
     N_f: int
     order: int
@@ -600,8 +597,7 @@ def beta_squarefree(
     return beta
 
 
-@dataclass(frozen=True)
-class RamifiedReport:
+class RamifiedReport(NamedTuple):
     confirmed: tuple[int, ...]
     unresolved: tuple[int, ...]  # candidates above p_max or unverifiable
     sample_gcd: int
@@ -658,8 +654,7 @@ def detect_ramified(
 # splitting census
 
 
-@dataclass(frozen=True)
-class SplittingCensus:
+class SplittingCensus(NamedTuple):
     dim_V: int
     rows: tuple[tuple[int, int, Optional[int], int], ...]  # (p, count, c_hat, residual)
     frequencies: dict[int, Fraction]

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core_arith import (
     FactorBudget,
@@ -28,8 +27,7 @@ from .matgroup import Ball, Entries, GeneratorSet, ball, entry_variable_names
 from .polyalg import MultiPoly, zariski_density_test
 
 
-@dataclass(frozen=True)
-class SieveSequence:
+class SieveSequence(NamedTuple):
     """Multiset of S-integer values of f over a ball: n -> a_n(L)."""
 
     L: int
@@ -79,8 +77,7 @@ def _squarefree_upto(D: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ModuliDecomposition:
+class ModuliDecomposition(NamedTuple):
     D: int
     X: int
     rows: dict[int, tuple[int, Fraction, Fraction]]  # d -> (A_d, beta(d)*X, r_d)
@@ -101,8 +98,7 @@ def moduli_decomposition(
     return ModuliDecomposition(D=D, X=X, rows=rows)
 
 
-@dataclass(frozen=True)
-class LevelReport:
+class LevelReport(NamedTuple):
     D: int
     abs_sum: Fraction
     abs_max: Fraction
@@ -139,8 +135,7 @@ def level_distribution_report(
     )
 
 
-@dataclass(frozen=True)
-class DimensionFit:
+class DimensionFit(NamedTuple):
     window: tuple[int, int]
     slope: float
     intercept: float
@@ -175,8 +170,7 @@ def sieve_dimension_fit(
     return DimensionFit((w, z), slope, intercept, resid, n, conclusive=True)
 
 
-@dataclass(frozen=True)
-class BrunBracket:
+class BrunBracket(NamedTuple):
     z: int
     b: int
     lower: int
@@ -217,8 +211,7 @@ def brun_bound(seq: SieveSequence, z: int, b: int) -> BrunBracket:
 SAMPLE_LIMIT = 100_000  # census samples kept per r
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     L: int
     S_used: tuple[int, ...]
     counts: dict[int, int]  # r -> #{gamma : Omega_outside(f_Gamma) <= r}
@@ -274,8 +267,7 @@ def almost_prime_census(
     return _census(ball(gens, L, cap=cap), f, check_prime_set(S), r_max, budget)
 
 
-@dataclass(frozen=True)
-class SaturationEstimate:
+class SaturationEstimate(NamedTuple):
     r_hat: Optional[int]
     S_used: tuple[int, ...]
     D: int

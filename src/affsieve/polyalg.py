@@ -25,10 +25,9 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .core_arith import exact, factorize
 from .matgroup import _freeze, _identity, _kernels, _matmul, bfs, rational_row_reduce
@@ -685,8 +684,7 @@ def _integer_hnf(rows: list[list[int]]) -> list[list[int]]:
     return out
 
 
-@dataclass(frozen=True)
-class NilpotentLog:
+class NilpotentLog(NamedTuple):
     """Lattice coordinates for a finitely generated unipotent group: a basis of
     the Z-span of sampled logarithms, and a scale m with exp(m * span) inside
     the conjugated integral form d_N^{-1} U_n(Z) d_N."""
@@ -817,8 +815,7 @@ def monomials_upto(variables: Sequence[str], D: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
+class DensityVerdict(NamedTuple):
     dense: bool
     sufficient_points: bool
     needed_points: int

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from .matgroup import GeneratorSet, MatrixQ, entry_variable_names
 from .polyalg import MultiPoly
@@ -95,8 +94,7 @@ _TORUS_KEYS = {"M", "nu", "r"}
 _KINDS = {"SL", "affine", "unipotent"}
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     name: str
     n: int
     kind: str

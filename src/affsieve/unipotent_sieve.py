@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core_arith import (
+    Constructed,
     FactorBudget,
     _omega_outside,
     _s_integer_part,
@@ -49,43 +49,50 @@ from .polyalg import (
 )
 
 
-@dataclass(frozen=True)
-class SieveBudget:
+class _SieveBudget(NamedTuple):
     value_want: int = 5  # values emitted per prefix
     prefix_want: int = 60  # prefixes carried into the next level
     search_bound: int = 100_000  # |progression argument| cap
     factor: FactorBudget = FactorBudget()
 
-    def __post_init__(self):
+
+class SieveBudget(Constructed, _SieveBudget):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.value_want < 1 or self.prefix_want < 1:
             raise ValueError("value_want and prefix_want must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class UniSieveProblem:
+class _UniSieveProblem(NamedTuple):
     variables: tuple[str, ...]
     P: MultiPoly
     families: tuple[tuple[MultiPoly, ...], ...]
 
-    def __post_init__(self):
-        for fam in self.families:
-            g = MultiPoly.constant(self.variables, 0)
+
+class UniSieveProblem(Constructed, _UniSieveProblem):
+    __slots__ = ()
+
+    def __new__(cls, variables, P, families):
+        for fam in families:
+            g = MultiPoly.constant(variables, 0)
             for m in fam:
                 g = g.gcd(m)
             if not g.is_constant():
                 raise CoprimalityError(f"family has common factor {g!r}")
+        return super().__new__(cls, variables, P, families)
 
 
-@dataclass(frozen=True)
-class EmittedPoint:
+class EmittedPoint(NamedTuple):
     x: tuple[int, ...]
     value: int  # numerator of P(x)
     omega: int  # prime factors of value outside S (with multiplicity)
     family_gcds: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PrefixRecord:
+class PrefixRecord(NamedTuple):
     prefix: tuple[int, ...]  # assignments in emission variable order
     M: int
     progression: tuple[int, int]
@@ -93,8 +100,7 @@ class PrefixRecord:
     instances: tuple[MultiPoly, ...] = ()  # integer-scaled single-variable polys
 
 
-@dataclass(frozen=True)
-class UniSieveResult:
+class UniSieveResult(NamedTuple):
     variables: tuple[str, ...]
     r: int
     S: tuple[int, ...]
@@ -106,8 +112,7 @@ class UniSieveResult:
     span_stable: Optional[bool] = None  # the Mal'cev lattice's; None off a group
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     values: tuple[int, ...]
     omegas: tuple[int, ...]
     exhausted: bool
@@ -158,8 +163,7 @@ def single_variable_almost_primes(
 # gcd certificates, bad primes and progression avoidance
 
 
-@dataclass(frozen=True)
-class GcdCertificate:
+class GcdCertificate(NamedTuple):
     """Witness sum_j S_j * P_j = Q identically, with Q free of the pivot
     variable, so gcd_j P_j(x) divides Q(x) at every integer point x.  For a
     univariate family Q is the positive integer m."""
@@ -251,8 +255,7 @@ def gcd_certificate(
     return cert
 
 
-@dataclass(frozen=True)
-class BadPrimeBound:
+class BadPrimeBound(NamedTuple):
     """Primes that can divide every integer value of a univariate integer
     polynomial."""
 
@@ -451,8 +454,7 @@ def _pivot_choice(
 # the recursion
 
 
-@dataclass
-class _LevelResult:
+class _LevelResult(NamedTuple):
     r: int
     S: set[int]
     assignments: list[dict[str, int]]
@@ -761,8 +763,7 @@ def unipotent_group_sieve(
             continue
         verified.append(pt)
         matrices.append(mat)
-    return replace(
-        result,
+    return result._replace(
         points=tuple(verified),
         matrices=tuple(matrices),
         dropped=dropped,

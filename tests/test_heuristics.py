@@ -40,6 +40,9 @@ def test_torus_spec_requires_commuting():
         TorusSpec((MatrixQ([[1, 2], [0, 1]]), MatrixQ([[1, 0], [2, 1]])), 3)
     spec = TorusSpec((DIAG,), 4)
     assert spec.rank == 1
+    for bad in (lambda: TorusSpec((), 3), lambda: TorusSpec((DIAG,), 0), lambda: spec._replace(M=0)):
+        with pytest.raises(ValueError):
+            bad()
     assert spec.power([2]) == DIAG @ DIAG
     assert spec.power([-1]) == DIAG.inverse()
 

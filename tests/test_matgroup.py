@@ -49,6 +49,19 @@ def test_generator_set_symmetrizes_and_dedups():
         GeneratorSet([MatrixQ([[1, 0], [0, 0]])])
 
 
+def test_replace_goes_through_the_constructor():
+    # records are NamedTuples; _replace normalizes and checks as the
+    # constructor does, and len of a ball still counts its elements
+    with pytest.raises(ValueError, match="square"):
+        MatrixQ(A)._replace(entries=((1, 2), (3,)))
+    assert A._replace(entries=[[1, 2], [0, 1]]) == A
+    assert type(FREE._replace(generators=[B, A])) is GeneratorSet
+    assert FREE._replace(generators=[B, A]) == FREE
+    B2 = ball(FREE, 2)
+    assert len(B2._replace(L=2)) == len(B2) == 17
+    assert len(orbit(FREE, (1, 0), 2)._replace()) == len(orbit(FREE, (1, 0), 2))
+
+
 def test_free_pair_ball_sizes():
     # the pair generates a free group, so |B(L)| = 2 * 3^L - 1
     for L in range(6):

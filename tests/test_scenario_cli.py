@@ -1,6 +1,8 @@
 import glob
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tokenize
@@ -288,6 +290,9 @@ def test_modules_stay_under_the_parser_token_step():
         pytest.param(
             ["uni-sieve", "--scenario", HEIS_Q, "--want", "3", "--prefixes", "10"], "sympy", id="uni-sieve-rational-sympy"
         ),
+        # records are NamedTuples: no dataclass is generated, nor inspect imported
+        pytest.param(["local-density", "--scenario", SL2, "--p", "5"], "dataclasses", id="local-density-dataclasses"),
+        pytest.param(["ball", "--scenario", SL2, "--L", "3"], "inspect", id="ball-inspect"),
     ],
 )
 def test_run_leaves_module_unloaded(tmp_path, argv, module):
@@ -305,6 +310,28 @@ def test_run_leaves_module_unloaded(tmp_path, argv, module):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 False"
     assert json.loads(rec.read_text())["command"] == argv[0]
+
+
+def test_records_are_immutable():
+    # one instance of every public record type of the package: a field
+    # cannot be assigned, and no attribute can be added beside the fields
+    records = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "affsieve", "*.py"))):
+        module = importlib.import_module("affsieve." + os.path.basename(path)[:-3])
+        records += [
+            obj
+            for name, obj in vars(module).items()
+            if getattr(obj, "__module__", None) == module.__name__ and not name.startswith("_")
+            and isinstance(obj, type) and issubclass(obj, tuple)
+        ]
+    checked = {"MatrixQ", "GeneratorSet", "TorusSpec", "SieveBudget", "UniSieveProblem"}
+    sized = {"Ball", "OrbitSlice", "FiniteImage"}
+    assert checked | sized | {"Scenario", "LocalDensity"} <= {cls.__name__ for cls in records}
+    for cls in records:
+        record = tuple.__new__(cls, range(len(cls._fields)))
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], None)
+        assert not hasattr(record, "__dict__"), cls
 
 
 def test_determinant_checked():
@@ -341,6 +368,25 @@ def test_cli_replay_byte_identical(tmp_path):
 def test_replay_list_covers_every_subcommand():
     subparsers = next(a for a in build_parser()._actions if a.dest == "command")
     assert sorted(args[0] for args in REPLAY) == sorted(subparsers.choices)
+
+
+def usage_exit(capsys, argv):
+    """(exit code, stdout, stderr) of an invocation that argparse ends."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+def test_cli_help_version_and_usage_errors(capsys):
+    code, out, _ = usage_exit(capsys, ["--help"])
+    assert code == 0 and {args[0] for args in REPLAY} <= set(re.split(r"[\s{},]+", out))
+    code, out, _ = usage_exit(capsys, ["ball", "--help"])
+    assert code == 0 and "--L" in out
+    assert usage_exit(capsys, ["--version"])[:2] == (0, "0.1.0\n")
+    code, _, err = usage_exit(capsys, ["no-such-command"])
+    assert code == 2 and "invalid choice" in err
+    code, _, err = usage_exit(capsys, ["ball", "--scenario", SL2])
+    assert code == 2 and "required: --L" in err
 
 
 @pytest.mark.parametrize("args", REPLAY, ids=[args[0] for args in REPLAY])

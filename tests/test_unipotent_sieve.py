@@ -1,7 +1,6 @@
 import json
 import math
 import os
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -102,6 +101,14 @@ def test_family_with_common_factor_rejected():
     a = MultiPoly.var(variables, "a")
     with pytest.raises(CoprimalityError):
         UniSieveProblem(variables=variables, P=a, families=((a, a * (a + 1)),))
+
+
+def test_sieve_budget_checked_on_construction_and_replace():
+    with pytest.raises(ValueError, match="value_want"):
+        SieveBudget(value_want=0)
+    with pytest.raises(ValueError, match="prefix_want"):
+        SieveBudget()._replace(prefix_want=0)
+    assert SieveBudget()._replace(value_want=2) == SieveBudget(value_want=2)
 
 
 def test_heisenberg_end_to_end():
@@ -225,7 +232,7 @@ def test_span_stable_is_reported(monkeypatch, tmp_path):
 
     true_lattice = unipotent_sieve.malcev_lattice
     def unstable(gens):
-        return replace(true_lattice(gens), span_stable=False)
+        return true_lattice(gens)._replace(span_stable=False)
 
     monkeypatch.setattr(unipotent_sieve, "malcev_lattice", unstable)
     assert unipotent_group_sieve(heisenberg_generators(), x13, [], budget).span_stable is False
