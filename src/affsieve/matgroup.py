@@ -107,10 +107,11 @@ def _identity(n: int, one=1, zero=0):
 def bfs(
     start: Hashable,
     gens: Sequence,
+    inverse: Sequence[int],
     step: Callable,
     radius: int | None = None,
     cap: int = 5_000_000,
-    label: Callable = lambda r, _i: r + 1,
+    label: Callable | None = None,
     start_label=0,
     what: str = "BFS",
 ) -> dict:
@@ -118,32 +119,47 @@ def bfs(
 
     The neighbours of a node are ``step(node, g)`` for g in ``gens``, in that
     order; nodes are deduplicated by equality, so they must be hashable
-    (entry tuples, points).  A node first reached from ``parent`` through
-    ``gens[i]`` gets ``label(labels[parent], i)``: the default folds to the
-    radius.  Stops after ``radius`` levels, or when no new node appears.
-    Returns node -> label in discovery order; raises ResourceCapError once
-    more than ``cap`` nodes are known.
+    (entry tuples, points).  ``step`` is an action of the group the list
+    generates, and ``gens[inverse[i]]`` is the inverse of ``gens[i]``, so
+    stepping from a node through the inverse of the generator that first
+    reached it only returns to its parent, which is already labelled: that
+    step is never taken, and labels, their order and every cap error are
+    those of the search that takes it.  A node first reached from ``parent``
+    through ``gens[i]`` gets ``label(labels[parent], i)``; without ``label``,
+    ``labels[parent] + 1``, the radius.  Stops after ``radius`` levels, or
+    when no new node appears.  Returns node -> label in discovery order;
+    raises ResourceCapError once more than ``cap`` nodes are known.
     """
+    k = len(gens)
+    if len(inverse) != k or any(not 0 <= j < k for j in inverse):
+        raise ValueError(f"inverse index {inverse!r} does not index {k} generators")
+    # moves[i]: the (index, generator) pairs tried from a node first reached
+    # through gens[i]; moves[k], every pair, from the start
+    moves = [tuple((j, g) for j, g in enumerate(gens) if j != inverse[i]) for i in range(k)]
+    moves.append(tuple(enumerate(gens)))
     labels = {start: start_label}
-    frontier = [start]
+    # each frontier node beside the index of the generator that reached it,
+    # in two lists: a pair per node would hold a tuple per node
+    frontier, reached_by = [start], [k]
     level = 0
     while frontier and (radius is None or level < radius):
         level += 1
-        nxt = []
-        for node in frontier:
+        nxt, nxt_by = [], []
+        for node, via in zip(frontier, reached_by):
             base = labels[node]
-            for i, g in enumerate(gens):
+            for i, g in moves[via]:
                 m = step(node, g)
                 if m not in labels:
-                    labels[m] = label(base, i)
+                    labels[m] = base + 1 if label is None else label(base, i)
                     nxt.append(m)
+                    nxt_by.append(i)
                     if len(labels) > cap:
                         raise ResourceCapError(
                             f"{what} cap {cap} exceeded at radius {level}",
                             partial_radius=level - 1,
                             size=len(labels),
                         )
-        frontier = nxt
+        frontier, reached_by = nxt, nxt_by
     return labels
 
 
@@ -314,12 +330,28 @@ class GeneratorSet(Constructed, _GeneratorSet):
             if inv.entries not in seen:
                 seen.add(inv.entries)
                 out.append(inv)
+        if not out:
+            raise ValueError("need at least one non-identity generator")
         out.sort(key=_sort_key)
         return super().__new__(cls, tuple(out))
 
     @property
     def n(self) -> int:
         return self.generators[0].n
+
+    @property
+    def inverses(self) -> tuple[int, ...]:
+        """The index of each generator's inverse in ``generators``."""
+        return _inverse_index(self.generators)
+
+
+@functools.cache
+def _inverse_index(generators: tuple[MatrixQ, ...]) -> tuple[int, ...]:
+    """For each g, the first h in the list with g h = I, found by products
+    (no elimination over Q)."""
+    entries = [g.entries for g in generators]
+    mul, one = _kernels(len(entries[0])).mul, _identity(len(entries[0]))
+    return tuple(next(k for k, h in enumerate(entries) if mul(g, h) == one) for g in entries)
 
 
 class _Ball(NamedTuple):
@@ -352,7 +384,7 @@ def ball(gens: GeneratorSet, L: int, cap: int = 5_000_000) -> Ball:
         raise ValueError("radius must be >= 0")
     start = MatrixQ.identity(gens.n).entries
     words = [g.entries for g in gens.generators]
-    return Ball(L=L, length=bfs(start, words, _kernels(gens.n).mul, L, cap, what="ball"))
+    return Ball(L=L, length=bfs(start, words, gens.inverses, _kernels(gens.n).mul, L, cap, what="ball"))
 
 
 class _OrbitSlice(NamedTuple):
@@ -375,4 +407,4 @@ def orbit(gens: GeneratorSet, v: Sequence, L: int, cap: int = 5_000_000) -> Orbi
     if len(base) != gens.n:
         raise ValueError("vector dimension mismatch")
     words = [g.entries for g in gens.generators]
-    return OrbitSlice(points=bfs(base, words, _kernels(gens.n).apply, L, cap, what="orbit"))
+    return OrbitSlice(points=bfs(base, words, gens.inverses, _kernels(gens.n).apply, L, cap, what="orbit"))

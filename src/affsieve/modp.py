@@ -13,8 +13,10 @@ product of the SL_n(F_p), so ``verify_strong_approx`` reads its order off
 them instead of enumerating it.
 
 One memo decides how mod-p work is shared: ``root_search`` is memoized on
-the generators, ``det_minus_one`` on n, and the unramified result of
-``local_density`` on (gens, f, p, cap), so callers pass no sharing state.
+the generators, ``det_minus_one`` on n, the claims of a surjectivity
+certificate that do not involve p on (generators, roots), and the
+unramified result of ``local_density`` on (gens, f, p, cap), so callers
+pass no sharing state.
 The memo holds only these small results, never a ``FiniteImage``: images
 are enumerated afresh, so the dual routes (``beta_squarefree``'s count mod
 d) never read it.
@@ -46,6 +48,7 @@ from .matgroup import (
     GeneratorSet,
     MatrixQ,
     ResourceCapError,
+    _freeze,
     _identity,
     _kernels,
     _matmul,
@@ -140,6 +143,7 @@ def generate_image(
     words = bfs(
         _identity(gens.n),
         [g.entries for g in reduced],
+        gens.inverses,
         lambda a, b: mulmod(a, b, q),
         cap=cap,
         label=lambda word, i: word + (i,),
@@ -396,31 +400,47 @@ class SurjectivityCertificate(NamedTuple):
     roots: tuple[tuple[int, int, tuple[int, ...], Entries], ...]  # (i, j, word, gamma)
 
     def check(self) -> None:
-        """Re-derive every claim from the generators; raises CertificateError."""
-        p, n = self.p, len(self.generators[0])
+        """Re-derive every claim from the generators; raises CertificateError.
+        The claims that do not involve p are derived once per (generators,
+        roots) by ``_prime_free_claims``; those mod p on every call."""
+        p = self.p
         if not is_prime(p):
             raise CertificateError(f"{p} is not prime")
-        positions = sorted((i, j) for i, j, _, _ in self.roots)
-        if positions != _root_positions(n):
-            raise CertificateError(f"root positions {positions} are not the adjacent ones")
-        for g in self.generators:
-            det = MatrixQ(g).det()
+        dets, products = _prime_free_claims(self.generators, self.roots)
+        for g, det in zip(self.generators, dets):
             if (det.numerator - det.denominator) % p:
                 raise CertificateError(f"generator {g} has det {det} != 1 mod {p}")
-        try:
-            for i, j, word, gamma in self.roots:
-                product = _identity(n)
-                for k in word:
-                    product = _matmul(product, self.generators[k])
-                if product != gamma:
-                    raise CertificateError(f"word {word} does not give {gamma}")
-                r = reduce_mod(MatrixQ(gamma), p).entries
-                if r[i][j] == 0 or any(
-                    r[a][b] != (a == b) for a in range(n) for b in range(n) if (a, b) != (i, j)
-                ):
-                    raise CertificateError(f"{gamma} is not I + t E_{i + 1}{j + 1} mod {p}")
-        except ValueError as exc:  # a denominator that does not reduce mod p
-            raise CertificateError(str(exc)) from exc
+        for (i, j, _, gamma), product in zip(self.roots, products):
+            for a, row in enumerate(product):
+                for b, x in enumerate(row):
+                    if x.denominator % p == 0:
+                        raise CertificateError(f"entry {x} of {gamma} does not reduce mod {p}")
+                    # gamma = I + t E_ij mod p: p divides the numerator of
+                    # x - [a = b] at every (a, b) but (i, j), and not at (i, j)
+                    if ((x.numerator - (a == b) * x.denominator) % p == 0) == ((a, b) == (i, j)):
+                        raise CertificateError(f"{gamma} is not I + t E_{i + 1}{j + 1} mod {p}")
+
+
+@functools.cache
+def _prime_free_claims(generators: tuple[Entries, ...], roots: tuple) -> tuple[tuple, tuple]:
+    """The claims of a ``SurjectivityCertificate`` that hold or fail at every
+    p: the root positions are the adjacent ones and each word's product is
+    its gamma.  Returns each generator's determinant over Q and each root's
+    product, with exact entries; memoized on (generators, roots), and a
+    failing claim raises CertificateError on every call."""
+    n = len(generators[0])
+    positions = sorted((i, j) for i, j, _, _ in roots)
+    if positions != _root_positions(n):
+        raise CertificateError(f"root positions {positions} are not the adjacent ones")
+    products = []
+    for _, _, word, gamma in roots:
+        product = _identity(n)
+        for k in word:
+            product = _matmul(product, generators[k])
+        if product != gamma:
+            raise CertificateError(f"word {word} does not give {gamma}")
+        products.append(_freeze(product))
+    return tuple(MatrixQ(g).det() for g in generators), tuple(products)
 
 
 class RootSearch(NamedTuple):
@@ -462,6 +482,7 @@ def root_search(gens: GeneratorSet) -> RootSearch:
     words = bfs(
         _identity(n),
         generators,
+        gens.inverses,
         _kernels(n).mul,
         CERTIFICATE_RADIUS,
         label=lambda word, i: word + (i,),

@@ -736,9 +736,10 @@ def malcev_lattice(gens: Sequence) -> NilpotentLog:
             raise ValueError("generators must be unipotent upper triangular")
 
     inverses = [nilpotent_exp(tuple(tuple(-x for x in row) for row in nilpotent_log(g))) for g in mats]
+    pairs = [*range(len(mats), 2 * len(mats)), *range(len(mats))]  # index of each inverse
 
     def word_logs(radius: int) -> list[tuple[int | Fraction, ...]]:
-        words = bfs(_identity(n), mats + inverses, _matmul, radius)
+        words = bfs(_identity(n), mats + inverses, pairs, _matmul, radius)
         return [_upper_coords(nilpotent_log(w)) for w in list(words)[1:]]
 
     def span_basis(vectors: list[tuple[int | Fraction, ...]]):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -12,9 +13,11 @@ from affsieve.matgroup import (
     MatrixQ,
     ResourceCapError,
     _apply,
+    _identity,
     _kernels,
     _matmul,
     ball,
+    bfs,
     entry_variable_names,
     orbit,
 )
@@ -47,6 +50,9 @@ def test_generator_set_symmetrizes_and_dedups():
     assert len(g.generators) == 2
     with pytest.raises(ValueError):
         GeneratorSet([MatrixQ([[1, 0], [0, 0]])])
+    # only identities: the group is trivial and has no size to read
+    with pytest.raises(ValueError, match="non-identity"):
+        GeneratorSet([MatrixQ.identity(2), [[1, 0], [0, 1]]])
 
 
 def test_replace_goes_through_the_constructor():
@@ -280,3 +286,93 @@ def test_kernels_refuse_non_int_sizes_and_moduli(monkeypatch):
         assert len(built) == 3
     finally:
         _kernels.cache_clear()
+
+
+def _reference_bfs(start, gens, step, radius=None, cap=5_000_000, label=lambda r, _i: r + 1, start_label=0):
+    """The search that steps from every node through every generator,
+    including back to the parent through the inverse of the one that
+    reached it."""
+    labels = {start: start_label}
+    frontier = [start]
+    level = 0
+    while frontier and (radius is None or level < radius):
+        level += 1
+        nxt = []
+        for node in frontier:
+            base = labels[node]
+            for i, g in enumerate(gens):
+                m = step(node, g)
+                if m not in labels:
+                    labels[m] = label(base, i)
+                    nxt.append(m)
+                    if len(labels) > cap:
+                        raise ResourceCapError("cap", partial_radius=level - 1, size=len(labels))
+        frontier = nxt
+    return labels
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return list(search(*args, **kwargs).items())
+    except ResourceCapError as exc:
+        return ("cap", exc.partial_radius, exc.size)
+
+
+ELEMENTARY = st.tuples(st.booleans(), st.integers(-3, 3)).map(
+    lambda bt: ((1, bt[1]), (0, 1)) if bt[0] else ((1, 0), (bt[1], 1))
+)
+SL2_ELEMENTS = st.one_of(
+    st.just(((-1, 0), (0, -1))),  # its own inverse
+    st.lists(ELEMENTARY, min_size=1, max_size=3).map(lambda ms: functools.reduce(_matmul, ms)),
+)
+SL2_GENERATORS = st.one_of(
+    # free pairs: no relation among short words
+    st.tuples(st.integers(2, 4), st.integers(2, 4)).map(lambda ab: [((1, ab[0]), (0, 1)), ((1, 0), (ab[1], 1))]),
+    st.lists(SL2_ELEMENTS, min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    SL2_GENERATORS,
+    st.sampled_from(("ball", "image", "orbit")),
+    st.integers(2, 30),
+    st.integers(0, 5),
+    st.booleans(),
+    st.one_of(st.just(5_000_000), st.integers(1, 80)),
+)
+def test_bfs_matches_the_reference_search(rows, kind, q, radius, words, cap):
+    # skipping the step back to the parent changes no label, no order and no
+    # cap error: on balls, on images mod q (where relations hold), on orbits
+    # of (1, 0) (whose stabilizer holds [[1, a], [0, 1]]), with radius and
+    # with word labels
+    assume(any(r != _identity(2) for r in rows))
+    gens = GeneratorSet(rows)
+    entries = [g.entries for g in gens.generators]
+    start, step = _identity(2), _matmul
+    if kind == "image":
+        entries = [tuple(tuple(x % q for x in row) for row in g) for g in entries]
+        step, radius = functools.partial(_matmul, q=q), None
+    elif kind == "orbit":
+        start, step = (1, 0), _apply
+    extra = {"cap": cap}
+    if words:
+        extra.update(label=lambda word, i: word + (i,), start_label=())
+    got = _outcome(bfs, start, entries, gens.inverses, step, radius, **extra)
+    assert got == _outcome(_reference_bfs, start, entries, step, radius, **extra)
+
+
+def test_bfs_skips_the_step_back_to_the_parent():
+    # a radius-8 ball on a free pair: 4 products from the identity and 3
+    # from each of the other 4,372 nodes inside radius 7, not 4 from each
+    calls = []
+
+    def step(a, b):
+        calls.append(1)
+        return _matmul(a, b)
+
+    entries = [g.entries for g in FREE.generators]
+    assert list(bfs(_identity(2), entries, FREE.inverses, step, 8)) == list(ball(FREE, 8).length)
+    assert len(calls) == 4 + 3 * (2 * 3**7 - 2) == 13_120
+    with pytest.raises(ValueError, match="inverse index"):
+        bfs(_identity(2), entries, FREE.inverses[:3], step, 1)

@@ -465,6 +465,33 @@ def test_certificate_is_checked_and_rechecks():
             forged.check()
 
 
+
+def test_certificate_memo_passes_no_forgery():
+    # det 8 = 1 mod 7 only: the certificate at 7 checks, and with its
+    # prime-free claims memoized the same roots at 5 still fail on the det
+    gens = GeneratorSet([[[8, 0], [0, 1]], [[1, 2], [0, 1]], [[1, 0], [2, 1]]])
+    cert = surjectivity_certificate(gens, 7)
+    cert.check()
+    with pytest.raises(CertificateError, match="has det .* != 1 mod 5"):
+        cert._replace(p=5).check()
+    (i, j, word, gamma), other = cert.roots
+    forged = cert._replace(roots=((i, j, word + word, gamma), other))
+    for _ in range(2):  # a failing claim is never memoized
+        with pytest.raises(CertificateError, match="does not give"):
+            forged.check()
+
+
+def test_beta_loop_checks_prime_free_claims_once_per_root_tuple():
+    # the root at 3 is [[7, 2], [3, 1]] (2 E_12 mod 3), elsewhere another
+    gens = GeneratorSet([[[7, 2], [3, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 1]]])
+    modp.root_search.cache_clear()
+    modp._unramified_density.cache_clear()
+    modp._prime_free_claims.cache_clear()
+    certified = [local_density(gens, TR2, p).certificate for p in primes_upto(200)]
+    roots = {cert.roots for cert in certified if cert is not None}
+    assert len(certified) == 46 and None not in certified[1:] and len(roots) > 1
+    assert modp._prime_free_claims.cache_info().misses == len(roots)
+
 def elementary(n, i, j, t):
     rows = [[int(a == b) for b in range(n)] for a in range(n)]
     rows[i][j] = t

@@ -414,6 +414,13 @@ def test_cli_exit_code_invalid_input(tmp_path, capsys):
     assert main(["torus-heuristic", "--scenario", SL2]) == 2
 
 
+
+def test_identity_generators_exit_invalid(tmp_path, capsys):
+    raw = minimal_scenario()
+    raw["generators"] = [[[1, 0], [0, 1]]]
+    assert exit_code(tmp_path, raw, "ball", "--L", "2") == 2
+    assert "non-identity generator" in capsys.readouterr().err
+
 def test_torus_heuristic_small_bc_M(tmp_path, capsys):
     # below 10 there is no tenth checkpoint: one partial sum, at M itself
     rec = tmp_path / "bc.json"
