@@ -14,9 +14,10 @@ them instead of enumerating it.
 
 One memo decides how mod-p work is shared: ``root_search`` is memoized on
 the generators, ``det_minus_one`` on n, the claims of a surjectivity
-certificate that do not involve p on (generators, roots), and the
-unramified result of ``local_density`` on (gens, f, p, cap), so callers
-pass no sharing state.
+certificate that do not involve p on (generators, roots), the count plan
+(``_count_plan``; a p dividing its bad modulus, or no plan, counts step by
+step over F_p) on (equations, variables), and the unramified result of
+``local_density`` on (gens, f, p, cap), so callers pass no sharing state.
 The memo holds only these small results, never a ``FiniteImage``: images
 are enumerated afresh, so the dual routes (``beta_squarefree``'s count mod
 d) never read it.
@@ -29,8 +30,8 @@ degree one in any equation lead * x + rest of any system: where lead is
 invertible x is solved for and cleared from the other equations, and where
 lead vanishes the equation splits into {lead, rest}.  Full enumeration runs
 only when no equation has a variable of degree one, and is budgeted.  Its
-equations are ``MultiPoly``s reduced by ``MultiPoly.mod(p)``; it has no
-arithmetic of its own.
+equations are ``MultiPoly``s reduced by ``MultiPoly.mod(p)``, or over Q for a
+count plan N(p) = sum c p^k r_g(p); it has no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -238,27 +239,66 @@ class EnumerationBudgetError(RuntimeError):
     pass
 
 
-def _count_points(eqs: list[MultiPoly], active: frozenset[str], p: int) -> int:
-    """#{x in F_p^active : every equation vanishes at x}.  The equations share
-    one variable tuple and use no variable outside ``active`` (substitutions
-    clear the variables they eliminate)."""
+class _NoPlan(Exception):
+    """The count over Q branches over roots or reaches brute force."""
+
+
+class _Field:
+    """F_p, or Q where p is 0, for the counter, which adds each part c p^k r_g(p)
+    of the count to ``plan`` as {(k, g): c}: r_g(p) counts the roots mod p of
+    the integer polynomial g (coefficients by degree), r_() = 1.  Over Q,
+    ``bad`` is the lcm of every coefficient numerator and denominator seen."""
+
+    def __init__(self, p: int):
+        self.p, self.bad, self.plan = p, 1, {}
+
+    def reduce(self, u: MultiPoly) -> MultiPoly:
+        if self.p:
+            return u.mod(self.p)
+        self.bad = math.lcm(self.bad, *(x for c in u.terms.values() for x in (c.numerator, c.denominator)))
+        return u
+
+    def inverse(self, c: int | Fraction) -> int | Fraction:
+        return pow(c, -1, self.p) if self.p else 1 / Fraction(c)
+
+    def modulus(self) -> int:
+        if not self.p:
+            raise _NoPlan
+        return self.p
+
+    def add(self, c: int, k: int, g: Sequence[int | Fraction] = ()) -> None:
+        d = math.lcm(*(x.denominator for x in g))
+        key = (k, tuple(int(x * d) for x in g))
+        self.plan[key] = self.plan.get(key, 0) + c
+
+    def count(self, p: int) -> int:
+        """The plan evaluated at p: one root count per leaf."""
+        terms = [(c * p**k, g) for (k, g), c in self.plan.items() if c]
+        return sum(c * (_count_roots([x % p for x in g], p) if g else 1) for c, g in terms)
+
+
+def _count_points(eqs: Sequence[MultiPoly], active: frozenset[str], field: _Field, c: int = 1, e: int = 0) -> None:
+    """Adds c p^e #{x in F_p^active : every equation vanishes at x} to the
+    field's plan.  The equations share one variable tuple and use no variable
+    outside ``active`` (substitutions clear the variables they eliminate)."""
     live: list[tuple[MultiPoly, tuple[str, ...]]] = []  # (equation, its variables in tuple order)
     for u in eqs:
-        t = u.mod(p)
+        t = field.reduce(u)
         if t.is_zero() or any(t == s for s, _ in live):  # zero or a duplicate
             continue
         used = t.used_variables()
         if not used:
-            return 0  # nonzero constant equation
+            return  # nonzero constant equation
         live.append((t, tuple(filter(used.__contains__, t.variables))))
     # an active variable that no equation uses contributes a factor p
     bound = frozenset().union(*(used for _, used in live))
-    return pow(p, len(active - bound)) * (_count_bound(live, bound, p) if live else 1)
+    e += len(active - bound)
+    return _count_bound(live, bound, field, c, e) if live else field.add(c, e)
 
 
 def _count_bound(
-    live: list[tuple[MultiPoly, tuple[str, ...]]], active: frozenset[str], p: int
-) -> int:
+    live: list[tuple[MultiPoly, tuple[str, ...]]], active: frozenset[str], field: _Field, c: int, e: int
+) -> None:
     """``_count_points`` on reduced, distinct, nonconstant equations that use
     every active variable."""
     # 1) linear elimination: a variable with degree 1 and constant leading coeff
@@ -268,9 +308,9 @@ def _count_bound(
                 continue
             lead = t.coeff_in(i, 1)
             if lead.is_constant():
-                repl = t.coeff_in(i, 0).scale(-pow(lead.constant_value(), -1, p))
+                repl = t.coeff_in(i, 0).scale(-field.inverse(lead.constant_value()))
                 new_eqs = [u.substitute({i: repl}) for j, (u, _) in enumerate(live) if j != idx]
-                return _count_points(new_eqs, active - {i}, p)
+                return _count_points(new_eqs, active - {i}, field, c, e)
 
     # 2) a univariate equation: branch over its (few) roots
     for idx, (t, used) in enumerate(live):
@@ -279,11 +319,10 @@ def _count_bound(
             coeffs = [t.coeff_in(i, k).constant_value() for k in range(t.degree_in(i) + 1)]
             others = [u for j, (u, _) in enumerate(live) if j != idx]
             if not others:
-                return _count_roots(coeffs, p)  # i is then the only active variable
-            return sum(
-                _count_points([u.substitute({i: r}) for u in others], active - {i}, p)
-                for r in _scan_roots(coeffs, p)
-            )
+                return field.add(c, e, coeffs)  # i is then the only active variable
+            for r in _scan_roots(coeffs, field.modulus()):
+                _count_points([u.substitute({i: r}) for u in others], active - {i}, field, c, e)
+            return
 
     # 3) a variable x of degree one in an equation lead * x + rest (polynomial
     #    lead): where lead != 0, x = -rest / lead, and another equation u of
@@ -309,13 +348,12 @@ def _count_bound(
             for u, d in ((u, u.degree_in(i)) for u in others)
         ]
         without_x = active - {i}
-        return (
-            _count_points(cleared, without_x, p)
-            - _count_points([lead, *cleared], without_x, p)
-            + _count_points([lead, rest, *others], active, p)
-        )
+        _count_points(cleared, without_x, field, c, e)
+        _count_points([lead, *cleared], without_x, field, -c, e)
+        return _count_points([lead, rest, *others], active, field, c, e)
 
     # 4) budgeted brute force over the active variables
+    p = field.modulus()
     variables = live[0][0].variables
     order = [k for k, v in enumerate(variables) if v in active]
     total_points = pow(p, len(order))
@@ -331,7 +369,7 @@ def _count_bound(
         for k, v in zip(order, assignment):
             values[k] = v
         count += all(run(plan, values) % p == 0 for plan in plans)
-    return count
+    field.add(c * count, e)
 
 
 BRUTE_BUDGET = 2_000_000  # number of points a brute force may visit
@@ -345,15 +383,35 @@ def enumerate_variety_mod_p(
 ) -> int:
     """Exact #V(F_p) of the affine variety cut out by the equations.
 
-    The variable set defaults to the union of the equations' variable tuples.
+    The variable set defaults to the first equation's variable tuple.
+    ``_count_plan``, memoized on (equations, variable tuple), gives it at
+    every p that does not divide the plan's bad modulus; a system without a
+    plan, and such p, are counted over F_p step by step, with the same errors.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if variables is None:
         variables = equations[0].variables if equations else ()
     variables = tuple(variables)
-    eqs = [P if P.variables == variables else P.substitute({}, variables) for P in equations]
-    return _count_points(eqs, frozenset(variables), p)
+    eqs = tuple(P if P.variables == variables else P.substitute({}, variables) for P in equations)
+    field = _count_plan(eqs, variables)
+    if field is None or field.bad % p == 0:
+        field = _Field(p)
+        _count_points(eqs, frozenset(variables), field)
+    return field.count(p)
+
+
+@functools.cache
+def _count_plan(eqs: tuple[MultiPoly, ...], variables: tuple[str, ...]) -> Optional[_Field]:
+    """The counter run over Q, or None where it branches over roots or reaches
+    brute force.  Reduction mod a p that does not divide its bad modulus keeps
+    the support of every equation: each step is valid over F_p."""
+    field = _Field(0)
+    try:
+        _count_points(eqs, frozenset(variables), field)
+    except _NoPlan:
+        return None
+    return field
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +492,8 @@ def _prime_free_claims(generators: tuple[Entries, ...], roots: tuple) -> tuple[t
         raise CertificateError(f"root positions {positions} are not the adjacent ones")
     products = []
     for _, _, word, gamma in roots:
+        if not all(0 <= k < len(generators) for k in word):
+            raise CertificateError(f"word {word} indexes outside the {len(generators)} generators")
         product = _identity(n)
         for k in word:
             product = _matmul(product, generators[k])

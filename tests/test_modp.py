@@ -5,10 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from affsieve.core_arith import primes_upto
+from affsieve.core_arith import factorize, primes_upto
 from affsieve.matgroup import GeneratorSet, MatrixQ, ResourceCapError, ball, entry_variable_names
 from affsieve.modp import (
     EnumerationBudgetError,
@@ -123,19 +123,24 @@ def test_variety_count_against_brute_force():
         assert expected == p * p  # the conic tr=2 in SL2 has exactly p^2 points
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    systems=st.lists(
-        st.dictionaries(
-            st.sampled_from([e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]),
-            st.integers(-3, 3),
-            max_size=4,
-        ),
-        min_size=1,
-        max_size=3,
+# systems of up to three equations of degree <= 2 in x, y, z, as term dicts
+SYSTEMS = st.lists(
+    st.dictionaries(
+        st.sampled_from([e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]),
+        st.integers(-3, 3),
+        max_size=4,
     ),
-    p=st.sampled_from([2, 3, 5, 7]),
+    min_size=1,
+    max_size=3,
 )
+
+
+def points_in_xyz(eqs, p):
+    return sum(all(P.eval(pt) % p == 0 for P in eqs) for pt in itertools.product(range(p), repeat=3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems=SYSTEMS, p=st.sampled_from([2, 3, 5, 7]))
 # x y + z^2 = x^2 + y z + 1 = 0: no constant lead, no univariate equation;
 # the degree-one rule solves the first equation for y, which the second uses
 @example(systems=[{(1, 1, 0): 1, (0, 0, 2): 1}, {(2, 0, 0): 1, (0, 1, 1): 1, (0, 0, 0): 1}], p=5)
@@ -145,11 +150,66 @@ def test_variety_count_matches_plain_enumeration(systems, p):
     # no equation uses, multiplies the count by p
     xyz = ("x", "y", "z")
     eqs = [MultiPoly(xyz, terms) for terms in systems]
-    expected = sum(
-        all(P.eval(pt) % p == 0 for P in eqs) for pt in itertools.product(range(p), repeat=3)
-    )
+    expected = points_in_xyz(eqs, p)
     assert enumerate_variety_mod_p(eqs, p, xyz) == expected
     assert enumerate_variety_mod_p(eqs, p, xyz + ("w",)) == p * expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems=SYSTEMS, p=st.sampled_from([11, 13]))
+def test_count_plan_matches_plain_enumeration(systems, p):
+    # systems whose count plan applies at p: the plan built over Q, evaluated
+    # at p, against F_p^3
+    xyz = ("x", "y", "z")
+    eqs = tuple(MultiPoly(xyz, terms) for terms in systems)
+    plan = modp._count_plan(eqs, xyz)
+    assume(plan is not None and plan.bad % p)
+    expected = points_in_xyz(eqs, p)
+    assert plan.count(p) == expected
+    assert enumerate_variety_mod_p(eqs, p, xyz) == expected
+
+
+# {f, det - 1} for f of the benchmark's SL2 shapes in degrees 1 to 4, and
+# the f of the shipped scenarios sl2-free and sl2-entry
+# (the cubic and the quartic branch over roots and get no plan; the quartic
+# reaches brute force, over p^3 from p = 127 on, past the budget)
+SL2_SYSTEMS = [
+    ("2*x11 + x12 - 2*x21 - 1", True),
+    ("x11*x12 - 3*x22**2 + 2*x21 + 4", True),
+    ("2*x11**3 - x12*x21 + 3*x22 - 4", False),
+    ("x11**4 + 2*x12*x21**2 - 3*x12*x22 + x21", False),
+    ("x11 + x22 - 2", True),
+    ("x11", True),
+]
+
+
+@pytest.mark.parametrize("f, planned", SL2_SYSTEMS)
+def test_count_plan_matches_the_per_prime_counter(f, planned):
+    # at every prime up to 500, 2, 3 and the divisors of the bad modulus
+    # among them, against the counter run step by step over F_p
+    eqs = (MultiPoly.parse(f, V), *IDEAL)
+    plan = modp._count_plan(eqs, V)
+    assert (plan is not None) is planned
+    if not planned:
+        return
+    assert max(factorize(plan.bad).primes(), default=1) <= 500
+    for p in primes_upto(500):
+        stepwise = modp._Field(p)
+        modp._count_points(eqs, frozenset(V), stepwise)
+        assert enumerate_variety_mod_p(eqs, p, V) == stepwise.count(p)
+        if plan.bad % p:
+            assert plan.count(p) == stepwise.count(p)
+
+
+def test_beta_loop_builds_one_count_plan_per_system():
+    # a beta-table over the primes up to 2000 compiles {tr - 2, det - 1} once
+    modp._unramified_density.cache_clear()
+    modp._count_plan.cache_clear()
+    densities = [local_density(FREE, TR2, p) for p in primes_upto(2000)]
+    certified = sum(d.certificate is not None for d in densities)
+    assert (len(densities), certified) == (303, 302)
+    assert (modp._count_plan.cache_info().misses, modp._count_plan.cache_info().hits) == (1, 301)
+    assert all(d.N_f == d.p**2 for d in densities[1:])
 
 
 def test_univariate_root_counts():
@@ -464,6 +524,17 @@ def test_certificate_is_checked_and_rechecks():
         with pytest.raises(CertificateError):
             forged.check()
 
+
+
+@pytest.mark.parametrize("word", [(9,), (-1,)])
+def test_certificate_word_index_outside_the_generators_fails(word):
+    # the last generator is [[1, 2], [0, 1]] = I + 2 E_12, a root mod 5: the
+    # index -1 used to read it and pass, the index 9 to raise IndexError
+    cert = surjectivity_certificate(FREE, 5)
+    last = cert.generators[-1]
+    roots = tuple((i, j, word, last) if (i, j) == (0, 1) else (i, j, w, g) for i, j, w, g in cert.roots)
+    with pytest.raises(CertificateError, match="outside the 4 generators"):
+        cert._replace(roots=roots).check()
 
 
 def test_certificate_memo_passes_no_forgery():

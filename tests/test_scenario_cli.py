@@ -187,6 +187,16 @@ def test_zero_denominator_flag_exits_invalid(capsys, argv):
     assert "invalid input: zero denominator in '1/0'" in capsys.readouterr().err
 
 
+def test_variety_count_at_a_prime_of_the_denominators_exits_invalid(tmp_path, capsys):
+    # 7 divides the bad modulus of the count plan of {x11/7 + x12, det - 1}:
+    # p = 7 is counted step by step, where f does not reduce
+    raw = {**minimal_scenario(), "f": "x11/7 + x12", "ambient_ideal": ["x11*x22 - x12*x21 - 1"]}
+    assert exit_code(tmp_path, raw, "variety-count", "--p", "5") == 0
+    assert "count: 20" in capsys.readouterr().out
+    assert exit_code(tmp_path, raw, "variety-count", "--p", "7") == 2
+    assert "coefficient denominator 7 not invertible mod 7" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
