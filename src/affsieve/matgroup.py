@@ -179,6 +179,11 @@ class MatrixQ(Constructed, _MatrixQ):
             raise ValueError("matrix must be square")
         return super().__new__(cls, rows)
 
+    @classmethod
+    def _of(cls, rows: Entries) -> "MatrixQ":
+        """A matrix from square row tuples of exact scalars, unchecked."""
+        return _MatrixQ.__new__(cls, rows)
+
     @property
     def n(self) -> int:
         return len(self.entries)

@@ -89,6 +89,8 @@ class ModuliDecomposition(NamedTuple):
 def moduli_decomposition(
     seq: SieveSequence, beta: Callable[[int], Fraction], D: int
 ) -> ModuliDecomposition:
+    if D < 1:
+        raise ValueError(f"the level D must be >= 1, not {D}")
     X = seq.X
     rows = {}
     for d in _squarefree_upto(D):

@@ -27,10 +27,10 @@ import operator
 import re
 from fractions import Fraction
 from functools import cache
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .core_arith import exact, factorize
-from .matgroup import _freeze, _identity, _kernels, _matmul, bfs, rational_row_reduce
+from .matgroup import _freeze, _identity, _matmul, bfs, rational_row_reduce
 
 
 class MultiPoly:
@@ -581,31 +581,72 @@ def _series_weights(n: int, log: bool) -> tuple[tuple[int, ...], int]:
     return tuple(W // math.factorial(k) for k in range(n)), W
 
 
+@cache
+def _lattice_form(basis: tuple, scale: int, n: int) -> tuple[tuple[tuple[int, ...], ...], tuple, Callable]:
+    """(form, c, q) for the lattice points of (basis, scale): with D the lcm of
+    the basis denominators, form holds for each entry (i, j) above the
+    diagonal, row by row, the ints (D scale B[i][j] for B in basis), and
+    (c, q) are the weights and division of ``_scaled_weights`` at D."""
+    D = math.lcm(*(x.denominator for B in basis for row in B for x in row))
+    form = tuple(tuple(int(B[i][j] * D) * scale for B in basis) for i in range(n) for j in range(i + 1, n))
+    return form, *_scaled_weights(n, False, D)
+
+
+def _scaled_weights(n: int, log: bool, D: int) -> tuple[tuple[int, ...], Callable]:
+    """(c, q) with q(sum_k c[k] M^k) the exp or log series of M / D for an int
+    nilpotent n x n matrix M: c[k] = w[k] D^(n-1-k), and q divides by
+    W D^(n-1), to an int wherever the quotient is integral."""
+    w, W = _series_weights(n, log)
+    L = W * D ** (n - 1)
+    return tuple(x * D ** (n - 1 - k) for k, x in enumerate(w)), lambda x: x // L if x % L == 0 else Fraction(x, L)
+
+
+@cache
+def _series_kernel(n: int) -> Callable:
+    """series(m, c, q) = q applied to each entry of sum_k c[k] M^k, for the
+    strictly upper n x n int matrix M whose entries above the diagonal are m,
+    row by row, as straight-line code: every entry is a local, and only the
+    entries of M^k that can be nonzero (j - i >= k) are formed.  The source
+    holds only names built from int indices, and is compiled once per n."""
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    lines = [
+        f"[{', '.join(f'p1_{i}_{j}' for i, j in upper)}] = m",
+        f"[{', '.join(f'c{k}' for k in range(n))}] = c",
+        "d = q(c0)",
+    ]
+    lines += [  # (M^k)_ij = sum_l (M^(k-1))_il M_lj
+        f"p{k}_{i}_{j} = " + " + ".join(f"p{k - 1}_{i}_{l}*p1_{l}_{j}" for l in range(i + k - 1, j))
+        for k in range(2, n) for i, j in upper if j - i >= k
+    ]
+
+    def entry(i, j):
+        if i >= j:
+            return "d" if i == j else "0"
+        return "q(" + " + ".join(f"c{k}*p{k}_{i}_{j}" for k in range(1, j - i + 1)) + ")"
+
+    rows = ", ".join("(" + ", ".join(entry(i, j) for j in range(n)) + ",)" for i in range(n))
+    source = "def series(m, c, q):\n    " + "\n    ".join(lines) + f"\n    return ({rows},)\n"
+    namespace: dict = {}
+    exec(compile(source, f"<polyalg series n={n}>", "exec"), namespace)
+    return namespace["series"]
+
+
 def _int_series(N, log: bool):
     """exp or log series of a strictly upper matrix N of exact scalars, in int
-    arithmetic: with D the lcm of N's denominators and M = D N, the sum
-    sum_k w[k] D^(n-1-k) M^k runs through the int product of ``_kernels``,
-    and each entry is divided once by W D^(n-1).  Entries are exact scalars,
-    int wherever integral."""
+    arithmetic: ``_series_kernel`` runs on the ints D N, D the lcm of N's
+    denominators, and divides each entry once, to an int wherever integral."""
     n = len(N)
-    D = 1
-    for row in N:
-        for x in row:
-            D = math.lcm(D, x.denominator)
-    M = tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in N)
-    weights, W = _series_weights(n, log)
-    out = [[weights[0] * D ** (n - 1) if i == j else 0 for j in range(n)] for i in range(n)]
-    mul = _kernels(n).mul
-    term = M
-    for k in range(1, n):
-        c = weights[k] * D ** (n - 1 - k)
-        for orow, trow in zip(out, term):
-            for j, t in enumerate(trow):
-                orow[j] += c * t
-        if k < n - 1:
-            term = mul(term, M)
-    L = W * D ** (n - 1)
-    return tuple(tuple(x // L if x % L == 0 else Fraction(x, L) for x in row) for row in out)
+    upper = [N[i][j] for i in range(n) for j in range(i + 1, n)]
+    D = math.lcm(*(x.denominator for x in upper))
+    M = [x.numerator * (D // x.denominator) for x in upper]
+    return _series_kernel(n)(M, *_scaled_weights(n, log, D))
+
+
+def _lattice_exp(n: int, basis: tuple, scale: int, coords: Sequence[int]):
+    """exp(scale sum_k coords[k] basis[k]) from the lattice's int form, with
+    one division per entry: ``nilpotent_exp(span_element(...))``'s entries."""
+    form, c, q = _lattice_form(basis, scale, n)
+    return _series_kernel(n)([sum(map(operator.mul, coords, cell)) for cell in form], c, q)
 
 
 def nilpotent_exp(N) -> tuple[tuple[int | Fraction, ...], ...]:
@@ -700,20 +741,12 @@ class NilpotentLog(NamedTuple):
         return len(self.basis)
 
     def lattice_point(self, coords: Sequence[int]):
-        """exp of scale * (integer combination of the basis)."""
+        """exp(scale sum_k coords[k] basis[k]), equal to ``nilpotent_exp`` of
+        ``span_element``, in int arithmetic on the lattice's int form
+        (``_lattice_exp``)."""
         if len(coords) != self.rank:
             raise ValueError("coordinate length mismatch")
-        return nilpotent_exp(span_element([c * self.scale for c in coords], self.basis, self.n))
-
-
-def _in_integral_form(mat, N: int) -> bool:
-    rows = _freeze(mat)
-    n = len(rows)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (rows[i][j] * N ** (j - i)).denominator != 1:
-                return False
-    return True
+        return _lattice_exp(self.n, self.basis, self.scale, coords)
 
 
 def malcev_lattice(gens: Sequence) -> NilpotentLog:
@@ -771,24 +804,15 @@ def malcev_lattice(gens: Sequence) -> NilpotentLog:
 
     scale = 1
     while True:
-        ok = True
         for coords in itertools.product(range(-2, 3), repeat=len(basis)):
-            M = span_element([c * scale for c in coords], basis, n)
-            E = nilpotent_exp(M)
-            if not _in_integral_form(E, N):
-                ok = False
-                # enlarge by one prime from the offending denominators
-                worst = 1
-                for i in range(n):
-                    for j in range(i + 1, n):
-                        worst = math.lcm(
-                            worst, (E[i][j] * N ** (j - i)).denominator
-                        )
-                p = factorize(worst).primes()[0]
-                scale *= p
+            E = _lattice_exp(n, basis, scale, coords)
+            # the denominators of d_N E d_N^{-1}, whose (i, j) entry is E[i][j] N^(j-i)
+            worst = math.lcm(*((E[i][j] * N ** (j - i)).denominator for i in range(n) for j in range(i + 1, n)))
+            if worst > 1:
                 break
-        if ok:
+        else:
             break
+        scale *= factorize(worst).primes()[0]  # enlarge by one prime of the offending denominators
         if scale > 10**6:
             raise ValueError("could not find an integral scale within bound")
     return NilpotentLog(

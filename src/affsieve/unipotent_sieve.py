@@ -34,10 +34,9 @@ from .core_arith import (
     _s_integer_part,
     check_prime_set,
     factorize,
-    omega_outside,
     primes_upto,
 )
-from .matgroup import MatrixQ
+from .matgroup import MatrixQ, entry_positions
 from .polyalg import (
     CertificateError,
     CoprimalityError,
@@ -63,6 +62,8 @@ class SieveBudget(Constructed, _SieveBudget):
         self = super().__new__(cls, *args, **kwargs)
         if self.value_want < 1 or self.prefix_want < 1:
             raise ValueError("value_want and prefix_want must be >= 1")
+        if self.search_bound < 0:
+            raise ValueError(f"search_bound must be >= 0, not {self.search_bound}")
         return self
 
 
@@ -133,6 +134,7 @@ def single_variable_almost_primes(
     if a <= 0:
         raise ValueError("progression step must be positive")
     Sset = check_prime_set(S)
+    plan, run = P.term_plan([0] * len(P.variables)), P.run_plan  # every variable reads n
     values = []
     omegas = []
     exhausted = False
@@ -145,7 +147,7 @@ def single_variable_almost_primes(
                 exhausted = len(values) < want
                 break
             continue
-        val = P.eval({name: n for name in P.variables})
+        val = run(plan, (n,))
         if val == 0 or val.denominator != 1:
             continue  # a value that is not a nonzero integer has no almost-prime verdict
         om = _omega_outside(val.numerator, Sset, budget=budget)
@@ -278,7 +280,8 @@ def bad_prime_bound(P: MultiPoly) -> BadPrimeBound:
     if P.denominator_lcm() != 1:
         raise ValueError("integer polynomial required")
     deg = P.degree()
-    values = [P.eval({v: m for v in P.variables}) for m in range(deg + 1)]
+    plan = P.term_plan([0] * len(P.variables))
+    values = [P.run_plan(plan, (m,)) for m in range(deg + 1)]
     g = math.gcd(*values)
     if g == 0:
         raise ValueError("polynomial vanishes on 0..deg; not a nonzero integer poly?")
@@ -457,7 +460,7 @@ def _pivot_choice(
 class _LevelResult(NamedTuple):
     r: int
     S: set[int]
-    assignments: list[dict[str, int]]
+    assignments: list[tuple[int, ...]]  # points over the variables, 0 where unassigned
     prefixes: list[PrefixRecord]
     exhausted: bool
 
@@ -488,7 +491,7 @@ def _sieve_level(
         return _LevelResult(
             r=fac.omega() or 0,
             S=S,
-            assignments=[{}],
+            assignments=[(0,) * len(variables)],
             prefixes=[],
             exhausted=not fac.complete,
         )
@@ -553,19 +556,21 @@ def _sieve_level(
     window = calP_deg + sum(m.degree_in(pivot) for m in dependent_members)
     S_level = set(sub.S) | S_const | set(primes_upto(window))
 
-    assignments: list[dict[str, int]] = []
+    assignments: list[tuple[int, ...]] = []
     prefixes: list[PrefixRecord] = list(sub.prefixes)
     exhausted = sub.exhausted
     max_single_r = 0
+    # term plans on points over the variables (P, H and the H_i are in them,
+    # each Q in the rest)
+    run, at, H_plan = MultiPoly.run_plan, variables.index(pivot), H.term_plan()
+    Q_plans = [Q.term_plan([variables.index(v) for v in Q.variables]) for Q in certificates]
 
-    for assign in sub.assignments[: budget.prefix_want]:
+    for point in sub.assignments[: budget.prefix_want]:
         # specialize at the prefix
-        point = dict(assign)
         M = 1
         degenerate = False
-        for Q in certificates:
-            qv = Q.eval({v: point.get(v, 0) for v in Q.variables})
-            qi = int(qv)
+        for plan in Q_plans:
+            qi = int(run(plan, point))
             if qi == 0:
                 degenerate = True
                 break
@@ -574,10 +579,10 @@ def _sieve_level(
             continue
         calP_terms = {}
         for i, h in enumerate(His):
-            hv = h.eval({v: point.get(v, 0) for v in h.variables})
+            hv = run(h.term_plan(), point)
             if hv:
                 e = [0] * len(variables)
-                e[variables.index(pivot)] = i
+                e[at] = i
                 calP_terms[tuple(e)] = hv
         calP = MultiPoly(variables, calP_terms)
         if calP.is_zero():
@@ -585,7 +590,7 @@ def _sieve_level(
         spec_deps = []
         for m in dependent_members:
             sm = m.substitute(
-                {v: Fraction(point.get(v, 0)) for v in m.used_variables() if v != pivot}
+                {v: Fraction(point[variables.index(v)]) for v in m.used_variables() if v != pivot}
             )
             if not sm.is_zero():
                 spec_deps.append(sm)
@@ -603,7 +608,7 @@ def _sieve_level(
             a, b = progression_avoiding(M, instances)
         except ValueError:
             continue  # no admissible residue at this prefix: skip it
-        H_val = H.eval({v: point.get(v, 0) for v in H.variables})
+        H_val = run(H_plan, point)
         if H_val == 0:
             continue
         # search the full target P(prefix, pivot) = H_val * calP(pivot)
@@ -628,17 +633,14 @@ def _sieve_level(
         max_single_r = max(max_single_r, max(outcome.omegas))
         prefixes.append(
             PrefixRecord(
-                prefix=tuple(point.get(v, 0) for v in variables if v in rest),
+                prefix=tuple(x for v, x in zip(variables, point) if v in rest),
                 M=M,
                 progression=(a, b),
                 values=outcome.values,
                 instances=tuple(instances),
             )
         )
-        for n in outcome.values:
-            new = dict(point)
-            new[pivot] = n
-            assignments.append(new)
+        assignments.extend(point[:at] + (n,) + point[at + 1 :] for n in outcome.values)
 
     # the searched values are of the full product H * calP, so their observed
     # omega already accounts for the content's factors
@@ -665,20 +667,21 @@ def multivariable_sieve(
     points: list[EmittedPoint] = []
     dropped = 0
     max_omega = 0
-    for assign in level.assignments:
-        x = tuple(int(assign.get(v, 0)) for v in variables)
-        val = problem.P.eval(dict(zip(variables, x)))
+    # the problem's polynomials are all in its variables (UniSieveProblem's gcds)
+    run, P_plan = MultiPoly.run_plan, problem.P.term_plan()
+    fam_plans = [[m.term_plan() for m in fam] for fam in problem.families]
+    for x in level.assignments:
+        val = run(P_plan, x)
         if val == 0:
             dropped += 1
             continue
         om = _omega_outside(val.numerator, S, budget=budget.factor)
         gcds = []
         ok = om is not None
-        for fam in problem.families:
+        for plans in fam_plans:
             g = 0
-            for m in fam:
-                mv = m.eval(dict(zip(variables, x)))
-                g = math.gcd(g, abs(mv.numerator))
+            for plan in plans:
+                g = math.gcd(g, abs(run(plan, x).numerator))
             if g == 0 or _s_integer_part(g, S) != 1:
                 ok = False
                 break
@@ -714,9 +717,11 @@ def unipotent_group_sieve(
     """Sieve on the group generated by unipotent upper triangular matrices.
 
     ``p`` and the family members are polynomials in the matrix-entry
-    variables x11..xnn; they are rewritten in lattice coordinates, sieved,
-    and every emitted point is re-verified by evaluating the original
-    polynomials on the emitted matrix directly.
+    variables x11..xnn; they are rewritten in lattice coordinates through
+    the Fraction series ``exp_series``, sieved, and every emitted point is
+    re-verified on its matrix from ``NilpotentLog.lattice_point``, where the
+    original polynomials' term plans give the value, its Omega outside S
+    and the family gcds again.
     """
     lattice = malcev_lattice(gens)
     k = lattice.rank
@@ -741,20 +746,23 @@ def unipotent_group_sieve(
     verified: list[EmittedPoint] = []
     matrices: list[MatrixQ] = []
     dropped = result.dropped
+    S = check_prime_set(result.S)
+    run = MultiPoly.run_plan
+    p_plan = p.term_plan(entry_positions(p.variables, n))
+    fam_plans = [[m.term_plan(entry_positions(m.variables, n)) for m in fam] for fam in families]
     for pt in result.points:
-        mat = MatrixQ(lattice.lattice_point(pt.x))
-        env = mat.entry_dict()
-        val = p.eval({v: env[v] for v in p.variables})
+        entries = lattice.lattice_point(pt.x)
+        flat = sum(entries, ())
+        val = run(p_plan, flat)
         if val.numerator != pt.value or val.denominator != 1:
             dropped += 1
             continue
-        om = omega_outside(val.numerator, result.S, budget=budget.factor)
+        om = _omega_outside(val.numerator, S, budget=budget.factor)
         ok = om is not None and om <= result.r
-        for fam, g_claim in zip(families, pt.family_gcds):
+        for plans, g_claim in zip(fam_plans, pt.family_gcds):
             g = 0
-            for m in fam:
-                mv = m.eval({v: env[v] for v in m.variables})
-                g = math.gcd(g, abs(mv.numerator))
+            for plan in plans:
+                g = math.gcd(g, abs(run(plan, flat).numerator))
             if g != g_claim:
                 ok = False
                 break
@@ -762,7 +770,7 @@ def unipotent_group_sieve(
             dropped += 1
             continue
         verified.append(pt)
-        matrices.append(mat)
+        matrices.append(MatrixQ._of(entries))  # exact entries from lattice_point
     return result._replace(
         points=tuple(verified),
         matrices=tuple(matrices),

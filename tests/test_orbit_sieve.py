@@ -83,6 +83,14 @@ def test_moduli_decomposition_floor_identity():
         assert abs(r_d) < 1
 
 
+@pytest.mark.parametrize("D", [0, -1, -3])
+def test_moduli_decomposition_rejects_levels_below_one(D):
+    # a negative D raised to an even power used to pass the level bound
+    seq = SieveSequence(L=0, S_used=(), entries={n: 1 for n in range(1, 50)}, skipped=0)
+    with pytest.raises(ValueError, match="level D"):
+        moduli_decomposition(seq, lambda d: Fraction(1, d), D)
+
+
 def test_level_report_grid():
     N = 500
     seq = SieveSequence(L=0, S_used=(), entries={n: 1 for n in range(1, N + 1)}, skipped=0)

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from affsieve.matgroup import MatrixQ, ball, entry_positions, entry_variable_names, rational_row_reduce
 from affsieve.polyalg import (
     MultiPoly,
+    NilpotentLog,
     _integer_hnf,
     _nilpotent_series,
+    exp_series,
     malcev_lattice,
     monomials_upto,
     nilpotent_exp,
     nilpotent_log,
+    span_element,
     zariski_density_test,
 )
 from affsieve.scenario import load_scenario
@@ -290,6 +293,36 @@ def test_nilpotent_exp_log_match_fraction_series(N):
     for mat in (u, nilpotent_log(u)):
         for x in itertools.chain.from_iterable(mat):
             assert type(x) is (int if x.denominator == 1 else Fraction)
+
+
+def fraction_route_point(lat, coords):
+    """exp(scale sum_k coords[k] B_k) by the plain Fraction series."""
+    return exp_series(span_element([c * lat.scale for c in coords], lat.basis, lat.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_lattice_point_matches_the_fraction_series(data):
+    n = data.draw(st.sampled_from((2, 3, 4)), label="n")
+    entry = st.fractions(min_value=-20, max_value=20, max_denominator=data.draw(st.sampled_from((1, 2, 6, 30))))
+    rank = data.draw(st.integers(1, 3), label="rank")
+    basis = tuple(
+        tuple(tuple(data.draw(entry) if j > i else 0 for j in range(n)) for i in range(n)) for _ in range(rank)
+    )
+    scale = data.draw(st.sampled_from((1, 2, 6)), label="scale")
+    coords = data.draw(st.lists(st.integers(-20, 20), min_size=rank, max_size=rank), label="coords")
+    lat = NilpotentLog(n=n, basis=basis, scale=scale, conjugation_N=1, span_stable=True)
+    u = lat.lattice_point(coords)
+    assert u == fraction_route_point(lat, coords)
+    for x in itertools.chain.from_iterable(u):
+        assert type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("name", ["heisenberg-rational", "heisenberg-families"])
+def test_scenario_lattice_points_match_the_fraction_series(name):
+    lat = malcev_lattice(load_scenario(os.path.join(SCENARIOS, f"{name}.json")).generator_matrices)
+    for coords in itertools.product(range(-4, 5), repeat=lat.rank):
+        assert lat.lattice_point(coords) == fraction_route_point(lat, coords), coords
 
 
 def test_malcev_lattice_rational_heisenberg():

@@ -204,7 +204,9 @@ def test_variety_count_at_a_prime_of_the_denominators_exits_invalid(tmp_path, ca
         # mod -7 (read as the image mod 7), a census up to Omega = -1, a sieve
         # wanting no value, negative sequence and sample heads, and a
         # splitting census at dimension -1 (a TypeError traceback, exit 1),
-        # and a local density at the composite p = 15 (beta 5/64, exit 0)
+        # a local density at the composite p = 15 (beta 5/64, exit 0), a
+        # unipotent search bound of -5 (no search, "exhausted: True"), and
+        # levels D < 1 (least_tau 1/4 at D = -1, 1/10 over no moduli at D = 0)
         ["saturate", "--scenario", SL2, "--D", "-1", "--Lmax", "2"],
         ["strong-approx", "--scenario", SL2, "--q", "-7"],
         ["census", "--scenario", SL2, "--L", "2", "--rmax", "-1"],
@@ -214,9 +216,14 @@ def test_variety_count_at_a_prime_of_the_denominators_exits_invalid(tmp_path, ca
         ["sequence", "--scenario", SL2, "--L", "2", "--head", "-1"],
         ["splitting-census", "--scenario", SL2, "--pmax", "7", "--dim", "-1"],
         ["local-density", "--scenario", SL2, "--p", "15"],
+        ["uni-sieve", "--scenario", HEIS, "--bound", "-5"],
+        ["level-report", "--scenario", SL2, "--L", "2", "--D", "-1"],
+        ["level-report", "--scenario", SL2, "--L", "2", "--D", "0"],
+        ["decompose", "--scenario", SL2, "--L", "2", "--D", "-3"],
     ],
     ids=["saturate-D", "strong-approx-q", "census-rmax", "uni-sieve-want", "uni-sieve-prefixes",
-         "uni-sieve-head", "sequence-head", "splitting-census-dim", "local-density-p"],
+         "uni-sieve-head", "sequence-head", "splitting-census-dim", "local-density-p",
+         "uni-sieve-bound", "level-report-D-negative", "level-report-D-zero", "decompose-D"],
 )
 def test_out_of_range_count_exits_invalid(capsys, argv):
     assert main(argv) == 2

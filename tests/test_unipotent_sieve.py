@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +110,9 @@ def test_sieve_budget_checked_on_construction_and_replace():
         SieveBudget(value_want=0)
     with pytest.raises(ValueError, match="prefix_want"):
         SieveBudget()._replace(prefix_want=0)
+    with pytest.raises(ValueError, match="search_bound"):
+        SieveBudget(search_bound=-1)
+    assert SieveBudget(search_bound=0).search_bound == 0
     assert SieveBudget()._replace(value_want=2) == SieveBudget(value_want=2)
 
 
@@ -238,6 +243,58 @@ def test_span_stable_is_reported(monkeypatch, tmp_path):
     assert unipotent_group_sieve(heisenberg_generators(), x13, [], budget).span_stable is False
     assert main(args + [str(tmp_path / "unstable.json")]) == 0
     assert json.loads((tmp_path / "unstable.json").read_text())["outputs"]["span_stable"] is False
+
+
+# a sieve whose points are forged after the fact: the matrix re-check must
+# drop each forged point and count it, also where assert statements are off
+FORGED_POINTS = """
+from affsieve import unipotent_sieve
+from affsieve.matgroup import MatrixQ
+from affsieve.polyalg import MultiPoly
+from affsieve.unipotent_sieve import SieveBudget, unipotent_group_sieve
+
+true_sieve = unipotent_sieve.multivariable_sieve
+
+
+def forging(problem, budget):
+    res = true_sieve(problem, budget)
+    a = res.points[0]
+    b = next(pt for pt in res.points if pt.value != a.value)
+    forged = (
+        a._replace(value=a.value + 2),  # a wrong value
+        a._replace(family_gcds=(a.family_gcds[0] + 1,)),  # a wrong family gcd
+        a._replace(x=b.x),  # an x that does not give the value
+    )
+    return res._replace(points=res.points + forged)
+
+
+entries = tuple(f"x{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3))
+gens = [MatrixQ([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), MatrixQ([[1, 0, 0], [0, 1, 1], [0, 0, 1]])]
+target = MultiPoly.parse("x13", entries)
+family = (MultiPoly.parse("x12", entries), MultiPoly.parse("x23", entries))
+budget = SieveBudget(value_want=2, prefix_want=5)
+honest = unipotent_group_sieve(gens, target, [family], budget)
+unipotent_sieve.multivariable_sieve = forging
+res = unipotent_group_sieve(gens, target, [family], budget)
+unipotent_sieve.multivariable_sieve = true_sieve
+if (res.points, res.matrices, res.dropped) != (honest.points, honest.matrices, honest.dropped + 3):
+    raise SystemExit(f"forged points kept: {res.points[len(honest.points):]}, dropped {res.dropped}")
+"""
+
+
+def test_matrix_recheck_drops_forged_points(monkeypatch):
+    # the script rebinds multivariable_sieve; monkeypatch restores it whatever happens
+    monkeypatch.setattr(unipotent_sieve, "multivariable_sieve", unipotent_sieve.multivariable_sieve)
+    exec(FORGED_POINTS, {})
+
+
+def test_matrix_recheck_drops_forged_points_under_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", FORGED_POINTS], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ---------------------------------------------------------------------------
