@@ -297,7 +297,7 @@ def cmd_census(sc: Scenario, args):
 def cmd_saturate(sc: Scenario, args):
     f = _need(sc, "f", "a regular function f")
     if args.Lmax is not None:
-        schedule = (max(1, args.Lmax - 1), args.Lmax)
+        schedule = (args.Lmax - 1, args.Lmax)
     else:
         schedule = sc.L_schedule
     D = args.D if args.D is not None else sc.D

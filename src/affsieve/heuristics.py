@@ -211,7 +211,7 @@ class BorelCantelliReport(NamedTuple):
     partial_sums: tuple[float, ...]  # upper ends at each checkpoint and at M, ascending
     partial_sums_lo: tuple[float, ...]  # the lower ends
     increments: tuple[float, ...]  # upper ends of the sums between consecutive checkpoints
-    integral_bound: float  # upper bound for the full sum (integral test), rounded up
+    integral_bound: float  # upper end of the full series (M = inf), rounded up
 
 
 def _shell_count(t: int, s: int) -> int:
@@ -364,13 +364,13 @@ def borel_cantelli_sum(
     """Partial sums over m in Z^t, |m|_sup <= M of
     [log(|m|+1)]^(nu(r-1)) / (|m|+1)^nu, grouped by sup-norm shells.
 
-    Convergent exactly when nu > t (enforced); the integral-test bound covers
-    the infinite tail so partial sums must stay below it.  Every partial sum
-    and increment is a certified bracket (``_increment_brackets``), at most
-    1e-12 relative wide and rounded outward to floats; its cost does not grow
-    with M, which may be inf (the full series).  The bound is computed in
-    Fractions from rational brackets of every logarithm and rounded up to a
-    float.
+    Convergent exactly when nu > t (enforced).  Every partial sum and
+    increment is a certified bracket (``_increment_brackets``), at most 1e-12
+    relative wide and rounded outward to floats; its cost does not grow with
+    M, which may be inf (the full series).  ``integral_bound`` is the upper
+    end of the full series' bracket from the same call, rounded up: at most
+    1e-12 relative above the series for every (t, nu, r), and no reported
+    partial sum exceeds it, since every increment's upper end is positive.
     """
     if not (nu > t >= 1):
         raise ValueError("need nu > t >= 1")
@@ -383,27 +383,13 @@ def borel_cantelli_sum(
         raise ValueError("checkpoints must be >= 1")
     power = nu * (r - 1)
     base = 1 if power == 0 else 0  # s = 0 shell: log(1)^power / 1
-    increments = _increment_brackets(t, nu, power, cps)
-    sums = list(itertools.accumulate(increments, lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(base, base)))
-    # integral-test tail bound: shell(s) <= 2t(2s+1)^(t-1) <= 2t(3s)^(t-1)
-    # for s >= 1, and the summand is decreasing for s+1 > e^(power/nu).  The
-    # head sums the shells 1..head_end exactly; the later ones are bounded by
-    # the integral over u >= head_end + 1 (u = s + 1) of the majorant
-    # 2t 3^(t-1) (u-1)^(t-1) ln(u)^power u^-nu, expanded binomially.
-    head_end = max(2, math.floor(math.exp(power / nu)))
-    head = sum(
-        _shell_count(t, s) * _ln_outward(s + 1)[1] ** power / (s + 1) ** nu
-        for s in range(1, head_end + 1)
-    )
-    majorant = {
-        (i - nu, power): 2 * t * 3 ** (t - 1) * math.comb(t - 1, i) * (-1) ** (t - 1 - i)
-        for i in range(t)
-    }
-    tail = _evaluate(_tail(majorant), head_end + 1, _ln_outward(head_end + 1))[1]
-    bound = _round_up(base + head + tail)
+    # one more checkpoint at inf when M is finite: the full series
+    brackets = _increment_brackets(t, nu, power, cps if M == math.inf else [*cps, math.inf])
+    sums = list(itertools.accumulate(brackets, lambda a, b: (a[0] + b[0], a[1] + b[1]), initial=(base, base)))
+    reported = slice(1, len(cps) + 1)
     return BorelCantelliReport(
-        partial_sums=tuple(_round_up(hi) for _, hi in sums[1:]),
-        partial_sums_lo=tuple(_round_down(lo) for lo, _ in sums[1:]),
-        increments=tuple(_round_up(hi) for _, hi in increments),
-        integral_bound=bound,
+        partial_sums=tuple(_round_up(hi) for _, hi in sums[reported]),
+        partial_sums_lo=tuple(_round_down(lo) for lo, _ in sums[reported]),
+        increments=tuple(_round_up(hi) for _, hi in brackets[: len(cps)]),
+        integral_bound=_round_up(sums[-1][1]),
     )

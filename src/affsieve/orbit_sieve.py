@@ -290,17 +290,20 @@ def saturation_estimate(
     cap: int = 5_000_000,
 ) -> SaturationEstimate:
     """Minimal r whose census sample is dense at degree D at the final L, with
-    a stability verdict over the last two L values.
+    a stability verdict over the last two L values.  The schedule must be a
+    non-empty set of distinct lengths L >= 0 (ValueError otherwise).
 
     This is an empirical lower-confidence estimate from finite data, not a
     proof of saturation at r.
     """
     if D < 0:
         raise ValueError("D must be >= 0")
+    schedule = tuple(sorted(L_schedule))
+    if not schedule or schedule[0] < 0 or len(set(schedule)) < len(schedule):
+        raise ValueError(f"L_schedule must be distinct lengths >= 0, not {list(L_schedule)}")
     Sset = check_prime_set(S)
     per_L: dict[int, Optional[int]] = {}
     failure: dict[int, str] = {}
-    schedule = tuple(sorted(L_schedule))
     # one BFS at the largest L; the ball at L' is {gamma : length <= L'}
     B = ball(gens, schedule[-1], cap=cap)
     census = _census(B, f, Sset, r_max, FactorBudget())
@@ -358,6 +361,8 @@ def r_formula(
         raise ValueError("generator set size must be >= 2")
     if deg_ftilde < 1 or dim_G < 1 or s_count < 0:
         raise ValueError("degree and dimension must be positive, #S nonnegative")
+    if T < 0 or logM0 < 0:
+        raise ValueError("T and logM0 must be >= 0")
     num = 9 * (s_count + 1) * deg_ftilde * Fraction(T) * (dim_G + 1) * Fraction(logM0)
     scale = num / (1 - tau)
     terms = 16

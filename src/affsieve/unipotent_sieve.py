@@ -653,6 +653,30 @@ def _sieve_level(
     )
 
 
+def _check_point(
+    value_plan: tuple, fam_plans: Sequence[Sequence[tuple]], point: Sequence, S: tuple[int, ...], budget: FactorBudget
+) -> Optional[tuple[int, int, tuple[int, ...]]]:
+    """(value, Omega of the value outside S, family gcds) at the point, from
+    term plans; None when the value is not a nonzero integer, factoring it is
+    over budget, or some family gcd is 0 or not S-supported."""
+    run = MultiPoly.run_plan
+    val = run(value_plan, point)
+    if val == 0 or val.denominator != 1:
+        return None
+    om = _omega_outside(val.numerator, S, budget=budget)
+    if om is None:
+        return None
+    gcds = []
+    for plans in fam_plans:
+        g = 0
+        for plan in plans:
+            g = math.gcd(g, run(plan, point).numerator)
+        if g == 0 or _s_integer_part(g, S) != 1:
+            return None
+        gcds.append(g)
+    return val.numerator, om, tuple(gcds)
+
+
 def multivariable_sieve(
     problem: UniSieveProblem, budget: SieveBudget = SieveBudget()
 ) -> UniSieveResult:
@@ -665,34 +689,15 @@ def multivariable_sieve(
     )
     S = check_prime_set(level.S)
     points: list[EmittedPoint] = []
-    dropped = 0
-    max_omega = 0
     # the problem's polynomials are all in its variables (UniSieveProblem's gcds)
-    run, P_plan = MultiPoly.run_plan, problem.P.term_plan()
+    P_plan = problem.P.term_plan()
     fam_plans = [[m.term_plan() for m in fam] for fam in problem.families]
     for x in level.assignments:
-        val = run(P_plan, x)
-        if val == 0:
-            dropped += 1
-            continue
-        om = _omega_outside(val.numerator, S, budget=budget.factor)
-        gcds = []
-        ok = om is not None
-        for plans in fam_plans:
-            g = 0
-            for plan in plans:
-                g = math.gcd(g, abs(run(plan, x).numerator))
-            if g == 0 or _s_integer_part(g, S) != 1:
-                ok = False
-                break
-            gcds.append(g)
-        if not ok:
-            dropped += 1
-            continue
-        max_omega = max(max_omega, om)
-        points.append(
-            EmittedPoint(x=x, value=val.numerator, omega=om, family_gcds=tuple(gcds))
-        )
+        checked = _check_point(P_plan, fam_plans, x, S, budget.factor)
+        if checked is not None:
+            points.append(EmittedPoint(x, *checked))
+    dropped = len(level.assignments) - len(points)
+    max_omega = max((pt.omega for pt in points), default=0)
     return UniSieveResult(
         variables=variables,
         r=max_omega,
@@ -745,32 +750,16 @@ def unipotent_group_sieve(
     # independent matrix-route re-verification of every emitted point
     verified: list[EmittedPoint] = []
     matrices: list[MatrixQ] = []
-    dropped = result.dropped
     S = check_prime_set(result.S)
-    run = MultiPoly.run_plan
     p_plan = p.term_plan(entry_positions(p.variables, n))
     fam_plans = [[m.term_plan(entry_positions(m.variables, n)) for m in fam] for fam in families]
     for pt in result.points:
         entries = lattice.lattice_point(pt.x)
-        flat = sum(entries, ())
-        val = run(p_plan, flat)
-        if val.numerator != pt.value or val.denominator != 1:
-            dropped += 1
-            continue
-        om = _omega_outside(val.numerator, S, budget=budget.factor)
-        ok = om is not None and om <= result.r
-        for plans, g_claim in zip(fam_plans, pt.family_gcds):
-            g = 0
-            for plan in plans:
-                g = math.gcd(g, abs(run(plan, flat).numerator))
-            if g != g_claim:
-                ok = False
-                break
-        if not ok:
-            dropped += 1
-            continue
-        verified.append(pt)
-        matrices.append(MatrixQ._of(entries))  # exact entries from lattice_point
+        checked = _check_point(p_plan, fam_plans, sum(entries, ()), S, budget.factor)
+        if pt.omega <= result.r and checked == pt[1:]:
+            verified.append(pt)
+            matrices.append(MatrixQ._of(entries))  # exact entries from lattice_point
+    dropped = result.dropped + len(result.points) - len(verified)
     return result._replace(
         points=tuple(verified),
         matrices=tuple(matrices),

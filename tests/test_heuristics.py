@@ -216,46 +216,6 @@ def test_borel_cantelli_partial_sums_below_bound(t, extra, r, M):
     assert rep.partial_sums[-1] <= rep.integral_bound
 
 
-def _mpmath_bound(t, nu, r):
-    """The integral-test bound of borel_cantelli_sum at 50 digits, with the
-    tail integral by mpmath's quad, split at powers of 10 (the integrand
-    peaks near x = e^(power/(nu-t+1)))."""
-    import mpmath
-
-    power = nu * (r - 1)
-    H = max(2, math.floor(math.exp(power / nu)))
-
-    def integrand(x):
-        return 2 * t * (3 * x) ** (t - 1) * mpmath.log(x + 1) ** power / (x + 1) ** nu
-
-    with mpmath.workdps(50):
-        head = sum(
-            ((2 * s + 1) ** t - (2 * s - 1) ** t) * mpmath.log(s + 1) ** power / mpmath.mpf(s + 1) ** nu
-            for s in range(1, H + 1)
-        )
-        cuts = [H] + [mpmath.mpf(10) ** j for j in range(2, 30) if 10**j > H] + [mpmath.inf]
-        tail = mpmath.quad(integrand, cuts)
-        return (1 if power == 0 else 0) + head + tail, tail
-
-
-def test_borel_cantelli_bound_certified_where_quad_failed():
-    # scipy's quad flagged this integral as unreliable and returned ~4.6e19;
-    # the closed form's rational bound covers the 50-digit value from above
-    exact, tail = _mpmath_bound(4, 5, 5)
-    assert abs(tail / 5.2550608120089e20 - 1) < 1e-13
-    bound = borel_cantelli_sum(4, 5, 5, 100).integral_bound
-    assert bound >= exact
-    assert (bound - exact) / exact < 1e-12
-
-
-@pytest.mark.parametrize("t, nu, r", [(1, 2, 2), (2, 3, 2), (2, 4, 3), (3, 5, 2)])
-def test_borel_cantelli_bound_matches_quad(t, nu, r):
-    exact, _ = _mpmath_bound(t, nu, r)
-    bound = borel_cantelli_sum(t, nu, r, 100).integral_bound
-    assert bound >= exact
-    assert (bound - exact) / exact < 1e-12
-
-
 def _exact_partial_sum(t, nu, M):
     """The r = 1 partial sum over |m|_sup <= M of 1/(|m|+1)^nu, exactly."""
     D = math.lcm(*range(1, M + 2)) ** nu
@@ -327,14 +287,36 @@ def test_borel_cantelli_cost_does_not_grow_with_M():
     assert rep.partial_sums[0] <= rep.partial_sums[1] <= rep.integral_bound
 
 
-@pytest.mark.parametrize("r", range(1, 7))
-@pytest.mark.parametrize("t, nu", [(2, 3), (2, 4), (3, 4), (3, 5)])
+def _zeta_series(t, nu, r):
+    """The full series at 40 digits from derivatives of zeta: shell(u - 1) =
+    (2u-1)^t - (2u-3)^t expanded binomially into c u^j, and for b <= -2,
+    sum_{u>=2} u^b ln(u)^q = (-1)^q zeta^(q)(-b) - [q = 0]."""
+    import mpmath
+
+    q = nu * (r - 1)
+    total = mpmath.mpf(1 if q == 0 else 0)  # the s = 0 shell
+    for j in range(t):
+        c = math.comb(t, j) * 2**j * ((-1) ** (t - j) - (-3) ** (t - j))
+        total += c * ((-1) ** q * mpmath.zeta(nu - j, 1, q) - (q == 0))
+    return total
+
+
+# the old grid t <= 3, r <= 6, and (4, 5, 5), where scipy's quad once
+# returned an integral it flagged as unreliable
+ZETA_CASES = [(t, nu, r) for t, nu in [(2, 3), (2, 4), (3, 4), (3, 5)] for r in range(1, 7)]
+ZETA_CASES += [(1, 2, 1), (1, 2, 2), (4, 5, 5), (4, 6, 8)]
+
+
+@pytest.mark.parametrize("t, nu, r", ZETA_CASES)
 def test_borel_cantelli_full_series_below_bound(t, nu, r):
-    # for t >= 2 the integral bound's tail assumes a summand that decreases
-    # past head_end, which nothing proves; the certified bracket of the full
-    # series (M = inf) checks the bound on this grid
-    rep = borel_cantelli_sum(t, nu, r, math.inf)
-    assert rep.partial_sums_lo[0] <= rep.partial_sums[0] <= rep.integral_bound
+    import mpmath
+
+    bound = borel_cantelli_sum(t, nu, r, 100).integral_bound
+    full = borel_cantelli_sum(t, nu, r, math.inf)  # the series as the one partial sum
+    with mpmath.workdps(40):
+        ref = _zeta_series(t, nu, r)
+        assert ref <= bound <= ref * (1 + mpmath.mpf(10) ** -12)
+        assert full.partial_sums_lo[0] <= ref <= full.partial_sums[0] == full.integral_bound
 
 
 def test_borel_cantelli_domain():

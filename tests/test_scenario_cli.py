@@ -206,7 +206,9 @@ def test_variety_count_at_a_prime_of_the_denominators_exits_invalid(tmp_path, ca
         # splitting census at dimension -1 (a TypeError traceback, exit 1),
         # a local density at the composite p = 15 (beta 5/64, exit 0), a
         # unipotent search bound of -5 (no search, "exhausted: True"), and
-        # levels D < 1 (least_tau 1/4 at D = -1, 1/10 over no moduli at D = 0)
+        # levels D < 1 (least_tau 1/4 at D = -1, 1/10 over no moduli at D = 0),
+        # saturation at Lmax = -3 (a verdict at L = -3 beside L = 1), and the
+        # r formula at a negative T or logM0 (r: -207 at T = -1)
         ["saturate", "--scenario", SL2, "--D", "-1", "--Lmax", "2"],
         ["strong-approx", "--scenario", SL2, "--q", "-7"],
         ["census", "--scenario", SL2, "--L", "2", "--rmax", "-1"],
@@ -220,14 +222,38 @@ def test_variety_count_at_a_prime_of_the_denominators_exits_invalid(tmp_path, ca
         ["level-report", "--scenario", SL2, "--L", "2", "--D", "-1"],
         ["level-report", "--scenario", SL2, "--L", "2", "--D", "0"],
         ["decompose", "--scenario", SL2, "--L", "2", "--D", "-3"],
+        ["saturate", "--scenario", SL2, "--Lmax", "-3"],
+        ["r-formula", "--deg", "1", "--s", "1", "--dim", "3", "--tau", "1/2", "--omega", "4", "--T", "-1"],
+        ["r-formula", "--deg", "1", "--s", "1", "--dim", "3", "--tau", "1/2", "--omega", "4", "--logM0", "-1"],
     ],
     ids=["saturate-D", "strong-approx-q", "census-rmax", "uni-sieve-want", "uni-sieve-prefixes",
          "uni-sieve-head", "sequence-head", "splitting-census-dim", "local-density-p",
-         "uni-sieve-bound", "level-report-D-negative", "level-report-D-zero", "decompose-D"],
+         "uni-sieve-bound", "level-report-D-negative", "level-report-D-zero", "decompose-D",
+         "saturate-Lmax", "r-formula-T", "r-formula-logM0"],
 )
 def test_out_of_range_count_exits_invalid(capsys, argv):
     assert main(argv) == 2
     assert "invalid input" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    # an empty schedule was an IndexError (exit 1), [3, 3] read stable by
+    # comparing L = 3 with itself, and [-2, 3] gave a verdict at L = -2
+    [[], [3, 3], [-2, 3]],
+    ids=["empty", "repeated", "negative"],
+)
+def test_unjudgeable_L_schedule_exits_invalid(tmp_path, capsys, schedule):
+    raw = {**minimal_scenario(), "params": {"L_schedule": schedule}}
+    assert exit_code(tmp_path, raw, "saturate") == 2
+    assert "L_schedule" in capsys.readouterr().err
+
+
+def test_saturate_Lmax_compares_two_lengths(tmp_path):
+    # --Lmax 1 ran the schedule [1, 1]
+    rec = tmp_path / "saturate.json"
+    assert main(["saturate", "--scenario", SL2, "--Lmax", "1", "--record", str(rec)]) == 0
+    assert json.loads(rec.read_text())["outputs"]["L_schedule"] == [0, 1]
 
 
 def test_ambient_n_above_10_rejected(tmp_path):

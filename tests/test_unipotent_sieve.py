@@ -263,6 +263,7 @@ def forging(problem, budget):
     forged = (
         a._replace(value=a.value + 2),  # a wrong value
         a._replace(family_gcds=(a.family_gcds[0] + 1,)),  # a wrong family gcd
+        a._replace(family_gcds=()),  # family gcds missing
         a._replace(x=b.x),  # an x that does not give the value
     )
     return res._replace(points=res.points + forged)
@@ -277,7 +278,7 @@ honest = unipotent_group_sieve(gens, target, [family], budget)
 unipotent_sieve.multivariable_sieve = forging
 res = unipotent_group_sieve(gens, target, [family], budget)
 unipotent_sieve.multivariable_sieve = true_sieve
-if (res.points, res.matrices, res.dropped) != (honest.points, honest.matrices, honest.dropped + 3):
+if (res.points, res.matrices, res.dropped) != (honest.points, honest.matrices, honest.dropped + 4):
     raise SystemExit(f"forged points kept: {res.points[len(honest.points):]}, dropped {res.dropped}")
 """
 
