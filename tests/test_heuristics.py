@@ -319,6 +319,32 @@ def test_borel_cantelli_full_series_below_bound(t, nu, r):
         assert full.partial_sums_lo[0] <= ref <= full.partial_sums[0] == full.integral_bound
 
 
+def _quad_series(t, nu, r, head_end=100):
+    """The full series at 50 digits, independently of zeta: shells s <
+    head_end summed directly, the rest by mpmath's Euler-Maclaurin sumem
+    with the tail integral by quad, split at powers of 10."""
+    import mpmath
+
+    q = nu * (r - 1)
+
+    def shell(s):
+        return ((2 * s + 1) ** t - (2 * s - 1) ** t) * mpmath.log(s + 1) ** q / (s + 1) ** nu
+
+    with mpmath.workdps(50):
+        head = sum(shell(mpmath.mpf(s)) for s in range(1, head_end))
+        cuts = [head_end] + [mpmath.mpf(10) ** j for j in range(3, 40)] + [mpmath.inf]
+        tail = mpmath.sumem(shell, [head_end, mpmath.inf], integral=mpmath.quad(shell, cuts))
+        return (1 if q == 0 else 0) + head + tail
+
+
+@pytest.mark.parametrize("t, nu, r", [(1, 2, 2), (2, 3, 2), (2, 4, 3), (3, 5, 2)])
+def test_borel_cantelli_bound_matches_quad(t, nu, r):
+    exact = _quad_series(t, nu, r)
+    bound = borel_cantelli_sum(t, nu, r, 100).integral_bound
+    assert bound >= exact
+    assert (bound - exact) / exact < 1e-12
+
+
 def test_borel_cantelli_domain():
     with pytest.raises(ValueError):
         borel_cantelli_sum(2, 2, 1, 100)  # needs nu > t
