@@ -10,6 +10,7 @@ callers can skip-and-report instead of dying mid-pipeline.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -113,13 +114,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class _PrimeSet(tuple):
+    """A prime set as check_prime_set returns it: sorted, distinct, checked."""
+
+    __slots__ = ()
+
+
 def check_prime_set(S: Iterable[int]) -> tuple[int, ...]:
-    """Validate and canonicalize a finite set of primes (sorted, distinct)."""
-    out = sorted(set(int(p) for p in S))
+    """Validate and canonicalize a finite set of primes (sorted, distinct).
+    Entries are read as integers by ``operator.index``, so a float or a
+    Fraction is a TypeError; a set this function returned comes back as is."""
+    if type(S) is _PrimeSet:
+        return S
+    out = sorted(set(map(operator.index, S)))
     for p in out:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime; prime sets must contain primes only")
-    return tuple(out)
+    return _PrimeSet(out)
 
 
 class Constructed:
@@ -254,17 +265,10 @@ def omega_outside(
 ) -> Optional[int]:
     """Count prime factors of n outside S, with multiplicity (almost-prime
     convention); None when factoring hit the budget."""
-    return _omega_outside(n, check_prime_set(S), budget)
-
-
-def _omega_outside(
-    n: int, S: tuple[int, ...], budget: FactorBudget = FactorBudget()
-) -> Optional[int]:
-    """omega_outside for an S that check_prime_set has already returned."""
     if n == 0:
         raise ValueError("omega_outside undefined at 0")
     n = abs(n)
-    for p in S:
+    for p in check_prime_set(S):
         while n % p == 0:
             n //= p
     if n == 1:
@@ -275,17 +279,15 @@ def _omega_outside(
 def s_integer_part(q: Fraction | int, S: Iterable[int]) -> int:
     """prod_{p not in S} |q|_p^{-1}: the value of q 'as an S-integer'.
 
-    Requires every prime of the denominator to lie in S, otherwise the input
-    was mis-declared as an S-integer.
+    q must be exact, an int or a Fraction (TypeError otherwise), and every
+    prime of its denominator must lie in S, otherwise the input was
+    mis-declared as an S-integer.
     """
-    return _s_integer_part(Fraction(q), check_prime_set(S))
-
-
-def _s_integer_part(q: Fraction | int, S: tuple[int, ...]) -> int:
-    """s_integer_part for an exact q (int or Fraction) and an S that
-    check_prime_set has already returned."""
+    if type(q) is not int and type(q) is not Fraction:
+        raise TypeError(f"s_integer_part needs an int or a Fraction, not {type(q).__name__}")
     if q == 0:
         raise ValueError("s_integer_part undefined at 0")
+    S = check_prime_set(S)
     den = q.denominator
     for p in S:
         while den % p == 0:

@@ -16,14 +16,14 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .core_arith import (
     FactorBudget,
-    _omega_outside,
-    _s_integer_part,
     check_prime_set,
     factorize,
     ln_bracket,
+    omega_outside,
     primes_upto,
+    s_integer_part,
 )
-from .matgroup import Ball, Entries, GeneratorSet, ball, entry_variable_names
+from .matgroup import GeneratorSet, ball, entry_variable_names
 from .polyalg import MultiPoly, zariski_density_test
 
 
@@ -63,7 +63,7 @@ def build_sequence(
         if val == 0:
             skipped += 1
             continue
-        n = _s_integer_part(val, Sset)
+        n = s_integer_part(val, Sset)
         entries[n] = entries.get(n, 0) + 1
     return SieveSequence(L=L, S_used=Sset, entries=entries, skipped=skipped)
 
@@ -210,7 +210,7 @@ def brun_bound(seq: SieveSequence, z: int, b: int) -> BrunBracket:
     return BrunBracket(z=z, b=b, lower=lower, upper=upper, moduli_used=moduli_used)
 
 
-SAMPLE_LIMIT = 100_000  # census samples kept per r
+SAMPLE_LIMIT = 100_000  # points per (L, r) handed to the density test
 
 
 class CensusResult(NamedTuple):
@@ -219,42 +219,6 @@ class CensusResult(NamedTuple):
     counts: dict[int, int]  # r -> #{gamma : Omega_outside(f_Gamma) <= r}
     incomplete: int  # factoring budget failures, excluded from counts
     skipped: int  # f = 0
-    samples: dict[int, list[Entries]]  # r -> entries of elements with Omega <= r, in ball order
-
-
-def _census(
-    B: Ball, f: MultiPoly, Sset: tuple[int, ...], r_max: int, budget: FactorBudget
-) -> CensusResult:
-    """Census over one ball.  Omega depends only on the S-integer part n of
-    the value, so it is computed once per distinct n; the counts still count
-    elements."""
-    if r_max < 0:
-        raise ValueError("r_max must be >= 0")
-    histogram = [0] * (r_max + 1)  # Omega -> elements
-    elements: list[Entries] = []  # those with Omega <= r_max, in ball order
-    omegas: list[int] = []  # their Omega
-    omega: dict[int, Optional[int]] = {1: 0}
-    skipped = 0
-    incomplete = 0
-    for e, val in B.values(f):
-        if val == 0:
-            skipped += 1
-            continue
-        n = _s_integer_part(val, Sset)
-        if n not in omega:
-            omega[n] = _omega_outside(n, Sset, budget=budget)
-        om = omega[n]
-        if om is None:
-            incomplete += 1
-        elif om <= r_max:
-            histogram[om] += 1
-            elements.append(e)
-            omegas.append(om)
-    counts = dict(enumerate(itertools.accumulate(histogram)))
-    samples = {r: [e for e, om in zip(elements, omegas) if om <= r][:SAMPLE_LIMIT] for r in counts}
-    return CensusResult(
-        L=B.L, S_used=Sset, counts=counts, incomplete=incomplete, skipped=skipped, samples=samples
-    )
 
 
 def almost_prime_census(
@@ -266,7 +230,24 @@ def almost_prime_census(
     budget: FactorBudget = FactorBudget(),
     cap: int = 5_000_000,
 ) -> CensusResult:
-    return _census(ball(gens, L, cap=cap), f, check_prime_set(S), r_max, budget)
+    """Histogram of Omega over the sieve sequence: Omega is computed once per
+    distinct S-integer value n and weighted by a_n(L), so the counts still
+    count elements."""
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
+    seq = build_sequence(gens, f, L, S, cap=cap)
+    histogram = [0] * (r_max + 1)  # Omega -> elements
+    incomplete = 0
+    for n, a in seq.entries.items():
+        om = omega_outside(n, seq.S_used, budget=budget)
+        if om is None:
+            incomplete += a
+        elif om <= r_max:
+            histogram[om] += a
+    counts = dict(enumerate(itertools.accumulate(histogram)))
+    return CensusResult(
+        L=L, S_used=seq.S_used, counts=counts, incomplete=incomplete, skipped=seq.skipped
+    )
 
 
 class SaturationEstimate(NamedTuple):
@@ -301,17 +282,32 @@ def saturation_estimate(
     schedule = tuple(sorted(L_schedule))
     if not schedule or schedule[0] < 0 or len(set(schedule)) < len(schedule):
         raise ValueError(f"L_schedule must be distinct lengths >= 0, not {list(L_schedule)}")
+    if r_max < 0:
+        raise ValueError("r_max must be >= 0")
     Sset = check_prime_set(S)
+    # one BFS at the largest L; the ball at L' is {gamma : length <= L'}.
+    # Each element with Omega <= r_max is kept with its Omega, in ball order;
+    # Omega is computed once per S-integer value.
+    B = ball(gens, schedule[-1], cap=cap)
+    omega: dict[int, Optional[int]] = {}
+    kept = []
+    for e, val in B.values(f):
+        if val == 0:
+            continue
+        n = s_integer_part(val, Sset)
+        if n not in omega:
+            omega[n] = omega_outside(n, Sset)
+        om = omega[n]
+        if om is not None and om <= r_max:
+            kept.append((om, e))
     per_L: dict[int, Optional[int]] = {}
     failure: dict[int, str] = {}
-    # one BFS at the largest L; the ball at L' is {gamma : length <= L'}
-    B = ball(gens, schedule[-1], cap=cap)
-    census = _census(B, f, Sset, r_max, FactorBudget())
     for L in schedule:
         found = None
         mode = ""
         for r in range(r_max + 1):
-            pts = [sum(e, ()) for e in census.samples[r] if B.length[e] <= L]
+            picked = (sum(e, ()) for om, e in kept if om <= r and B.length[e] <= L)
+            pts = list(itertools.islice(picked, SAMPLE_LIMIT))
             if not pts:
                 mode = "too few points"
                 continue

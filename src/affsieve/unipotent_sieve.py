@@ -30,11 +30,11 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .core_arith import (
     Constructed,
     FactorBudget,
-    _omega_outside,
-    _s_integer_part,
     check_prime_set,
     factorize,
+    omega_outside,
     primes_upto,
+    s_integer_part,
 )
 from .matgroup import MatrixQ, entry_positions
 from .polyalg import (
@@ -150,7 +150,7 @@ def single_variable_almost_primes(
         val = run(plan, (n,))
         if val == 0 or val.denominator != 1:
             continue  # a value that is not a nonzero integer has no almost-prime verdict
-        om = _omega_outside(val.numerator, Sset, budget=budget)
+        om = omega_outside(val.numerator, Sset, budget=budget)
         if om is None:
             continue  # factoring budget: skip, never guess
         if om <= r:
@@ -308,11 +308,11 @@ def progression_avoiding(
     for p in fac.primes():
         if p in bad:
             continue
-        found = None
-        for b in range(p):
-            if all(P.eval_mod({n: b for n in P.variables}, p) != 0 for P in polys):
-                found = b
-                break
+        # each member reduced mod p once; every variable reads the residue b
+        plans = [P.mod(p).term_plan([0] * len(P.variables)) for P in polys]
+        found = next(
+            (b for b in range(p) if all(MultiPoly.run_plan(plan, (b,)) % p for plan in plans)), None
+        )
         if found is None:
             raise ValueError(
                 f"no residue mod {p} avoids all polynomials; offending prime {p}"
@@ -663,7 +663,7 @@ def _check_point(
     val = run(value_plan, point)
     if val == 0 or val.denominator != 1:
         return None
-    om = _omega_outside(val.numerator, S, budget=budget)
+    om = omega_outside(val.numerator, S, budget=budget)
     if om is None:
         return None
     gcds = []
@@ -671,7 +671,7 @@ def _check_point(
         g = 0
         for plan in plans:
             g = math.gcd(g, run(plan, point).numerator)
-        if g == 0 or _s_integer_part(g, S) != 1:
+        if g == 0 or s_integer_part(g, S) != 1:
             return None
         gcds.append(g)
     return val.numerator, om, tuple(gcds)

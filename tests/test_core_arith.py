@@ -90,6 +90,26 @@ def test_check_prime_set():
         check_prime_set([4])
 
 
+@pytest.mark.parametrize("S", [[2.5], [3.0, 2], [Fraction(2)], [2, 3.0]])
+def test_check_prime_set_rejects_inexact_entries(S):
+    # int() would truncate 2.5 to the prime 2
+    with pytest.raises(TypeError):
+        check_prime_set(S)
+
+
+def test_checked_prime_set_is_read_as_is_and_a_plain_one_is_checked():
+    S = check_prime_set([3, 2])
+    assert check_prime_set(S) is S
+    assert omega_outside(60, S) == 1
+    assert s_integer_part(Fraction(-5, 12), S) == 5
+    # an S that check_prime_set has not returned is validated on every call
+    for bad, error in (((4,), ValueError), ([2, 4], ValueError), ((2.0,), TypeError)):
+        with pytest.raises(error):
+            omega_outside(12, bad)
+        with pytest.raises(error):
+            s_integer_part(12, bad)
+
+
 def test_factorize_exact():
     f = factorize(561)
     assert f.complete
@@ -207,6 +227,13 @@ def test_s_integer_part():
     # denominator prime outside S: mis-declared S-integer
     with pytest.raises(ValueError):
         s_integer_part(Fraction(1, 3), [2])
+
+
+@pytest.mark.parametrize("q", [0.1, 40.0, True, "40", None])
+def test_s_integer_part_rejects_inexact_values(q):
+    # Fraction(0.1) is the float's binary expansion, 3602879701896397 / 2**55
+    with pytest.raises(TypeError):
+        s_integer_part(q, [2, 5])
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affsieve import orbit_sieve
 from affsieve.core_arith import (
     FactorBudget,
     check_prime_set,
@@ -30,7 +31,7 @@ from affsieve.orbit_sieve import (
     saturation_estimate,
     sieve_dimension_fit,
 )
-from affsieve.polyalg import MultiPoly
+from affsieve.polyalg import DensityVerdict, MultiPoly
 from affsieve.scenario import load_scenario
 
 A = MatrixQ([[1, 2], [0, 1]])
@@ -221,15 +222,6 @@ def test_census_monotone_in_r_and_L():
         assert cen.incomplete == 0
 
 
-def test_census_samples_consistent():
-    cen = almost_prime_census(FREE, TR2, 3, [2], r_max=2)
-    for r, mats in cen.samples.items():
-        assert len(mats) == cen.counts[r]
-        for m in mats:
-            val = TR2.eval(MatrixQ(m).entry_dict())
-            assert val != 0
-
-
 def oracle(gens, f, L, S, r_max=8, budget=FactorBudget()):
     """The per-element loop: every element rebuilt as a MatrixQ, evaluated
     through its entry dict, and every value factored.  Returns the sequence's
@@ -261,7 +253,6 @@ def assert_matches_oracle(gens, f, L, S, r_max=8, budget=FactorBudget()):
     assert (seq.entries, seq.skipped) == (entries, skipped)
     cen = almost_prime_census(gens, f, L, S, r_max=r_max, budget=budget)
     assert (cen.counts, cen.incomplete, cen.skipped) == census
-    assert all(len(cen.samples[r]) == cen.counts[r] for r in cen.counts)
 
 
 def test_sequence_and_census_match_oracle_free_trace():
@@ -301,6 +292,62 @@ def test_saturation_one_ball_equals_separate_balls(f, L):
         alone = saturation_estimate(FREE, f, [2], 1, (Lp,), ambient_ideal_basis=IDEAL)
         assert est.per_L[Lp] == alone.per_L[Lp]
         assert est.failure_mode[Lp] == alone.failure_mode[Lp]
+
+
+def oracle_points(gens, f, L_schedule, S, r_max, limit):
+    """Per element, as in ``oracle``: for each (L, r) in the estimator's
+    order, the entries of the first ``limit`` elements of length <= L, in
+    ball order, whose value is nonzero with Omega <= r; empty ones dropped."""
+    Sset = check_prime_set(S)
+    names = entry_variable_names(gens.n)
+    elements = []
+    for e, length in ball(gens, max(L_schedule)).length.items():
+        point = MatrixQ(e).entry_dict()
+        val = f.eval(point)
+        if val == 0:
+            continue
+        om = omega_outside(s_integer_part(val, Sset), Sset)
+        if om is not None:
+            elements.append((length, om, tuple(point[v] for v in names)))
+    out = []
+    for L in sorted(L_schedule):
+        for r in range(r_max + 1):
+            pts = [pt for length, om, pt in elements if length <= L and om <= r][:limit]
+            if pts:
+                out.append(pts)
+    return out
+
+
+def test_saturation_density_points_match_oracle(monkeypatch):
+    tested = []
+
+    def never_dense(points, D, ambient_ideal_basis=(), variables=None):
+        # every (L, r) with points is then tested, in the estimator's order
+        tested.append([tuple(pt) for pt in points])
+        return DensityVerdict(dense=False, sufficient_points=True, needed_points=0)
+
+    monkeypatch.setattr(orbit_sieve, "zariski_density_test", never_dense)
+    cases = [
+        (TR2, [2], (1, 3, 4), 3),
+        (MultiPoly.parse("x11*x22 + 3*x12 - 1", V), [], (4, 2), 4),
+        (MultiPoly.parse("x12 + x21", V), [3], (3,), 2),  # 0 at the identity
+    ]
+    for limit in (orbit_sieve.SAMPLE_LIMIT, 5):
+        monkeypatch.setattr(orbit_sieve, "SAMPLE_LIMIT", limit)
+        for f, S, schedule, r_max in cases:
+            tested.clear()
+            est = saturation_estimate(FREE, f, S, 1, schedule, r_max=r_max)
+            want = oracle_points(FREE, f, schedule, S, r_max, limit)
+            assert tested == want and len(want) >= 2
+            assert all(len(pts) <= limit for pts in tested)
+            assert est.r_hat is None
+
+
+def test_negative_r_max_is_an_error():
+    with pytest.raises(ValueError, match="r_max"):
+        saturation_estimate(FREE, TR2, [2], 1, (2, 3), r_max=-1)
+    with pytest.raises(ValueError, match="r_max"):
+        almost_prime_census(FREE, TR2, 2, [2], r_max=-1)
 
 
 def test_variable_that_names_no_entry_is_an_error():

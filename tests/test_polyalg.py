@@ -260,6 +260,23 @@ def test_progression_avoiding_skips_bad_primes():
     assert a == 5  # only the prime 5 is constrained
 
 
+@pytest.mark.parametrize("M, polys, reductions, want", [
+    (5, [X * X - X], 1, (5, 2)),
+    (35, [X * X - X, X + 3], 4, (35, 23)),
+])
+def test_progression_avoiding_reduces_each_member_once_per_prime(monkeypatch, M, polys, reductions, want):
+    calls = []
+    mod = MultiPoly.mod
+
+    def counted(self, m):
+        calls.append(m)
+        return mod(self, m)
+
+    monkeypatch.setattr(MultiPoly, "mod", counted)
+    assert progression_avoiding(M, polys) == want
+    assert len(calls) == reductions
+
+
 def test_nilpotent_exp_log_roundtrip():
     N = ((Fraction(0), Fraction(2), Fraction(1, 3)),
          (Fraction(0), Fraction(0), Fraction(-1)),
