@@ -11,6 +11,7 @@ from .core_arith import (
     Factorization,
     check_prime_set,
     factorize,
+    factorize_many,
     is_prime,
     omega_outside,
     primes_upto,

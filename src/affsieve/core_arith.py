@@ -46,6 +46,9 @@ _MR_ROUNDS_LARGE = 128
 # trial primes, and divides only inside a chunk that shares a factor with n.
 _TRIAL_CHUNK = 24
 
+# factorize_many runs one remainder tree per block of this many values.
+_TRIAL_BLOCK = 256
+
 
 def exact(x) -> int | Fraction:
     """x as an exact scalar: an int when x is integral, a Fraction otherwise.
@@ -69,9 +72,6 @@ def primes_upto(n: int) -> list[int]:
     return [i for i in range(2, n + 1) if sieve[i]]
 
 
-_SMALL_PRIMES = primes_upto(1000)
-
-
 @cache
 def _trial_chunks(bound: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     """(first prime, product, primes) for consecutive runs of _TRIAL_CHUNK
@@ -81,12 +81,29 @@ def _trial_chunks(bound: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
     return tuple((chunk[0], math.prod(chunk), tuple(chunk)) for chunk in chunks)
 
 
+@cache
+def _trial_primorial(bound: int) -> int:
+    """The product of all primes <= bound."""
+    return math.prod(product for _, product, _ in _trial_chunks(bound))
+
+
+# is_prime divides by the 25 primes below 100 first; what survives and is
+# below 101^2 has no factor <= 97, so it is prime.
+_IS_PRIME_TRIAL = tuple(primes_upto(100))
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in _SMALL_PRIMES[:25]:
+    for p in _IS_PRIME_TRIAL:
         if n % p == 0:
             return n == p
+    return n < 101 * 101 or _sprp(n)
+
+
+def _sprp(n: int) -> bool:
+    """Miller-Rabin on n >= 2: exact below psi_13, otherwise wrong with
+    probability below 4^-128.  Small factors are not tried first."""
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -193,7 +210,7 @@ def _brent_rho(n: int, max_iterations: int) -> Optional[int]:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 k += m
                 g = math.gcd(q, n)
             r *= 2
@@ -205,7 +222,7 @@ def _brent_rho(n: int, max_iterations: int) -> Optional[int]:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
         # cycle collapsed; retry with the next c
@@ -218,38 +235,91 @@ def factorize(n: int, budget: FactorBudget = FactorBudget()) -> Factorization:
     Trial division up to ``budget.trial_bound``, then Brent-rho splitting with
     a Miller-Rabin test of every factor.  Trial division takes the gcd of n
     with each chunk's product of primes and divides only where it is not 1;
-    it stops at the first chunk whose least prime squared exceeds what is
-    left of n, which is then 1 or a prime.  A surviving composite part is
-    returned as ``cofactor`` with ``complete=False``.
+    it stops at the first chunk whose least prime F has F^2 > n, or once
+    every trial prime of n is divided out.  Every part left is then free of
+    primes below F (F = trial_bound + 1 when no chunk stopped the loop), so
+    a part below F^2 is prime with no Miller-Rabin test.
+    A surviving composite part is returned as ``cofactor`` with
+    ``complete=False``.  ``factorize_many`` gives the same answers for many
+    values at once.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
+    return _factor(n, abs(n), budget)
+
+
+def factorize_many(
+    values: Iterable[int], budget: FactorBudget = FactorBudget()
+) -> list[Factorization]:
+    """``[factorize(v, budget) for v in values]``, with the trial division
+    found in one batch (Bernstein, "How to find smooth parts of integers",
+    2004): for each block of 256 values a remainder tree reduces the product
+    P of all trial primes modulo their product tree, so each value n gets
+    gcd(n, P mod n), the product of the trial primes dividing n, from a few
+    big-number remainders.  The chunk loop then divides only by the chunks
+    that share a factor with that gcd and stops once it is used up; the
+    rest, the F^2 cutoff, Miller-Rabin and Brent rho, is the same as in
+    ``factorize``.  A 0 among the values is a ValueError."""
+    values = list(values)
+    if 0 in values:
+        raise ValueError("cannot factor 0")
+    P = _trial_primorial(budget.trial_bound)
+    out = []
+    for i in range(0, len(values), _TRIAL_BLOCK):
+        block = values[i : i + _TRIAL_BLOCK]
+        gcds = _trial_gcds([abs(v) for v in block], P)
+        out += [_factor(v, g, budget) for v, g in zip(block, gcds)]
+    return out
+
+
+def _trial_gcds(block: list[int], P: int) -> list[int]:
+    """[gcd(n, P) for n in block], block non-empty, by a remainder tree: P
+    modulo the product of the block, then modulo each half, down to P mod n
+    at the leaves."""
+    tree = [block]
+    while len(tree[-1]) > 1:
+        level = tree[-1]
+        tree.append([math.prod(level[i : i + 2]) for i in range(0, len(level), 2)])
+    rems = [P % tree[-1][0]]
+    for level in reversed(tree[:-1]):
+        rems = [rems[i >> 1] % m for i, m in enumerate(level)]
+    return list(map(math.gcd, block, rems))
+
+
+def _factor(n: int, g: int, budget: FactorBudget) -> Factorization:
+    """Factor n != 0, given a g > 0 that the same trial primes divide as
+    divide n: the one trial-division loop and the one finish of
+    ``factorize`` (g = n) and ``factorize_many`` (g = gcd(n, P))."""
     sign = 1 if n > 0 else -1
     n = abs(n)
     factors: dict[int, int] = {}
+    least = max(budget.trial_bound, 1) + 1  # no prime below it is left in n
     for first, product, chunk in _trial_chunks(budget.trial_bound):
-        if first * first > n:
-            break  # n is 1 or a prime
-        g = math.gcd(n, product)
         if g == 1:
+            break  # every trial prime of n is divided out
+        if first * first > n:
+            least = first
+            break  # n is 1 or a prime
+        h = math.gcd(g, product)
+        if h == 1:
             continue
+        g //= h
         for p in chunk:
-            if g % p == 0:
+            if h % p == 0:
                 e = 0
                 while n % p == 0:
                     n //= p
                     e += 1
                 factors[p] = e
+    cutoff = least * least
     cofactor = 1
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
-        if is_prime(m):
+        # every prime factor of m is >= least, so m < least^2 is prime
+        if m < cutoff or _sprp(m):
             factors[m] = factors.get(m, 0) + 1
             continue
-        # every prime factor of m exceeds the trial bound
         d = _brent_rho(m, budget.rho_iterations)
         if d is None:
             cofactor *= m

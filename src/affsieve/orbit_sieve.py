@@ -18,8 +18,9 @@ from .core_arith import (
     FactorBudget,
     check_prime_set,
     factorize,
+    factorize_many,
     ln_bracket,
-    omega_outside,
+    omega_outside,  # read as orbit_sieve.omega_outside by perfbench/selftest.py
     primes_upto,
     s_integer_part,
 )
@@ -230,16 +231,17 @@ def almost_prime_census(
     budget: FactorBudget = FactorBudget(),
     cap: int = 5_000_000,
 ) -> CensusResult:
-    """Histogram of Omega over the sieve sequence: Omega is computed once per
-    distinct S-integer value n and weighted by a_n(L), so the counts still
-    count elements."""
+    """Histogram of Omega over the sieve sequence: the distinct S-integer
+    values n, which have no prime of S left, are factored in one batch by
+    ``factorize_many``, and each Omega is weighted by a_n(L), so the counts
+    still count elements."""
     if r_max < 0:
         raise ValueError("r_max must be >= 0")
     seq = build_sequence(gens, f, L, S, cap=cap)
     histogram = [0] * (r_max + 1)  # Omega -> elements
     incomplete = 0
-    for n, a in seq.entries.items():
-        om = omega_outside(n, seq.S_used, budget=budget)
+    for a, fac in zip(seq.entries.values(), factorize_many(seq.entries, budget)):
+        om = fac.omega()
         if om is None:
             incomplete += a
         elif om <= r_max:
@@ -286,17 +288,14 @@ def saturation_estimate(
         raise ValueError("r_max must be >= 0")
     Sset = check_prime_set(S)
     # one BFS at the largest L; the ball at L' is {gamma : length <= L'}.
-    # Each element with Omega <= r_max is kept with its Omega, in ball order;
-    # Omega is computed once per S-integer value.
+    # The distinct S-integer values are factored in one batch, then each
+    # element with Omega <= r_max is kept with its Omega, in ball order.
     B = ball(gens, schedule[-1], cap=cap)
-    omega: dict[int, Optional[int]] = {}
+    valued = [(e, s_integer_part(val, Sset)) for e, val in B.values(f) if val != 0]
+    distinct = dict.fromkeys(n for _, n in valued)
+    omega = {n: fac.omega() for n, fac in zip(distinct, factorize_many(distinct))}
     kept = []
-    for e, val in B.values(f):
-        if val == 0:
-            continue
-        n = s_integer_part(val, Sset)
-        if n not in omega:
-            omega[n] = omega_outside(n, Sset)
+    for e, n in valued:
         om = omega[n]
         if om is not None and om <= r_max:
             kept.append((om, e))

@@ -12,6 +12,7 @@ from affsieve.core_arith import (
     Factorization,
     check_prime_set,
     factorize,
+    factorize_many,
     is_prime,
     ln_bracket,
     omega_outside,
@@ -82,6 +83,12 @@ def test_is_prime_matches_sympy_around_psi():
         window = range(psi - 60, psi + 61)
         for n in [*window, sympy.prevprime(psi), sympy.nextprime(psi)]:
             assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_sympy_below_20000_and_around_101_squared():
+    # is_prime takes an n < 101^2 with no factor <= 97 as prime without Miller-Rabin
+    for n in [*range(-2, 20_000), *range(101**2 - 200, 101**2 + 201)]:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 def test_check_prime_set():
@@ -185,6 +192,58 @@ def test_chunked_trial_division_matches_per_prime(powers, large, trial_bound, rh
         n *= sympy.nextprime(x)
     budget = FactorBudget(trial_bound=trial_bound, rho_iterations=rho)
     assert factorize(n, budget) == factorize_per_prime(n, budget)
+
+
+def _trial_value(powers, large, sign):
+    n = sign
+    for p, e in powers:
+        n *= p**e
+    for x in large:
+        n *= sympy.nextprime(x)
+    return n
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(EDGE_PRIMES), st.integers(1, 3)), max_size=3),
+            st.lists(st.integers(2**10, 2**22), max_size=2),
+            st.sampled_from((1, -1)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from((0, 1, 256, 257)),
+    st.sampled_from(TRIAL_BOUNDS),
+    st.sampled_from((1, 50, 2_000, 20_000_000)),
+)
+def test_factorize_many_matches_factorize(drawn, size, trial_bound, rho):
+    # a pool with 1 and a negative value, repeated to fill blocks of 256 and 257
+    pool = [_trial_value(*v) for v in drawn]
+    pool += [1, -pool[0]]
+    values = [pool[i % len(pool)] for i in range(size)]
+    budget = FactorBudget(trial_bound=trial_bound, rho_iterations=rho)
+    expected = {v: factorize(v, budget) for v in pool}
+    for v, fac in expected.items():
+        assert fac == factorize_per_prime(v, budget)
+    assert factorize_many(values, budget) == [expected[v] for v in values]
+    with pytest.raises(ValueError):
+        factorize_many([*values, 0], budget)
+
+
+@pytest.mark.parametrize("bound", [*TRIAL_BOUNDS, 90, -5])
+def test_prime_cutoff_is_strict(bound):
+    # every trial prime is tried, so a part left below (bound + 1)^2 is prime;
+    # q^2 with q the next prime is not, and for prime bound + 1 it sits on the
+    # cutoff.  A bound below 2 tries no prime, and the cutoff is 2^2.
+    budget = FactorBudget(trial_bound=bound)
+    q = sympy.nextprime(bound)
+    values = [q * q, q * sympy.nextprime(q), 2 * q * q]
+    for v, fac in zip(values, factorize_many(values, budget)):
+        assert fac.complete
+        assert fac == factorize(v, budget) == factorize_per_prime(v, budget)
+        assert dict(fac.factors) == sympy.factorint(v)
 
 
 def test_trial_chunks_cover_the_trial_primes():
